@@ -36,6 +36,7 @@ from .integrator import (
 )
 from .lyapunov import LyapunovResult, TangentCollapseError, lyapunov_spectrum
 from .poincare import (
+    CrossingRefinementError,
     NonReturningOrbitError,
     SectionPlane,
     SectionPoint,
@@ -70,6 +71,7 @@ __all__ = [
     "BlowUpError",
     "BoundCertificate",
     "BoundReport",
+    "CrossingRefinementError",
     "IntegrationError",
     "IntegrationOptions",
     "LyapunovResult",

@@ -25,7 +25,9 @@ import numpy as np
 from .integrator import (
     BlowUpError,
     IntegrationOptions,
+    StepSizeError,
     Trajectory,
+    _hermite_fraction,
     integrate,
 )
 from .polyfield import PolyField, certify_lower_bound
@@ -133,12 +135,6 @@ def bound_line(alpha: float, t0: float, xj0: float, t: float) -> float:
     return alpha * (t - t0) + xj0
 
 
-def _hermite_scalar_midpoints(ts, xs, fs):
-    h = ts[1:] - ts[:-1]
-    # cubic Hermite at s = 1/2: (ya+yb)/2 + h*(fa-fb)/8
-    return 0.5 * (xs[:-1] + xs[1:]) + h * (fs[:-1] - fs[1:]) / 8.0
-
-
 def verify_bounds(traj: Trajectory, cert: BoundCertificate,
                   tol: float = 1e-6) -> BoundReport:
     """Check the forward and backward bound lines on trajectory samples
@@ -161,13 +157,10 @@ def verify_bounds(traj: Trajectory, cert: BoundCertificate,
     ts = traj.times
     xs = traj.states[:, j]
     fs = traj.derivs[:, j]
-    if len(ts) > 1:
-        mid_t = 0.5 * (ts[:-1] + ts[1:])
-        mid_x = _hermite_scalar_midpoints(ts, xs, fs)
-        all_t = np.concatenate([ts, mid_t])
-        all_x = np.concatenate([xs, mid_x])
-    else:
-        all_t, all_x = ts, xs
+    # samples plus the Hermite midpoint of every step (none for one sample)
+    all_t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])
+    all_x = np.concatenate([xs, _hermite_fraction(
+        0.5, xs[:-1], xs[1:], fs[:-1], fs[1:], ts[1:] - ts[:-1])])
 
     xj0 = xs[0]
     line = cert.alpha * (all_t - traj.t0) + xj0
@@ -284,8 +277,9 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
 
     Tries exact equilibrium detection first (Newton on f(x) = 0 from the
     seed, residual < 1e-12 accepted, evaluated symbolically); otherwise
-    integrates backward over the horizon. A blow-up is a valid
-    non-counterexample outcome, reported with the escape verdict.
+    integrates backward over the horizon. A finite-time escape (blow-up
+    or step-size underflow) is a valid non-counterexample outcome,
+    reported with the escape verdict.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -310,7 +304,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
 
     try:
         traj = integrate(field, x0, 0.0, -horizon, opts)
-    except BlowUpError as exc:
+    except (BlowUpError, StepSizeError) as exc:
         partial = exc.trajectory
         report = verify_bounds(partial, cert, tol=tol) if partial is not None else None
         return RefutationReport(

@@ -18,6 +18,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,10 +79,6 @@ class RunConfig:
 
 def _human(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _load_field(path: Path) -> PolyField:
-    return parse_system(path.read_text(encoding="utf-8"))
 
 
 def _parse_vector(text: str, dimension: int) -> np.ndarray:
@@ -416,6 +413,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # argparse would read -0.5,0,0 as a flag; no flag starts -<digit>
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -487,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        field = _load_field(args.system)
+        field = parse_system(args.system.read_text(encoding="utf-8"))
     except OSError as exc:
         _human(f"cannot read system file: {exc}")
         return EXIT_USAGE

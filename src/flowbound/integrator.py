@@ -143,10 +143,6 @@ class Trajectory:
         return self.states.shape[1]
 
     @property
-    def samples(self) -> list[tuple[float, np.ndarray]]:
-        return list(zip(self.times.tolist(), self.states))
-
-    @property
     def final_time(self) -> float:
         return float(self.times[-1])
 
@@ -175,9 +171,6 @@ class Trajectory:
         return _hermite(ts[i], self.states[i], self.derivs[i],
                         ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
 
-    def midpoint_times(self) -> np.ndarray:
-        return 0.5 * (self.times[:-1] + self.times[1:])
-
     def write_csv(self, target: Union[str, TextIO], variable_names=None) -> None:
         """CSV with header t,<var1>,...,<varn>; 17 significant digits."""
         names = variable_names or self.variable_names
@@ -199,17 +192,24 @@ class Trajectory:
                 fh.close()
 
 
+def _hermite_basis(s):
+    """Cubic Hermite basis (h00, h10, h01, h11) at step fraction s."""
+    s2 = s * s
+    s3 = s2 * s
+    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+
+
 def _hermite(ta, ya, fa, tb, yb, fb, t):
     """Cubic Hermite interpolant on [ta, tb] matching values and slopes."""
     h = tb - ta
-    s = (t - ta) / h
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
+    h00, h10, h01, h11 = _hermite_basis((t - ta) / h)
     return h00 * ya + (h10 * h) * fa + h01 * yb + (h11 * h) * fb
+
+
+def _hermite_fraction(s, ga, gb, dga, dgb, h):
+    """Elementwise cubic Hermite value at fraction s of a step of length h."""
+    h00, h10, h01, h11 = _hermite_basis(s)
+    return h00 * ga + h01 * gb + h * (h10 * dga + h11 * dgb)
 
 
 def _error_norm(err, ya, yb, abs_tol, rel_tol):
@@ -288,10 +288,10 @@ def _dp54_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
             # land on t1 exactly instead of leaving a 1-ulp sliver behind
             t_new = t1 if final_step else t + hs
             _check_finite_norm(t_new, y_new, opts.blow_up_norm)
-            # FSAL: stage 7 is f(t+h, y_new); copy it out of the stage
-            # buffer, which the next step overwrites
+            # FSAL: stage 7 is f(t+h, y_new); copy it out of the stage buffer,
+            # which the next step overwrites. Nothing else yielded is written.
             f_new = k[6].copy()
-            yield t, y.copy(), f.copy(), t_new, y_new.copy(), f_new
+            yield t, y, f, t_new, y_new, f_new
             t, y, f = t_new, y_new, f_new
             factor = _MAX_STEP_FACTOR if err == 0.0 else min(
                 _MAX_STEP_FACTOR, _SAFETY * err ** -0.2)
@@ -321,7 +321,7 @@ def _rk4_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
         t_new = t1 if i == n_steps - 1 else t0 + (i + 1) * h
         _check_finite_norm(t_new, y_new, opts.blow_up_norm)
         f_new = rhs(y_new)
-        yield t, y.copy(), f.copy(), t_new, y_new, f_new
+        yield t, y, f, t_new, y_new, f_new
         y, f = y_new, f_new
 
 
@@ -331,22 +331,36 @@ def _step_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
     return _dp54_stream(rhs, y0, t0, t1, opts)
 
 
-def _run_recorded(rhs, x0, t0, t1, opts, tol, variable_names) -> "Trajectory":
-    y0 = np.asarray(x0, dtype=float)
-    times = [t0]
-    states = [y0.copy()]
-    derivs = [rhs(y0)]
+def _drive(rhs, w0, t0, t1, opts, record=None):
+    """Step from (t0, w0) to t1; returns (final state, trajectory).
+
+    Given a field as `record`, the trajectory holds its state columns at
+    every accepted step, and any IntegrationError carries it as the
+    partial trajectory; otherwise it is None.
+    """
+    w = w0
+    if record is None:
+        for _ta, _wa, _fa, _tb, w, _fb in _step_stream(rhs, w0, t0, t1, opts):
+            pass
+        return w, None
+    times, states, derivs = [t0], [w0], [rhs(w0)]
+
+    def trajectory():
+        # stack whole steps, then slice once: a view per step costs memory
+        n = record.dimension
+        return Trajectory(t0, np.array(times), np.vstack(states)[:, :n],
+                          np.vstack(derivs)[:, :n], opts.tolerance,
+                          record.variable_names)
+
     try:
-        for _ta, _ya, _fa, tb, yb, fb in _step_stream(rhs, y0, t0, t1, opts):
+        for _ta, _wa, _fa, tb, w, fb in _step_stream(rhs, w0, t0, t1, opts):
             times.append(tb)
-            states.append(yb)
+            states.append(w)
             derivs.append(fb)
     except IntegrationError as exc:
-        exc.trajectory = Trajectory(t0, np.array(times), np.vstack(states),
-                                    np.vstack(derivs), tol, variable_names)
+        exc.trajectory = trajectory()
         raise
-    return Trajectory(t0, np.array(times), np.vstack(states),
-                      np.vstack(derivs), tol, variable_names)
+    return w, trajectory()
 
 
 def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:
@@ -371,8 +385,7 @@ def integrate(field: PolyField, x0, t0: float, t1: float,
     """
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
-    return _run_recorded(field.compiled_rhs(), y0, t0, t1, opts,
-                         opts.tolerance, field.variable_names)
+    return _drive(field.compiled_rhs(), y0, t0, t1, opts, record=field)[1]
 
 
 def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
@@ -392,26 +405,10 @@ def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
         raise ValueError(f"Q0 has shape {Q0.shape}, expected ({n}, {n})")
     if not np.all(np.isfinite(Q0)):
         raise ValueError("Q0 must be finite")
-    aug = field.compiled_tangent_rhs()
     w0 = np.concatenate([y0, Q0.ravel()])
-    times = [t0]
-    states = [y0.copy()]
-    derivs = [aug(w0)[:n]]
-    w_final = w0
-    try:
-        for _ta, _wa, _fa, tb, wb, fb in _step_stream(aug, w0, t0, t1, opts):
-            times.append(tb)
-            states.append(wb[:n])
-            derivs.append(fb[:n])
-            w_final = wb
-    except IntegrationError as exc:
-        exc.trajectory = Trajectory(t0, np.array(times), np.vstack(states),
-                                    np.vstack(derivs), opts.tolerance,
-                                    field.variable_names)
-        raise
-    traj = Trajectory(t0, np.array(times), np.vstack(states),
-                      np.vstack(derivs), opts.tolerance, field.variable_names)
-    return traj, w_final[n:].reshape(n, n).copy()
+    w, traj = _drive(field.compiled_tangent_rhs(), w0, t0, t1, opts,
+                     record=field)
+    return traj, w[n:].reshape(n, n)
 
 
 def _final_tangent_state(field: PolyField, x0, Q0: np.ndarray, t0: float,
@@ -419,8 +416,6 @@ def _final_tangent_state(field: PolyField, x0, Q0: np.ndarray, t0: float,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Sample-free fast path of integrate_with_tangent (final values only)."""
     n = field.dimension
-    aug = field.compiled_tangent_rhs()
-    w = np.concatenate([np.asarray(x0, dtype=float), Q0.ravel()])
-    for _ta, _wa, _fa, _tb, wb, _fb in _step_stream(aug, w, t0, t1, opts):
-        w = wb
+    w0 = np.concatenate([np.asarray(x0, dtype=float), Q0.ravel()])
+    w, _ = _drive(field.compiled_tangent_rhs(), w0, t0, t1, opts)
     return w[:n], w[n:].reshape(n, n)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import IntegrationOptions, _final_tangent_state, _step_stream
+from .integrator import IntegrationOptions, _drive, _final_tangent_state
 from .polyfield import PolyField
 
 __all__ = [
@@ -79,15 +79,6 @@ def _mgs_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def _final_state(field: PolyField, x, t0: float, t1: float,
-                 opts: IntegrationOptions) -> np.ndarray:
-    rhs = field.compiled_rhs()
-    y = np.asarray(x, dtype=float)
-    for _ta, _ya, _fa, _tb, yb, _fb in _step_stream(rhs, y, t0, t1, opts):
-        y = yb
-    return y
-
-
 def lyapunov_spectrum(field: PolyField, x0, transient: float,
                       total_time: float, renorm_interval: float,
                       opts: Optional[IntegrationOptions] = None,
@@ -110,7 +101,7 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     n = field.dimension
     x = np.asarray(x0, dtype=float)
     if transient > 0:
-        x = _final_state(field, x, 0.0, transient, opts)
+        x, _ = _drive(field.compiled_rhs(), x, 0.0, transient, opts)
     Q = np.eye(n)
     logs = np.zeros(n)
     n_chunks = max(1, math.ceil(total_time / renorm_interval - 1e-9))

@@ -16,13 +16,20 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import IntegrationOptions, _hermite, _step_stream
+from .integrator import (
+    IntegrationError,
+    IntegrationOptions,
+    _hermite,
+    _hermite_fraction,
+    _step_stream,
+)
 from .polyfield import PolyField
 
 __all__ = [
     "SectionPlane",
     "SectionPoint",
     "NonReturningOrbitError",
+    "CrossingRefinementError",
     "first_return",
     "first_crossing",
     "return_map_iterates",
@@ -35,10 +42,6 @@ _REFINE_TOL = 1e-10
 _BRACKET_WIDTH = 1e-12
 # interior dense-output checkpoints per accepted step, as step fractions
 _SUB_S = (0.25, 0.5, 0.75)
-_SUB_BASIS = tuple(
-    (2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s,
-     -2 * s**3 + 3 * s**2, s**3 - s**2)
-    for s in _SUB_S)
 
 
 class NonReturningOrbitError(RuntimeError):
@@ -48,6 +51,10 @@ class NonReturningOrbitError(RuntimeError):
         super().__init__(message)
         self.elapsed = elapsed
         self.state = state
+
+
+class CrossingRefinementError(IntegrationError):
+    """Crossing refinement stalled; `t` and `state` are where it stopped."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,16 +161,9 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
     h = tb - ta
-
-    def g_scalar(s):
-        s2 = s * s
-        s3 = s2 * s
-        return ((2 * s3 - 3 * s2 + 1) * ga + (-2 * s3 + 3 * s2) * gb
-                + h * ((s3 - 2 * s2 + s) * dga + (s3 - s2) * dgb))
-
     while (sb - sa) * abs(h) > _BRACKET_WIDTH:
         sm = 0.5 * (sa + sb)
-        gm = g_scalar(sm)
+        gm = _hermite_fraction(sm, ga, gb, dga, dgb, h)
         if gm == 0.0:
             sa = sb = sm
             break
@@ -206,9 +206,8 @@ def _next_crossing(field, plane, state, t0, opts, max_time, refractory):
         dgb = float(np.dot(fb, normal))
         h = tb - ta
         samples = [(0.0, ga)]
-        samples += [
-            (s, b00 * ga + b01 * gb + h * (b10 * dga + b11 * dgb))
-            for s, (b00, b10, b01, b11) in zip(_SUB_S, _SUB_BASIS)]
+        samples += [(s, _hermite_fraction(s, ga, gb, dga, dgb, h))
+                    for s in _SUB_S]
         samples.append((1.0, gb))
         step = (ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb)
         for (sa, gi), (sb, gj) in zip(samples, samples[1:]):
@@ -225,9 +224,9 @@ def _next_crossing(field, plane, state, t0, opts, max_time, refractory):
             if abs(tau - t0) < refractory:
                 continue
             if abs(g) > _REFINE_TOL:
-                raise RuntimeError(
+                raise CrossingRefinementError(
                     f"crossing refinement stalled at |s|={abs(g):.3e} "
-                    f"(t={tau:.6g})")
+                    f"(t={tau:.6g})", tau, x)
             return tau, x
     raise NonReturningOrbitError(
         f"no counted section crossing within {max_time} time units",
@@ -247,8 +246,8 @@ def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
     refined section point and the elapsed return time.
 
     Raises NonReturningOrbitError when `max_time` passes without a
-    counted crossing; integrator errors (blow-up, step underflow)
-    propagate.
+    counted crossing and CrossingRefinementError when the refinement
+    stalls; integrator errors (blow-up, step underflow) propagate.
     """
     opts = opts or IntegrationOptions()
     _require_3d(field)

@@ -21,8 +21,6 @@ __all__ = [
     "PolyField",
     "SystemConfigError",
     "parse_system",
-    "evaluate",
-    "jacobian",
     "certify_lower_bound",
 ]
 
@@ -565,19 +563,6 @@ def _split_equation(tokens: list[_Token], lineno: int) -> tuple[str, list[_Token
         raise SystemConfigError(
             "empty right-hand side", lineno, eq.column + 1)
     return head.text[1:], tokens[4:]
-
-
-# -- module-level operations ------------------------------------------------
-
-
-def evaluate(field: PolyField, state: Sequence[float]) -> np.ndarray:
-    """Evaluate the field: component-wise exact monomial sums."""
-    return field.evaluate(state)
-
-
-def jacobian(field: PolyField, state: Sequence[float]) -> np.ndarray:
-    """Exact symbolic Jacobian of the field at `state`."""
-    return field.jacobian(state)
 
 
 def certify_lower_bound(poly: Polynomial) -> Optional[float]:

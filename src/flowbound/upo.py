@@ -53,6 +53,7 @@ NEUTRAL_DEGENERATE = "neutral-degenerate"
 _RESIDUAL_LIMIT = 1e-8
 _DEDUP_TOL = 1e-5
 _INSTABILITY_MARGIN = 1e-6
+_UNIT_MULTIPLIER_TOL = 1e-3  # an orbit's flow-direction multiplier
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -221,8 +222,7 @@ def monodromy(field: PolyField, orbit_start, T: float,
     if not T > 0:
         raise ValueError("period must be positive")
     opts = opts or _default_shoot_integration()
-    x0 = np.asarray(orbit_start, dtype=float)
-    _x1, M = _final_tangent_state(field, x0, np.eye(field.dimension),
+    _x1, M = _final_tangent_state(field, orbit_start, np.eye(field.dimension),
                                   0.0, float(T), opts)
     return M, np.linalg.eigvals(M)
 
@@ -276,7 +276,8 @@ def newton_shoot(field: PolyField, plane: SectionPlane, seed: RecurrenceSeed,
     anything else that blocks progress raises NewtonConvergenceError.
     Converged orbits are reduced to their prime period (a k-cycle that
     is d-shift invariant re-shoots at k = d) and classified via their
-    Floquet multipliers.
+    Floquet multipliers. A rest point, with no multiplier within 1e-3
+    of 1, raises NewtonConvergenceError.
     """
     opts = opts or ShootOptions()
     return _shoot_chart(field, plane, np.asarray(seed.point.coords2, float),
@@ -349,6 +350,9 @@ def _shoot_chart(field, plane, u0, k, opts) -> PeriodicOrbit:
     _M, eigvals = monodromy(field, fixed_point.state3, period,
                             opts.integration)
     multipliers = _sorted_multipliers(eigvals)
+    if min(abs(m - 1.0) for m in multipliers) > _UNIT_MULTIPLIER_TOL:
+        raise NewtonConvergenceError(
+            f"no Floquet multiplier near 1 (k={k}): a rest point, not an orbit")
     stability = NEUTRAL_DEGENERATE if degenerate else _classify(multipliers)
     return PeriodicOrbit(
         section_fixed_point=fixed_point,

@@ -229,6 +229,19 @@ class TestRefuteNonexistence:
         assert report.bound_report is not None
         assert report.bound_report.backward_holds
 
+    @pytest.mark.parametrize("x0", [[1.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    def test_escape_by_step_underflow(self, closed_orbit, x0):
+        # outside the unit cylinder r^2 = e^(2t) / (e^(2t) + q) reaches
+        # infinity at t = -ln(r0^2 / (r0^2 - 1)) / 2; the step size
+        # underflows there before the norm cap trips
+        cert = BoundCertificate.certified(closed_orbit, 3)
+        report = refute_nonexistence(closed_orbit, cert, x0, 100.0)
+        r2 = x0[0] ** 2 + x0[1] ** 2
+        assert report.verdict == VERDICT_NO_COUNTEREXAMPLE
+        assert not report.bounded
+        assert abs(report.horizon - 0.5 * math.log(r2 / (r2 - 1.0))) < 1e-6
+        assert report.bound_report.backward_holds
+
     def test_cubic_escape_closed_form(self):
         traj = integrate(CUBIC_ESCAPE, [0.0, 0.0, 5.0], 0.0, -10.0,
                          IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12))

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from flowbound import __version__, system_path
+from flowbound import __version__, poincare, system_path
 from flowbound.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -129,6 +129,15 @@ class TestUsageErrors:
             main(["transmogrify"])
         assert info.value.code == 1
 
+    def test_negative_x0_as_separate_argument(self, tmp_path):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert main(["bounds-check", "--system", EQUILIBRIUM,
+                     "--x0", "-0.5,0,0", "--out", str(spaced)]) == 0
+        assert main(["bounds-check", "--system", EQUILIBRIUM,
+                     "--x0=-0.5,0,0", "--out", str(joined)]) == 0
+        assert ((spaced / "bounds.json").read_bytes()
+                == (joined / "bounds.json").read_bytes())
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
@@ -232,6 +241,16 @@ class TestSection:
         assert np.max(np.abs(data["u"][1:] - 1.0)) < 1e-6
         gaps = np.diff(data["t"])
         assert np.max(np.abs(gaps - TWO_PI)) < 1e-6
+
+    def test_stalled_refinement_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(poincare, "_REFINE_TOL", 0.0)
+        code = main(["section", "--system", CLOSED_ORBIT,
+                     "--x0", "1,-0.1,0", "--plane", CIRCLE_PLANE,
+                     "--iterates", "5", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "integration failed" in err
+        assert "Traceback" not in err
 
 
 class TestUpo:

@@ -14,6 +14,7 @@ from flowbound import (
     integrate,
     integrate_with_tangent,
     load_system,
+    monodromy,
     parse_system,
 )
 
@@ -174,6 +175,12 @@ class TestTangentFlow:
         expected = math.exp(-13.666666666666666 * 1.0)
         assert abs(np.linalg.det(M) - expected) / expected < 1e-4
 
+    def test_recorded_and_final_only_paths_agree_exactly(self, lorenz):
+        _traj, M = integrate_with_tangent(
+            lorenz, (1.0, 1.0, 1.0), np.eye(3), 0.0, 2.0, TIGHT)
+        assert np.array_equal(M, monodromy(lorenz, (1.0, 1.0, 1.0), 2.0,
+                                           TIGHT)[0])
+
     def test_liouville_identity_on_all_shipped_systems(self):
         for name in ("lorenz", "stuart-landau", "closed-orbit", "equilibrium"):
             field = load_system(name)
@@ -203,6 +210,20 @@ class TestFailureModes:
         opts = IntegrationOptions(blow_up_norm=1e4)
         with pytest.raises(BlowUpError):
             integrate(ESCAPE, [1.0], 0.0, 2.0, opts)
+
+    def test_tangent_blow_up_carries_state_columns(self):
+        # the augmented state has 3 + 9 components; the partial
+        # trajectory keeps only the 3 state columns
+        field = parse_system("dx/dt = x^2\ndy/dt = 0\ndz/dt = -z")
+        with pytest.raises(BlowUpError) as exc_info:
+            integrate_with_tangent(field, [1.0, 0.5, 1.0], np.eye(3),
+                                   0.0, 2.0, IntegrationOptions())
+        partial = exc_info.value.trajectory
+        assert partial is not None
+        assert len(partial) > 1
+        assert partial.states.shape == (len(partial), 3)
+        assert partial.derivs.shape == (len(partial), 3)
+        assert partial.times[-1] < 1.0
 
     def test_step_underflow_near_singularity(self):
         opts = IntegrationOptions(blow_up_norm=1e300)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from flowbound import (
+    CrossingRefinementError,
+    IntegrationError,
     IntegrationOptions,
     NonReturningOrbitError,
     SectionPlane,
@@ -21,6 +23,7 @@ from flowbound import (
     parse_system,
     return_map_iterates,
 )
+from flowbound import poincare
 
 from conftest import assert_close
 
@@ -160,6 +163,16 @@ class TestFirstReturn:
             first_crossing(drift, plane, [0.0, 0.0, 0.0], max_time=10.0)
         assert info.value.elapsed >= 10.0
         assert info.value.state[0] == pytest.approx(10.0, abs=1e-6)
+
+    def test_stalled_refinement_is_typed(self, closed_orbit, monkeypatch):
+        monkeypatch.setattr(poincare, "_REFINE_TOL", 0.0)
+        plane = y0_plane()
+        start = plane.section_point([1.0, 0.0, 0.0], time=0.0)
+        with pytest.raises(CrossingRefinementError) as info:
+            first_return(closed_orbit, plane, start)
+        assert isinstance(info.value, IntegrationError)
+        assert info.value.t == pytest.approx(TWO_PI, abs=1e-6)
+        assert info.value.state.shape == (3,)
 
     def test_start_time_offsets_crossing_time(self, closed_orbit):
         plane = y0_plane()

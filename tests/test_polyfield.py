@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flowbound
 from flowbound import (
     Monomial,
     Polynomial,
@@ -240,3 +244,17 @@ class TestCanonicalForm:
     def test_parsing_canonicalizes_scattered_terms(self):
         field = parse_system("dx/dt = x + 2 + x + x^2 - 2")
         assert coeffs(poly(field)) == {(1,): 2.0, (2,): 1.0}
+
+
+class TestShippedSystems:
+    def test_every_system_is_a_nonzero_field_listed_in_readme(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        listed = set(re.findall(r"^\| `([\w-]+)` \|", readme.read_text(),
+                                re.MULTILINE))
+        files = sorted((Path(flowbound.__file__).parent / "systems")
+                       .glob("*.sys"))
+        assert files
+        for path in files:
+            field = parse_system(path.read_text(encoding="utf-8"))
+            assert any(p.terms for p in field.components), path.name
+            assert path.stem in listed, path.name

@@ -175,6 +175,14 @@ class TestNewtonShoot:
             newton_shoot(lorenz, plane, seed,
                          ShootOptions(max_iter=8))
 
+    @pytest.mark.parametrize("coords", [[-8.3, -8.6], [8.3, 8.6]])
+    def test_rest_point_on_plane_is_not_an_orbit(self, lorenz, coords):
+        # C+ and C- = (+-sqrt(72), +-sqrt(72), 27) lie on z = 27, where
+        # R(p) - p -> 0 without any multiplier near 1
+        plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "negative")
+        with pytest.raises(NewtonConvergenceError, match="multiplier"):
+            newton_shoot(lorenz, plane, chart_seed(plane, coords, 1, 0.6))
+
     def test_degenerate_family_needs_on_cycle_seed(self, closed_orbit):
         # dz/dt never depends on z, so the shooting Jacobian has a zero
         # column everywhere; off the cycle the residual cannot shrink
