@@ -56,7 +56,6 @@ from .upo import (
     NewtonConvergenceError,
     PeriodicOrbit,
     RecurrenceSeed,
-    ShootOptions,
     census,
     flow_determinant,
     monodromy,
@@ -86,7 +85,6 @@ __all__ = [
     "RefutationReport",
     "SectionPlane",
     "SectionPoint",
-    "ShootOptions",
     "StepSizeError",
     "SystemConfigError",
     "TangentCollapseError",

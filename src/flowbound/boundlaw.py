@@ -203,8 +203,8 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
                      ) -> Optional[tuple[np.ndarray, float]]:
     """Newton iteration on f(x) = 0 from x0.
 
-    Returns (x_star, residual) with residual = max |f_j(x_star)| evaluated
-    by exact polynomial arithmetic, or None when Newton fails to reach
+    Returns (x_star, residual) with residual = max |f_j(x_star)| from the
+    compiled floating-point field, or None when Newton fails to reach
     residual_tol. Steps are least-squares solves, so fields whose
     equilibria form a manifold (singular Jacobian everywhere) still
     converge onto the nearest point of it when the geometry allows.
@@ -275,11 +275,11 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     """Search for a backward-bounded orbit under the certificate's
     hypothesis, the direct counterexample to claimed backward divergence.
 
-    Tries exact equilibrium detection first (Newton on f(x) = 0 from the
-    seed, residual < 1e-12 accepted, evaluated symbolically); otherwise
-    integrates backward over the horizon. A finite-time escape (blow-up
-    or step-size underflow) is a valid non-counterexample outcome,
-    reported with the escape verdict.
+    Tries equilibrium detection first (Newton on f(x) = 0 from the seed,
+    accepted when the compiled floating-point field's residual is below
+    1e-12); otherwise integrates backward over the horizon. A finite-time
+    escape (blow-up or step-size underflow) is a valid non-counterexample
+    outcome, reported with the escape verdict.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

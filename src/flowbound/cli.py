@@ -51,7 +51,7 @@ from .poincare import (
     return_map_iterates,
 )
 from .polyfield import PolyField, SystemConfigError, parse_system
-from .upo import ShootOptions, census
+from .upo import SHOOT_INTEGRATION, census
 
 __all__ = ["main", "RunConfig"]
 
@@ -310,11 +310,10 @@ def cmd_upo(field: PolyField, cfg: RunConfig, args) -> int:
     x0 = _parse_vector(args.x0, field.dimension)
     plane = _parse_plane(args.plane)
     scan_opts = _integration_options(cfg)
-    shoot_opts = ShootOptions()
     start, _elapsed = first_crossing(field, plane, x0, 0.0, scan_opts,
                                      max_time=args.max_time)
     orbits = census(field, plane, start, args.iterates, args.k_max,
-                    args.threshold, shoot_opts, scan_opts,
+                    args.threshold, scan_opts,
                     max_time=args.max_time)
     entries = []
     for idx, orbit in enumerate(orbits, start=1):
@@ -332,7 +331,7 @@ def cmd_upo(field: PolyField, cfg: RunConfig, args) -> int:
             "residual": orbit.residual,
         })
         orbit_traj = integrate(field, fp.state3, 0.0, orbit.period,
-                               shoot_opts.integration)
+                               SHOOT_INTEGRATION)
         _emit(cfg, f"orbit-{idx:03d}.csv", _csv_trajectory(orbit_traj))
         _human(f"orbit {idx}: k={orbit.k} T={orbit.period:.6f} "
                f"{orbit.stability} residual={orbit.residual:.2e}")

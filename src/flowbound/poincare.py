@@ -40,6 +40,7 @@ DIRECTIONS = ("positive", "negative", "both")
 _ON_PLANE_TOL = 1e-9
 _REFINE_TOL = 1e-10
 _BRACKET_WIDTH = 1e-12
+_REFRACTORY = 1e-6  # a return ignores crossings this soon after departure
 # interior dense-output checkpoints per accepted step, as step fractions
 _SUB_S = (0.25, 0.5, 0.75)
 
@@ -186,7 +187,7 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
     return tau, x, g
 
 
-def _next_crossing(field, plane, state, t0, opts, max_time, refractory):
+def _next_crossing(field, plane, state, t0, opts, max_time, min_elapsed):
     """March the flow from (t0, state) to the next counted plane crossing."""
     if not max_time > 0:
         raise ValueError("max_time must be positive")
@@ -221,7 +222,7 @@ def _next_crossing(field, plane, state, t0, opts, max_time, refractory):
                 continue
             tau, x, g = _refine_crossing(step, sa, sb, rising, rhs,
                                          normal, offset)
-            if abs(tau - t0) < refractory:
+            if abs(tau - t0) < min_elapsed:
                 continue
             if abs(g) > _REFINE_TOL:
                 raise CrossingRefinementError(
@@ -235,13 +236,12 @@ def _next_crossing(field, plane, state, t0, opts, max_time, refractory):
 
 def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
                  opts: Optional[IntegrationOptions] = None, *,
-                 max_time: float = 1000.0, refractory: float = 1e-6,
-                 ) -> tuple[SectionPoint, float]:
+                 max_time: float = 1000.0) -> tuple[SectionPoint, float]:
     """First return of the flow through `start` to the oriented plane.
 
     Integrates forward from `start` (which must lie on the plane),
     detects the first signed-distance sign change consistent with the
-    plane's direction, ignoring crossings within `refractory` time of
+    plane's direction, ignoring crossings within 1e-6 time of
     departure, and refines it to |signed distance| < 1e-10. Returns the
     refined section point and the elapsed return time.
 
@@ -256,7 +256,7 @@ def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
         raise ValueError(
             f"start point lies {s0:.3e} off the plane (limit {_ON_PLANE_TOL})")
     tau, x = _next_crossing(field, plane, start.state3, start.time, opts,
-                            max_time, refractory)
+                            max_time, _REFRACTORY)
     return plane.section_point(x, tau), tau - start.time
 
 
@@ -278,8 +278,7 @@ def first_crossing(field: PolyField, plane: SectionPlane, x0, t0: float = 0.0,
 def return_map_iterates(field: PolyField, plane: SectionPlane,
                         start: SectionPoint, k: int,
                         opts: Optional[IntegrationOptions] = None, *,
-                        max_time: float = 1000.0, refractory: float = 1e-6,
-                        ) -> list[SectionPoint]:
+                        max_time: float = 1000.0) -> list[SectionPoint]:
     """k successive first returns from `start` (k = 0 gives []).
 
     Each iterate restarts exactly from the previous refined section
@@ -293,8 +292,7 @@ def return_map_iterates(field: PolyField, plane: SectionPlane,
     for i in range(k):
         try:
             current, _rt = first_return(field, plane, current, opts,
-                                        max_time=max_time,
-                                        refractory=refractory)
+                                        max_time=max_time)
         except RuntimeError as exc:
             exc.iterate_index = i
             raise

@@ -253,13 +253,14 @@ class PolyField:
     def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
         """f(y) -> ndarray, generated and exec'd once per field."""
         if self._rhs is None:
-            self._rhs = _compile_vector(self.components, self.dimension, "_rhs")
+            self._rhs = _compile("_rhs", [_poly_expr(p) for p in self.components],
+                                 self.dimension)
         return self._rhs
 
     def compiled_jacobian(self) -> Callable[[np.ndarray], np.ndarray]:
         if self._jac is None:
-            flat = [p for row in self.jacobian_polynomials() for p in row]
-            fn = _compile_vector(flat, self.dimension, "_jac")
+            flat = [e for row in self._jacobian_exprs() for e in row]
+            fn = _compile("_jac", flat, self.dimension)
             n = self.dimension
             self._jac = lambda y, _fn=fn, _n=n: _fn(y).reshape(_n, _n)
         return self._jac
@@ -271,8 +272,20 @@ class PolyField:
         row-major order.
         """
         if self._tangent_rhs is None:
-            self._tangent_rhs = _compile_tangent(self)
+            n = self.dimension
+            grid = [f"j{i}{k} = {e}"
+                    for i, row in enumerate(self._jacobian_exprs())
+                    for k, e in enumerate(row)]
+            out = [_poly_expr(p) for p in self.components]
+            # dV/dt = J V, with V unpacked row-major from w[n:]
+            out += [" + ".join(f"j{i}{k}*w[{n + k * n + c}]" for k in range(n))
+                    for i in range(n) for c in range(n)]
+            self._tangent_rhs = _compile("_aug", out, n, "w", grid)
         return self._tangent_rhs
+
+    def _jacobian_exprs(self) -> list[list[str]]:
+        return [[_poly_expr(p) for p in row]
+                for row in self.jacobian_polynomials()]
 
 
 # -- code generation -------------------------------------------------------
@@ -294,38 +307,17 @@ def _poly_expr(p: Polynomial) -> str:
     return " + ".join(_monomial_expr(m) for m in p.terms)
 
 
-def _unpack_lines(n: int, src: str = "y") -> list[str]:
-    return [f"    x{i} = {src}[{i}]" for i in range(n)]
-
-
-def _compile_vector(polys: Sequence[Polynomial], n: int, name: str) -> Callable:
-    lines = [f"def {name}(y, _array=_array):"]
-    lines += _unpack_lines(n)
-    body = ", ".join(_poly_expr(p) for p in polys)
-    lines.append(f"    return _array(({body},))")
+def _compile(name: str, outputs: Sequence[str], n: int, src: str = "y",
+             body: Sequence[str] = ()) -> Callable:
+    """exec `def name(src)`: unpack x0..x{n-1}, run `body`, return the
+    float array of the `outputs` expressions."""
+    lines = [f"def {name}({src}, _array=_array):"]
+    lines += [f"    x{i} = {src}[{i}]" for i in range(n)]
+    lines += [f"    {line}" for line in body]
+    lines.append(f"    return _array(({', '.join(outputs)},))")
     ns = {"_array": lambda t: np.array(t, dtype=float)}
     exec("\n".join(lines), ns)
     return ns[name]
-
-
-def _compile_tangent(field: PolyField) -> Callable:
-    n = field.dimension
-    jac = field.jacobian_polynomials()
-    lines = ["def _aug(w, _array=_array):"]
-    lines += _unpack_lines(n, "w")
-    for i in range(n):
-        for k in range(n):
-            lines.append(f"    j{i}{k} = {_poly_expr(jac[i][k])}")
-    out = [_poly_expr(p) for p in field.components]
-    # dV/dt = J V, with V unpacked row-major from w[n:]
-    for i in range(n):
-        for c in range(n):
-            prods = [f"j{i}{k}*w[{n + k * n + c}]" for k in range(n)]
-            out.append(" + ".join(prods))
-    lines.append(f"    return _array(({', '.join(out)},))")
-    ns = {"_array": lambda t: np.array(t, dtype=float)}
-    exec("\n".join(lines), ns)
-    return ns["_aug"]
 
 
 # -- parsing ---------------------------------------------------------------

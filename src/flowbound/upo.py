@@ -3,17 +3,19 @@
 Pipeline: scan return-map iterates for close recurrences, refine each
 recurrence seed by Newton shooting on the k-th return map in chart
 coordinates, then classify the refined orbit by the eigenvalues of its
-monodromy matrix (the tangent flow over one period). Determinants of
-long-time tangent flows are evaluated as products over short segments,
-which keeps multipliers many orders of magnitude apart from drowning
-each other in roundoff.
+monodromy matrix (the tangent flow over one period). That one matrix,
+integrated once per Newton iterate, is also the shooting Jacobian (the
+variational Jacobian of ChaosBook, "Fixed points, and how to get them").
+Determinants of long-time tangent flows are evaluated as products over
+short segments, which keeps multipliers many orders of magnitude apart
+from drowning each other in roundoff.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +37,6 @@ from .polyfield import PolyField
 __all__ = [
     "RecurrenceSeed",
     "PeriodicOrbit",
-    "ShootOptions",
     "NewtonConvergenceError",
     "scan_close_recurrences",
     "newton_shoot",
@@ -54,6 +55,15 @@ _RESIDUAL_LIMIT = 1e-8
 _DEDUP_TOL = 1e-5
 _INSTABILITY_MARGIN = 1e-6
 _UNIT_MULTIPLIER_TOL = 1e-3  # an orbit's flow-direction multiplier
+_MAX_ITER = 8
+_CONVERGE_TOL = 1e-10
+_TRUST_RADIUS = 0.5
+_MAX_HALVINGS = 8
+_SINGULAR_TOL = 1e-12
+_MAX_RETURN_TIME = 50.0
+# tighter than the general default: Newton accepts at |G| < 1e-10,
+# so return-map noise must sit well below that
+SHOOT_INTEGRATION = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -113,27 +123,6 @@ class PeriodicOrbit:
             raise ValueError(f"unknown stability {self.stability!r}")
 
 
-def _default_shoot_integration() -> IntegrationOptions:
-    # tighter than the general default: Newton accepts at |G| < 1e-10,
-    # so return-map noise must sit well below that
-    return IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
-
-
-@dataclass
-class ShootOptions:
-    """Controls for Newton shooting and monodromy evaluation."""
-
-    max_iter: int = 50
-    fd_step: float = 1e-7
-    converge_tol: float = 1e-10
-    trust_radius: float = 0.5
-    max_halvings: int = 8
-    singular_tol: float = 1e-12
-    max_return_time: float = 50.0
-    integration: IntegrationOptions = dataclass_field(
-        default_factory=_default_shoot_integration)
-
-
 def scan_close_recurrences(field: PolyField, plane: SectionPlane,
                            start: SectionPoint, n_iterates: int, k_max: int,
                            threshold: float,
@@ -170,18 +159,6 @@ def scan_close_recurrences(field: PolyField, plane: SectionPlane,
         for (k, _cu, _cv), (d, i) in best.items()]
     seeds.sort(key=lambda s: (s.k, s.distance))
     return seeds
-
-
-def _iterate_chart(field, plane, u, k, opts) -> list[SectionPoint]:
-    """k return-map legs from chart point u; times start at 0."""
-    state = plane.from_chart(u)
-    current = plane.section_point(state, 0.0)
-    cycle = []
-    for _ in range(k):
-        current, _rt = first_return(field, plane, current, opts.integration,
-                                    max_time=opts.max_return_time)
-        cycle.append(current)
-    return cycle
 
 
 def _classify(multipliers) -> str:
@@ -221,7 +198,7 @@ def monodromy(field: PolyField, orbit_start, T: float,
     """
     if not T > 0:
         raise ValueError("period must be positive")
-    opts = opts or _default_shoot_integration()
+    opts = opts or SHOOT_INTEGRATION
     _x1, M = _final_tangent_state(field, orbit_start, np.eye(field.dimension),
                                   0.0, float(T), opts)
     return M, np.linalg.eigvals(M)
@@ -242,7 +219,7 @@ def flow_determinant(field: PolyField, x0, T: float,
         raise ValueError("T must be positive")
     if not segment_max > 0:
         raise ValueError("segment_max must be positive")
-    opts = opts or _default_shoot_integration()
+    opts = opts or SHOOT_INTEGRATION
     n_seg = max(1, math.ceil(T / segment_max))
     bounds = np.linspace(0.0, float(T), n_seg + 1)
     x = np.asarray(x0, dtype=float)
@@ -265,28 +242,53 @@ def _prime_shift(cycle_coords: np.ndarray, k: int) -> Optional[int]:
     return None
 
 
-def newton_shoot(field: PolyField, plane: SectionPlane, seed: RecurrenceSeed,
-                 opts: Optional[ShootOptions] = None) -> PeriodicOrbit:
+def newton_shoot(field: PolyField, plane: SectionPlane,
+                 seed: RecurrenceSeed) -> PeriodicOrbit:
     """Refine a recurrence seed into a periodic orbit by Newton shooting.
 
-    Solves G(p) = R^k(p) − p = 0 in the 2D chart with a central finite-
-    difference Jacobian, a trust radius on steps, and halving on non-
-    decreasing residual. A singular Jacobian at an already-tiny residual
-    marks a non-isolated family and is accepted as neutral-degenerate;
-    anything else that blocks progress raises NewtonConvergenceError.
+    Solves G(p) = R^k(p) − p = 0 in the 2D chart, with a trust radius on
+    steps and halving on non-decreasing residual. The Jacobian is
+    variational: one monodromy M over the k legs from each accepted
+    point, projected onto the chart with the return-time correction
+    (see `_chart_jacobian`). A singular Jacobian at an already-tiny
+    residual marks a non-isolated family and is accepted as
+    neutral-degenerate; anything else that blocks progress, or no
+    convergence within 8 Newton steps, raises NewtonConvergenceError.
     Converged orbits are reduced to their prime period (a k-cycle that
-    is d-shift invariant re-shoots at k = d) and classified via their
-    Floquet multipliers. A rest point, with no multiplier within 1e-3
-    of 1, raises NewtonConvergenceError.
+    is d-shift invariant re-shoots at k = d) and classified by the
+    eigenvalues of the converged point's M, the Floquet multipliers. A
+    rest point, with no multiplier within 1e-3 of 1, raises
+    NewtonConvergenceError.
     """
-    opts = opts or ShootOptions()
     return _shoot_chart(field, plane, np.asarray(seed.point.coords2, float),
-                        seed.k, opts)
+                        seed.k)
 
 
-def _shoot_chart(field, plane, u0, k, opts) -> PeriodicOrbit:
+def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
+                    end) -> np.ndarray:
+    """Chart Jacobian of G = R^k − id from the k-leg monodromy M.
+
+    A displacement M·δx at the end state x_T leaves the plane; sliding
+    it along f(x_T) back onto the plane (the change in return time)
+    projects it by I − f nᵀ/⟨n, f⟩. With E = [e1 e2] the chart basis,
+    J = Eᵀ (I − f nᵀ/⟨n, f⟩) M E − I.
+    """
+    E = np.column_stack(plane.chart_basis())
+    f = field.evaluate(end)
+    n = plane.normal
+    P = np.eye(3) - np.outer(f, n) / float(np.dot(n, f))
+    return E.T @ P @ M @ E - np.eye(2)
+
+
+def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
     def evaluate(u):
-        cycle = _iterate_chart(field, plane, u, k, opts)
+        current = plane.section_point(plane.from_chart(u), 0.0)
+        cycle = []
+        for _ in range(k):
+            current, _rt = first_return(field, plane, current,
+                                        SHOOT_INTEGRATION,
+                                        max_time=_MAX_RETURN_TIME)
+            cycle.append(current)
         return cycle[-1].coords2 - u, cycle
 
     u = np.asarray(u0, dtype=float)
@@ -296,59 +298,51 @@ def _shoot_chart(field, plane, u0, k, opts) -> PeriodicOrbit:
         raise NewtonConvergenceError(
             f"return map undefined at seed (k={k}): {exc}") from exc
     degenerate = False
-    for _ in range(opts.max_iter):
-        if float(np.linalg.norm(G)) < opts.converge_tol:
-            break
-        try:
-            J = np.empty((2, 2))
-            for d in range(2):
-                probe = np.zeros(2)
-                probe[d] = opts.fd_step
-                Gp, _ = evaluate(u + probe)
-                Gm, _ = evaluate(u - probe)
-                J[:, d] = (Gp - Gm) / (2 * opts.fd_step)
-            if abs(float(np.linalg.det(J))) < opts.singular_tol:
-                if float(np.linalg.norm(G)) < _RESIDUAL_LIMIT:
+    try:
+        for _ in range(_MAX_ITER):
+            M, eigvals = monodromy(field, plane.from_chart(u), cycle[-1].time,
+                                   SHOOT_INTEGRATION)
+            residual = float(np.linalg.norm(G))
+            if residual < _CONVERGE_TOL:
+                break
+            J = _chart_jacobian(field, plane, M, cycle[-1].state3)
+            if abs(float(np.linalg.det(J))) < _SINGULAR_TOL:
+                if residual < _RESIDUAL_LIMIT:
                     degenerate = True
                     break
                 raise NewtonConvergenceError(
                     f"singular shooting Jacobian at residual "
-                    f"{float(np.linalg.norm(G)):.3e} (k={k})")
+                    f"{residual:.3e} (k={k})")
             du = np.linalg.solve(J, -G)
             step_norm = float(np.linalg.norm(du))
-            if step_norm > opts.trust_radius:
-                du *= opts.trust_radius / step_norm
-            for _halving in range(opts.max_halvings + 1):
+            if step_norm > _TRUST_RADIUS:
+                du *= _TRUST_RADIUS / step_norm
+            for _halving in range(_MAX_HALVINGS + 1):
                 G_new, cycle_new = evaluate(u + du)
-                if (float(np.linalg.norm(G_new)) < float(np.linalg.norm(G))
-                        or float(np.linalg.norm(G_new)) < opts.converge_tol):
+                if (float(np.linalg.norm(G_new)) < residual
+                        or float(np.linalg.norm(G_new)) < _CONVERGE_TOL):
                     u, G, cycle = u + du, G_new, cycle_new
                     break
                 du *= 0.5
             else:
                 raise NewtonConvergenceError(
-                    f"Newton stalled at residual "
-                    f"{float(np.linalg.norm(G)):.3e} after step halving "
-                    f"(k={k}): iteration left the seed's basin")
-        except (IntegrationError, NonReturningOrbitError, ValueError,
-                np.linalg.LinAlgError) as exc:
+                    f"Newton stalled at residual {residual:.3e} after step "
+                    f"halving (k={k}): iteration left the seed's basin")
+        else:
             raise NewtonConvergenceError(
-                f"return map failed during shooting (k={k}): {exc}") from exc
-    else:
+                f"no convergence within {_MAX_ITER} Newton steps (k={k}), "
+                f"residual {float(np.linalg.norm(G)):.3e}")
+    except (IntegrationError, NonReturningOrbitError, ValueError,
+            np.linalg.LinAlgError) as exc:
         raise NewtonConvergenceError(
-            f"no convergence within max_iter={opts.max_iter} (k={k}), "
-            f"residual {float(np.linalg.norm(G)):.3e}")
+            f"return map failed during shooting (k={k}): {exc}") from exc
 
-    residual = float(np.linalg.norm(G))
     coords = np.vstack([u] + [p.coords2 for p in cycle[:-1]])
     d = _prime_shift(coords, k)
     if d is not None:
-        return _shoot_chart(field, plane, u, d, opts)
+        return _shoot_chart(field, plane, u, d)
 
     fixed_point = plane.section_point(plane.from_chart(u), 0.0)
-    period = cycle[-1].time
-    _M, eigvals = monodromy(field, fixed_point.state3, period,
-                            opts.integration)
     multipliers = _sorted_multipliers(eigvals)
     if min(abs(m - 1.0) for m in multipliers) > _UNIT_MULTIPLIER_TOL:
         raise NewtonConvergenceError(
@@ -357,7 +351,7 @@ def _shoot_chart(field, plane, u0, k, opts) -> PeriodicOrbit:
     return PeriodicOrbit(
         section_fixed_point=fixed_point,
         k=k,
-        period=period,
+        period=cycle[-1].time,
         floquet_multipliers=multipliers,
         stability=stability,
         residual=residual,
@@ -375,7 +369,6 @@ def _same_orbit(a: PeriodicOrbit, b: PeriodicOrbit) -> bool:
 
 def census(field: PolyField, plane: SectionPlane, start: SectionPoint,
            n_iterates: int, k_max: int, threshold: float = 0.1,
-           opts: Optional[ShootOptions] = None,
            scan_opts: Optional[IntegrationOptions] = None, *,
            max_time: float = 1000.0) -> list[PeriodicOrbit]:
     """Scan, shoot every seed, deduplicate, and sort orbits by period.
@@ -388,13 +381,12 @@ def census(field: PolyField, plane: SectionPlane, start: SectionPoint,
     """
     if n_iterates == 0:
         return []
-    opts = opts or ShootOptions()
     seeds = scan_close_recurrences(field, plane, start, n_iterates, k_max,
                                    threshold, scan_opts, max_time=max_time)
     orbits: list[PeriodicOrbit] = []
     for seed in seeds:
         try:
-            orbit = newton_shoot(field, plane, seed, opts)
+            orbit = newton_shoot(field, plane, seed)
         except NewtonConvergenceError as exc:
             _LOG.info("seed k=%d distance=%.3g did not refine: %s",
                       seed.k, seed.distance, exc)

@@ -20,15 +20,17 @@ from flowbound import (
     PeriodicOrbit,
     RecurrenceSeed,
     SectionPlane,
-    ShootOptions,
     census,
     first_crossing,
+    first_return,
     flow_determinant,
     integrate,
     monodromy,
     newton_shoot,
     scan_close_recurrences,
 )
+
+from flowbound import upo
 
 from conftest import assert_close
 
@@ -172,8 +174,45 @@ class TestNewtonShoot:
         plane = x0_plane()
         seed = chart_seed(plane, [30.0, 30.0], 1, 1.0)
         with pytest.raises(NewtonConvergenceError):
-            newton_shoot(lorenz, plane, seed,
-                         ShootOptions(max_iter=8))
+            newton_shoot(lorenz, plane, seed)
+
+    def test_shooting_makes_no_probe_calls(self, lorenz, monkeypatch):
+        # the Jacobian comes from the tangent flow, so every first return
+        # belongs to a Newton iterate or a step halving; central
+        # differences would add four per iterate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return first_return(*args, **kwargs)
+
+        monkeypatch.setattr(upo, "first_return", counted)
+        plane = x0_plane()
+        orbit = newton_shoot(lorenz, plane, chart_seed(plane, [1.7, 22.0],
+                                                       1, 1.56))
+        assert abs(orbit.period - LORENZ_T) < 1e-5
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("coords", [LORENZ_FP, [1.7, 22.0],
+                                        [3.0, 20.0]])
+    def test_chart_jacobian_matches_central_differences(self, lorenz,
+                                                         coords):
+        plane = x0_plane()
+        opts = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+
+        def G(u):
+            p = plane.section_point(plane.from_chart(u), 0.0)
+            return first_return(lorenz, plane, p, opts)[0].coords2 - u
+
+        u = np.asarray(coords, dtype=float)
+        start = plane.section_point(plane.from_chart(u), 0.0)
+        end, T = first_return(lorenz, plane, start, opts)
+        M, _ = monodromy(lorenz, start.state3, T, opts)
+        J = upo._chart_jacobian(lorenz, plane, M, end.state3)
+        h = 1e-6
+        fd = np.column_stack([(G(u + h * e) - G(u - h * e)) / (2 * h)
+                              for e in np.eye(2)])
+        assert np.linalg.norm(J - fd) / np.linalg.norm(fd) < 1e-4
 
     @pytest.mark.parametrize("coords", [[-8.3, -8.6], [8.3, 8.6]])
     def test_rest_point_on_plane_is_not_an_orbit(self, lorenz, coords):
