@@ -216,6 +216,8 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
         if residual < residual_tol:
             return x, residual
         J = field.jacobian(x)
+        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
+            return None  # LAPACK can spin on non-finite input
         dx, *_ = np.linalg.lstsq(J, -fx, rcond=None)
         if not np.all(np.isfinite(dx)) or not np.any(dx):
             return None

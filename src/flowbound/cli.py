@@ -1,10 +1,13 @@
 """Command-line front end: simulation, bound checks, refutation demos,
 sections, periodic-orbit censuses, and Lyapunov runs.
 
-Every command loads a system file, runs one pipeline, writes machine
-output (CSV/JSON/SVG) into the output directory, and prints a human
-summary to stderr. With --stdout the primary machine artifact is also
-streamed to stdout, and nothing else ever is. Outputs carry no
+Every command loads a system file, creates the output directory,
+parses --x0, runs its one pipeline, writes machine output (CSV/JSON/SVG)
+into the output directory, and prints a human summary to stderr. With
+--stdout the command's primary artifact is also streamed to stdout, and
+nothing else ever is: trajectory.csv (simulate), bounds.json
+(bounds-check), refutation.json (refute), section.csv (section),
+census.json (upo), lyapunov.json (lyapunov). Outputs carry no
 timestamps and all numeric formatting is fixed, so identical inputs
 produce byte-identical files.
 
@@ -20,7 +23,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,7 +55,7 @@ from .poincare import (
 from .polyfield import PolyField, SystemConfigError, parse_system
 from .upo import SHOOT_INTEGRATION, census
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,17 +66,6 @@ _SVG_WIDTH = 800
 _SVG_HEIGHT = 600
 _SVG_MAX_POINTS = 20000
 _SVG_MARGINS = (70.0, 15.0, 15.0, 45.0)  # left, right, top, bottom
-
-
-@dataclass
-class RunConfig:
-    """Resolved common options of a single command invocation."""
-
-    system: Path
-    out_dir: Path
-    seed: int
-    tol: float
-    to_stdout: bool
 
 
 def _human(message: str) -> None:
@@ -105,12 +96,19 @@ def _parse_plane(text: str) -> SectionPlane:
     return SectionPlane(np.array(point), np.array(normal), parts[2])
 
 
-def _emit(cfg: RunConfig, filename: str, text: str) -> Path:
-    path = cfg.out_dir / filename
+def _emit(args, filename: str, text: str) -> Path:
+    """Write one artifact; with --stdout, mirror it if it is the primary."""
+    path = args.out / filename
     path.write_text(text, encoding="utf-8")
-    if cfg.to_stdout:
+    if args.stdout and filename == _HANDLERS[args.command][1]:
         sys.stdout.write(text)
     return path
+
+
+def _header(args, x0: np.ndarray) -> dict:
+    """The keys every JSON artifact opens with."""
+    return {"system": str(args.system), "x0": [float(v) for v in x0],
+            "seed": args.seed}
 
 
 def _json_text(doc) -> str:
@@ -175,22 +173,14 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
         f'</svg>\n')
 
 
-def _integration_options(cfg: RunConfig, method: str = RK45_ADAPTIVE,
-                         step: Optional[float] = None,
-                         cap: float = 1e12) -> IntegrationOptions:
-    return IntegrationOptions(method=method, step=step, abs_tol=cfg.tol,
-                              rel_tol=cfg.tol, blow_up_norm=cap)
+def _integration_options(args, **overrides) -> IntegrationOptions:
+    return IntegrationOptions(abs_tol=args.tol, rel_tol=args.tol, **overrides)
 
 
-def cmd_simulate(field: PolyField, cfg: RunConfig, args) -> int:
-    x0 = _parse_vector(args.x0, field.dimension)
-    opts = _integration_options(cfg, args.method, args.step)
-    try:
-        traj = integrate(field, x0, args.t0, args.t1, opts)
-    except IntegrationError as exc:
-        _human(f"integration failed: {exc}")
-        return EXIT_INTEGRATION
-    path = _emit(cfg, "trajectory.csv", _csv_trajectory(traj))
+def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
+    opts = _integration_options(args, method=args.method, step=args.step)
+    traj = integrate(field, x0, args.t0, args.t1, opts)
+    path = _emit(args, "trajectory.csv", _csv_trajectory(traj))
     _human(f"wrote {path} ({len(traj)} samples, "
            f"t={traj.t0:g}..{traj.final_time:g})")
     if args.project:
@@ -202,7 +192,7 @@ def cmd_simulate(field: PolyField, cfg: RunConfig, args) -> int:
         ix, iy = names.index(pair[0]), names.index(pair[1])
         svg = _svg_polyline(traj.states[:, ix], traj.states[:, iy],
                             pair[0], pair[1])
-        _human(f"wrote {_emit(cfg, 'projection.svg', svg)}")
+        _human(f"wrote {_emit(args, 'projection.svg', svg)}")
     return EXIT_OK
 
 
@@ -217,32 +207,28 @@ def _leg(field, x0, t_end, opts):
         return exc.trajectory, str(exc)
 
 
-def cmd_bounds_check(field: PolyField, cfg: RunConfig, args) -> int:
-    x0 = _parse_vector(args.x0, field.dimension)
-    opts = _integration_options(cfg)
+def cmd_bounds_check(field: PolyField, x0: np.ndarray, args) -> int:
+    opts = _integration_options(args)
     if args.j is not None:
         certs = [BoundCertificate.certified(field, args.j)]
     else:
         certs = certified_components(field)
+    # the legs do not depend on the certificate; with none, integrate nothing
+    legs = [_leg(field, x0, t_end, opts)
+            for t_end in (args.t_fwd, -args.t_back) if t_end != 0 and certs]
+    time_reached = sorted(float(traj.final_time) for traj, _f in legs)
+    notes = [failure for _traj, failure in legs if failure]
     entries = []
     all_hold = True
     for cert in certs:
-        legs = []
-        notes = []
-        for t_end in (args.t_fwd, -args.t_back):
-            if t_end == 0:
-                continue
-            traj, failure = _leg(field, x0, t_end, opts)
-            legs.append((traj, verify_bounds(traj, cert, tol=args.bound_tol)))
-            if failure:
-                notes.append(failure)
-        report = combine_reports(*(r for _t, r in legs))
+        report = combine_reports(*(verify_bounds(traj, cert, tol=args.bound_tol)
+                                   for traj, _f in legs))
         all_hold = all_hold and report.forward_holds and report.backward_holds
         entries.append({
             "component": cert.component_index,
             "alpha": cert.alpha,
             "source": cert.source,
-            "time_reached": sorted(float(t.final_time) for t, _r in legs),
+            "time_reached": time_reached,
             "notes": notes,
             "report": report.to_json_dict(),
         })
@@ -253,63 +239,56 @@ def cmd_bounds_check(field: PolyField, cfg: RunConfig, args) -> int:
     if not certs:
         _human("no component has a certifiable lower bound; nothing to check")
     doc = {
-        "system": str(cfg.system),
-        "x0": [float(v) for v in x0],
+        **_header(args, x0),
         "t_fwd": args.t_fwd,
         "t_back": args.t_back,
         "bound_tol": args.bound_tol,
-        "seed": cfg.seed,
         "components": entries,
     }
-    _emit(cfg, "bounds.json", _json_text(doc))
+    _emit(args, "bounds.json", _json_text(doc))
     return EXIT_OK if all_hold else EXIT_BOUNDS
 
 
-def cmd_refute(field: PolyField, cfg: RunConfig, args) -> int:
-    x0 = _parse_vector(args.x0, field.dimension)
+def cmd_refute(field: PolyField, x0: np.ndarray, args) -> int:
     certs = certified_components(field)
     if not certs:
         _human("refutation needs a component with a certifiable lower bound")
         return EXIT_USAGE
     cert = certs[0]
-    opts = _integration_options(cfg, cap=args.cap)
+    opts = _integration_options(args, blow_up_norm=args.cap)
     report = refute_nonexistence(field, cert, x0, args.horizon, opts)
     doc = {
-        "system": str(cfg.system),
-        "x0": [float(v) for v in x0],
+        **_header(args, x0),
         "component": cert.component_index,
         "alpha": cert.alpha,
-        "seed": cfg.seed,
         **report.to_json_dict(),
     }
-    _emit(cfg, "refutation.json", _json_text(doc))
+    _emit(args, "refutation.json", _json_text(doc))
     _human(f"verdict: {report.verdict}")
     return EXIT_OK
 
 
-def cmd_section(field: PolyField, cfg: RunConfig, args) -> int:
-    x0 = _parse_vector(args.x0, field.dimension)
+def cmd_section(field: PolyField, x0: np.ndarray, args) -> int:
+    if args.iterates < 1:
+        raise ValueError("--iterates must be at least 1")
     plane = _parse_plane(args.plane)
-    opts = _integration_options(cfg)
+    opts = _integration_options(args)
     start, _elapsed = first_crossing(field, plane, x0, 0.0, opts,
                                      max_time=args.max_time)
-    points = [start]
-    if args.iterates > 1:
-        points += return_map_iterates(field, plane, start, args.iterates - 1,
-                                      opts, max_time=args.max_time)
+    points = [start] + return_map_iterates(
+        field, plane, start, args.iterates - 1, opts, max_time=args.max_time)
     rows = ["iterate,u,v,t"]
     rows += [
         f"{i},{p.coords2[0]:.17g},{p.coords2[1]:.17g},{p.time:.17g}"
         for i, p in enumerate(points)]
-    path = _emit(cfg, "section.csv", "\n".join(rows) + "\n")
+    path = _emit(args, "section.csv", "\n".join(rows) + "\n")
     _human(f"wrote {path} ({len(points)} section points)")
     return EXIT_OK
 
 
-def cmd_upo(field: PolyField, cfg: RunConfig, args) -> int:
-    x0 = _parse_vector(args.x0, field.dimension)
+def cmd_upo(field: PolyField, x0: np.ndarray, args) -> int:
     plane = _parse_plane(args.plane)
-    scan_opts = _integration_options(cfg)
+    scan_opts = _integration_options(args)
     start, _elapsed = first_crossing(field, plane, x0, 0.0, scan_opts,
                                      max_time=args.max_time)
     orbits = census(field, plane, start, args.iterates, args.k_max,
@@ -332,12 +311,11 @@ def cmd_upo(field: PolyField, cfg: RunConfig, args) -> int:
         })
         orbit_traj = integrate(field, fp.state3, 0.0, orbit.period,
                                SHOOT_INTEGRATION)
-        _emit(cfg, f"orbit-{idx:03d}.csv", _csv_trajectory(orbit_traj))
+        _emit(args, f"orbit-{idx:03d}.csv", _csv_trajectory(orbit_traj))
         _human(f"orbit {idx}: k={orbit.k} T={orbit.period:.6f} "
                f"{orbit.stability} residual={orbit.residual:.2e}")
     doc = {
-        "system": str(cfg.system),
-        "x0": [float(v) for v in x0],
+        **_header(args, x0),
         "plane": {
             "point": [float(v) for v in plane.point],
             "normal": [float(v) for v in plane.normal],
@@ -346,45 +324,39 @@ def cmd_upo(field: PolyField, cfg: RunConfig, args) -> int:
         "n_iterates": args.iterates,
         "k_max": args.k_max,
         "threshold": args.threshold,
-        "seed": cfg.seed,
         "orbits": entries,
     }
-    _emit(cfg, "census.json", _json_text(doc))
+    _emit(args, "census.json", _json_text(doc))
     _human(f"census: {len(orbits)} distinct orbits")
     return EXIT_OK
 
 
-def cmd_lyapunov(field: PolyField, cfg: RunConfig, args) -> int:
-    x0 = _parse_vector(args.x0, field.dimension)
-    opts = _integration_options(cfg, args.method, args.step)
+def cmd_lyapunov(field: PolyField, x0: np.ndarray, args) -> int:
+    opts = _integration_options(args, method=args.method, step=args.step)
     result = lyapunov_spectrum(field, x0, args.transient, args.total,
                                args.interval, opts)
-    doc = {
-        "system": str(cfg.system),
-        "x0": [float(v) for v in x0],
-        "seed": cfg.seed,
-        **result.to_json_dict(),
-    }
-    _emit(cfg, "lyapunov.json", _json_text(doc))
+    doc = {**_header(args, x0), **result.to_json_dict()}
+    _emit(args, "lyapunov.json", _json_text(doc))
     if args.history:
         rows = ["time," + ",".join(
             f"lambda{i + 1}" for i in range(field.dimension))]
         rows += [
             f"{t:.17g}," + ",".join(f"{v:.17g}" for v in ex)
             for t, ex in result.convergence_history]
-        _emit(cfg, "convergence.csv", "\n".join(rows) + "\n")
+        _emit(args, "convergence.csv", "\n".join(rows) + "\n")
     _human("exponents: "
            + ", ".join(f"{v:.6f}" for v in result.exponents))
     return EXIT_OK
 
 
+# each command's handler and the one artifact --stdout mirrors
 _HANDLERS = {
-    "simulate": cmd_simulate,
-    "bounds-check": cmd_bounds_check,
-    "refute": cmd_refute,
-    "section": cmd_section,
-    "upo": cmd_upo,
-    "lyapunov": cmd_lyapunov,
+    "simulate": (cmd_simulate, "trajectory.csv"),
+    "bounds-check": (cmd_bounds_check, "bounds.json"),
+    "refute": (cmd_refute, "refutation.json"),
+    "section": (cmd_section, "section.csv"),
+    "upo": (cmd_upo, "census.json"),
+    "lyapunov": (cmd_lyapunov, "lyapunov.json"),
 }
 
 
@@ -496,11 +468,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemConfigError as exc:
         _human(f"cannot parse system file: {exc}")
         return EXIT_USAGE
-    cfg = RunConfig(system=args.system, out_dir=args.out, seed=args.seed,
-                    tol=args.tol, to_stdout=args.stdout)
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](field, cfg, args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        x0 = _parse_vector(args.x0, field.dimension)
+        return _HANDLERS[args.command][0](field, x0, args)
     except (ValueError, OSError) as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -171,25 +171,15 @@ class Trajectory:
         return _hermite(ts[i], self.states[i], self.derivs[i],
                         ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
 
-    def write_csv(self, target: Union[str, TextIO], variable_names=None) -> None:
+    def write_csv(self, fh: TextIO, variable_names=None) -> None:
         """CSV with header t,<var1>,...,<varn>; 17 significant digits."""
         names = variable_names or self.variable_names
         if names is None:
             names = [f"x{i+1}" for i in range(self.dimension)]
-        close = False
-        if isinstance(target, str):
-            fh = open(target, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = target
-        try:
-            fh.write("t," + ",".join(names) + "\n")
-            for t, row in zip(self.times, self.states):
-                cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
-                fh.write(",".join(cells) + "\n")
-        finally:
-            if close:
-                fh.close()
+        fh.write("t," + ",".join(names) + "\n")
+        for t, row in zip(self.times, self.states):
+            cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
+            fh.write(",".join(cells) + "\n")
 
 
 def _hermite_basis(s):
@@ -223,6 +213,8 @@ def _initial_step(rhs, t0, y0, f0, direction, abs_tol, rel_tol):
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0:  # d1 overflowed; the stream's underflow check rejects 0
+        return 0.0
     y1 = y0 + h0 * direction * f0
     f1 = rhs(y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -250,6 +242,8 @@ def _dp54_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
     t = t0
     y = np.asarray(y0, dtype=float)
     f = rhs(y)
+    if not np.all(np.isfinite(f)):
+        raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
     h = opts.step if opts.step is not None else _initial_step(
         rhs, t0, y, f, direction, opts.abs_tol, opts.rel_tol)
     h = min(h, span)

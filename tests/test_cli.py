@@ -2,20 +2,24 @@
 
 Exit codes: 0 success, 1 usage or config problems, 2 integration
 failures, 3 a bound check that does not hold. Commands are run
-in-process through main(argv); one subprocess test covers the
-installed entry point and --stdout passthrough.
+in-process through main(argv); subprocess tests cover the module entry
+point, --stdout passthrough, and start states that must fail without a
+traceback or a hang.
 """
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowbound import __version__, poincare, system_path
+import flowbound
+from flowbound import __version__, cli, poincare, system_path
 from flowbound.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +34,16 @@ CIRCLE_PLANE = "0,0,0/0,1,0/positive"
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+def run_cli(argv, timeout=None):
+    """`python -m flowbound.cli argv` against the package under test."""
+    src = str(Path(flowbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "flowbound.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 @pytest.fixture()
@@ -182,6 +196,39 @@ class TestBoundsCheck:
         doc = json.loads((out / "bounds.json").read_text())
         assert doc["components"] == []
 
+    @pytest.mark.parametrize("system, legs", [("escape", 2), (LORENZ, 0)])
+    def test_each_leg_integrated_once(self, tmp_path, monkeypatch,
+                                      escape_system, system, legs):
+        # the legs do not depend on the certificate, and a system without
+        # one has nothing to check
+        system = escape_system if system == "escape" else system
+        argv = ["bounds-check", "--system", system, "--x0", "0,0,5"]
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        calls = []
+        integrate = cli.integrate
+
+        def counted(*a, **k):
+            calls.append(a)
+            return integrate(*a, **k)
+        monkeypatch.setattr(cli, "integrate", counted)
+        assert main([*argv, "--out", str(tmp_path / "counted")]) == 0
+        assert len(calls) == legs
+        assert ((tmp_path / "counted" / "bounds.json").read_bytes()
+                == (tmp_path / "plain" / "bounds.json").read_bytes())
+
+    def test_shared_legs_match_single_certificates(self, tmp_path,
+                                                   escape_system):
+        argv = ["bounds-check", "--system", escape_system, "--x0", "0,0,5"]
+        assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+        singles = []
+        for j in (1, 2, 3):
+            out = tmp_path / f"j{j}"
+            assert main([*argv, "--j", str(j), "--out", str(out)]) == 0
+            singles += json.loads((out / "bounds.json").read_text())[
+                "components"]
+        doc = json.loads((tmp_path / "all" / "bounds.json").read_text())
+        assert doc["components"] == singles
+
 
 class TestRefute:
     def test_equilibrium_witness(self, tmp_path):
@@ -252,6 +299,15 @@ class TestSection:
         assert "integration failed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("iterates", ["0", "-3"])
+    def test_iterates_below_one_is_usage_error(self, tmp_path, iterates):
+        out = tmp_path / "run"
+        code = main(["section", "--system", CLOSED_ORBIT,
+                     "--x0", "1,-0.1,0", "--plane", CIRCLE_PLANE,
+                     "--iterates", iterates, "--out", str(out)])
+        assert code == 1
+        assert not (out / "section.csv").exists()
+
 
 class TestUpo:
     def test_census_artifacts(self, tmp_path):
@@ -302,14 +358,56 @@ class TestLyapunov:
 
 
 class TestStdoutPassthrough:
-    def test_stdout_mirrors_file(self, tmp_path):
+    @pytest.mark.parametrize("argv, primary, summary", [
+        (["section", "--system", CLOSED_ORBIT, "--x0", "1,-0.1,0",
+          "--plane", CIRCLE_PLANE, "--iterates", "3"],
+         "section.csv", "section points"),
+        (["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "2",
+          "--project", "x,z"], "trajectory.csv", "projection.svg"),
+        (["upo", "--system", STUART_LANDAU, "--x0", "1.3,-0.2,0",
+          "--plane", CIRCLE_PLANE, "--iterates", "4", "--k-max", "2",
+          "--threshold", "1e-3"], "census.json", "distinct orbits"),
+        (["lyapunov", "--system", STUART_LANDAU, "--x0", "1,0,0",
+          "--transient", "1", "--total", "10", "--history"],
+         "lyapunov.json", "exponents"),
+    ], ids=["section", "simulate-project", "upo", "lyapunov-history"])
+    def test_stdout_mirrors_file(self, tmp_path, argv, primary, summary):
+        # secondary artifacts (SVG, orbit CSVs, convergence.csv) are
+        # written but never streamed
         out = tmp_path / "run"
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowbound.cli", "section",
-             "--system", CLOSED_ORBIT, "--x0", "1,-0.1,0",
-             "--plane", CIRCLE_PLANE, "--iterates", "3",
-             "--out", str(out), "--stdout"],
-            capture_output=True, text=True)
+        proc = run_cli([*argv, "--out", str(out), "--stdout"])
         assert proc.returncode == 0
-        assert proc.stdout == (out / "section.csv").read_text()
-        assert "section points" in proc.stderr
+        assert proc.stdout == (out / primary).read_text()
+        assert summary in proc.stderr
+
+
+class TestOverflowingStart:
+    """A start state whose field overflows is an integration failure
+    (exit 2), or the escape verdict for refute; never a traceback or a
+    spin."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--system", CLOSED_ORBIT, "--x0=1e80,0,0", "--t1", "1"],
+        ["simulate", "--system", CLOSED_ORBIT, "--x0=1e103,0,0", "--t1", "1"],
+        ["simulate", "--system", CLOSED_ORBIT, "--x0=1e155,0,0", "--t1", "1"],
+        ["simulate", "--system", EQUILIBRIUM, "--x0=1e155,0,0", "--t1", "1"],
+        ["bounds-check", "--system", CLOSED_ORBIT, "--x0=1e200,0,0"],
+        ["lyapunov", "--system", LORENZ, "--x0=1e160,0,0"],
+        ["section", "--system", LORENZ, "--x0=1e160,1,1",
+         "--plane", "0,0,27/0,0,1/negative"],
+    ], ids=lambda a: f"{a[0]}-{Path(a[2]).stem}-{a[3][5:]}")
+    def test_integration_failure(self, tmp_path, argv):
+        proc = run_cli([*argv, "--out", str(tmp_path)], timeout=30)
+        assert proc.returncode == 2
+        assert "integration failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("x0", ["1e155,0,0", "1e200,0,0"])
+    def test_refute_reports_escape(self, tmp_path, x0):
+        proc = run_cli(["refute", "--system", CLOSED_ORBIT, f"--x0={x0}",
+                        "--out", str(tmp_path)], timeout=30)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        doc = json.loads((tmp_path / "refutation.json").read_text())
+        assert "escaped backward" in doc["verdict"]
+        assert not doc["bounded"]
