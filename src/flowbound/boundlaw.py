@@ -270,6 +270,17 @@ def _constant_trajectory(x_star: np.ndarray, horizon: float, tol: float,
     return Trajectory(0.0, ts, states, derivs, tol, names)
 
 
+def _norm(x) -> float:
+    """Euclidean norm of x, rescaled by max |x_i| only where the plain
+    one overflows: an escape state of 1e200 has norm 1e200, not inf."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(x)))
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 def refute_nonexistence(field: PolyField, cert: BoundCertificate,
                         x0: Sequence[float], horizon: float,
                         opts: Optional[IntegrationOptions] = None,
@@ -313,7 +324,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
             verdict=VERDICT_NO_COUNTEREXAMPLE,
             bounded=False,
             equilibrium=False,
-            witnessed_bound=float(np.linalg.norm(exc.state)),
+            witnessed_bound=_norm(exc.state),
             horizon=float(abs(exc.t)),
             bound_report=report,
         )

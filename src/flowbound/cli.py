@@ -178,17 +178,17 @@ def _integration_options(args, **overrides) -> IntegrationOptions:
 
 
 def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
+    names = list(field.variable_names)
+    pair = args.project.split(",") if args.project else []
+    if pair and (len(pair) != 2 or any(p not in names for p in pair)):
+        raise ValueError(
+            f"--project needs two of {','.join(names)} (got {args.project!r})")
     opts = _integration_options(args, method=args.method, step=args.step)
     traj = integrate(field, x0, args.t0, args.t1, opts)
     path = _emit(args, "trajectory.csv", _csv_trajectory(traj))
     _human(f"wrote {path} ({len(traj)} samples, "
            f"t={traj.t0:g}..{traj.final_time:g})")
-    if args.project:
-        names = list(field.variable_names)
-        pair = args.project.split(",")
-        if len(pair) != 2 or any(p not in names for p in pair):
-            raise ValueError(
-                f"--project needs two of {','.join(names)} (got {args.project!r})")
+    if pair:
         ix, iy = names.index(pair[0]), names.index(pair[1])
         svg = _svg_polyline(traj.states[:, ix], traj.states[:, iy],
                             pair[0], pair[1])
@@ -471,7 +471,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         x0 = _parse_vector(args.x0, field.dimension)
-        return _HANDLERS[args.command][0](field, x0, args)
+        # overflow from a huge start state surfaces as a typed error; the
+        # NumPy warning on the way would only repeat it with a source line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command][0](field, x0, args)
     except (ValueError, OSError) as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE

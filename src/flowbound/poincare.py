@@ -187,17 +187,20 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
     return tau, x, g
 
 
-def _next_crossing(field, plane, state, t0, opts, max_time, min_elapsed):
-    """March the flow from (t0, state) to the next counted plane crossing."""
+def _next_crossing(rhs, plane, state, t0, opts, max_time, min_elapsed):
+    """March `rhs` from (t0, state) to the next counted plane crossing.
+
+    Only the first three components decide a crossing; any others (a
+    tangent matrix) ride along and come back in the returned state.
+    """
     if not max_time > 0:
         raise ValueError("max_time must be positive")
-    rhs = field.compiled_rhs()
-    normal = plane.normal
-    offset = float(np.dot(plane.point, normal))
+    y0 = np.asarray(state, dtype=float)
+    normal = np.pad(plane.normal, (0, y0.size - 3))
+    offset = float(np.dot(plane.point, plane.normal))
     count_up = plane.direction in ("positive", "both")
     count_down = plane.direction in ("negative", "both")
     t1 = t0 + max_time
-    y0 = np.asarray(state, dtype=float)
     t_last, y_last = t0, y0
     for ta, ya, fa, tb, yb, fb in _step_stream(rhs, y0, t0, t1, opts):
         t_last, y_last = tb, yb
@@ -255,8 +258,8 @@ def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
     if abs(s0) >= _ON_PLANE_TOL:
         raise ValueError(
             f"start point lies {s0:.3e} off the plane (limit {_ON_PLANE_TOL})")
-    tau, x = _next_crossing(field, plane, start.state3, start.time, opts,
-                            max_time, _REFRACTORY)
+    tau, x = _next_crossing(field.compiled_rhs(), plane, start.state3,
+                            start.time, opts, max_time, _REFRACTORY)
     return plane.section_point(x, tau), tau - start.time
 
 
@@ -271,7 +274,8 @@ def first_crossing(field: PolyField, plane: SectionPlane, x0, t0: float = 0.0,
     """
     opts = opts or IntegrationOptions()
     _require_3d(field)
-    tau, x = _next_crossing(field, plane, x0, t0, opts, max_time, 0.0)
+    tau, x = _next_crossing(field.compiled_rhs(), plane, x0, t0, opts,
+                            max_time, 0.0)
     return plane.section_point(x, tau), tau - t0
 
 

@@ -3,12 +3,14 @@
 Pipeline: scan return-map iterates for close recurrences, refine each
 recurrence seed by Newton shooting on the k-th return map in chart
 coordinates, then classify the refined orbit by the eigenvalues of its
-monodromy matrix (the tangent flow over one period). That one matrix,
-integrated once per Newton iterate, is also the shooting Jacobian (the
-variational Jacobian of ChaosBook, "Fixed points, and how to get them").
-Determinants of long-time tangent flows are evaluated as products over
-short segments, which keeps multipliers many orders of magnitude apart
-from drowning each other in roundoff.
+monodromy matrix (the tangent flow over one period). Each Newton
+iterate integrates its k legs once with the tangent matrix alongside;
+the legs' matrices multiply to the monodromy, which is also the
+shooting Jacobian (the variational Jacobian of ChaosBook, "Fixed points,
+and how to get them"). Determinants of long-time tangent flows are
+evaluated as products over short segments, which keeps multipliers many
+orders of magnitude apart from drowning each other in roundoff; through
+Liouville's formula they give the contracting multiplier.
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ from .integrator import (
     _final_tangent_state,
 )
 from .poincare import (
+    _REFRACTORY,
     NonReturningOrbitError,
     SectionPlane,
     SectionPoint,
-    first_return,
+    _next_crossing,
+    _require_3d,
+    first_return,  # not called here; bench/tracing.py wraps upo.first_return
     return_map_iterates,
 )
 from .polyfield import PolyField
@@ -186,6 +191,22 @@ def _sorted_multipliers(eigvals) -> tuple[complex, ...]:
     return tuple(complex(eigvals[i]) for i in order)
 
 
+def _floquet_multipliers(field: PolyField, M: np.ndarray, x,
+                         T: float) -> tuple[complex, ...]:
+    """Eigenvalues of the monodromy M, sorted by modulus descending.
+
+    When all three are real, the contracting one can sit below M's
+    round-off, so it is det M / (λ1 λ2) instead, with det M =
+    exp(∫ div f dt) from `flow_determinant` (Liouville's formula).
+    """
+    eigvals = np.linalg.eigvals(M)
+    if np.all(eigvals.imag == 0):
+        lam = sorted(eigvals.real, key=abs, reverse=True)
+        lam[2] = flow_determinant(field, x, T) / (lam[0] * lam[1])
+        eigvals = np.array(lam)
+    return _sorted_multipliers(eigvals)
+
+
 def monodromy(field: PolyField, orbit_start, T: float,
               opts: Optional[IntegrationOptions] = None,
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -247,18 +268,22 @@ def newton_shoot(field: PolyField, plane: SectionPlane,
     """Refine a recurrence seed into a periodic orbit by Newton shooting.
 
     Solves G(p) = R^k(p) − p = 0 in the 2D chart, with a trust radius on
-    steps and halving on non-decreasing residual. The Jacobian is
-    variational: one monodromy M over the k legs from each accepted
-    point, projected onto the chart with the return-time correction
-    (see `_chart_jacobian`). A singular Jacobian at an already-tiny
-    residual marks a non-isolated family and is accepted as
-    neutral-degenerate; anything else that blocks progress, or no
-    convergence within 8 Newton steps, raises NewtonConvergenceError.
-    Converged orbits are reduced to their prime period (a k-cycle that
-    is d-shift invariant re-shoots at k = d) and classified by the
-    eigenvalues of the converged point's M, the Floquet multipliers. A
-    rest point, with no multiplier within 1e-3 of 1, raises
-    NewtonConvergenceError.
+    steps and halving on non-decreasing residual. Each evaluation of G
+    integrates the k legs once with the tangent matrix alongside, so it
+    also yields the monodromy M = M_k···M_1 over the legs. The Jacobian
+    is variational: that M, projected onto the chart with the
+    return-time correction (see `_chart_jacobian`). A singular Jacobian
+    at an already-tiny residual marks a non-isolated family and is
+    accepted as neutral-degenerate; anything else that blocks progress,
+    or no convergence within 8 Newton steps, raises
+    NewtonConvergenceError. Converged orbits are reduced to their prime
+    period (a k-cycle that is d-shift invariant re-shoots at k = d) and
+    classified by their Floquet multipliers: the eigenvalues of the
+    converged point's M, except that when all three are real the
+    smallest is det / (λ1 λ2), with det the `flow_determinant` over the
+    period (Liouville), since M's own smallest eigenvalue is round-off
+    once it falls below about 1e-16 of the largest. A rest point, with
+    no multiplier within 1e-3 of 1, raises NewtonConvergenceError.
     """
     return _shoot_chart(field, plane, np.asarray(seed.point.coords2, float),
                         seed.k)
@@ -281,27 +306,26 @@ def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
 
 
 def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
+    tangent_rhs = field.compiled_tangent_rhs()
+
     def evaluate(u):
-        current = plane.section_point(plane.from_chart(u), 0.0)
-        cycle = []
+        # one tangent-augmented pass per leg; by the chain rule the
+        # product of the legs' matrices is the full-period monodromy
+        state, t, M, cycle = plane.from_chart(u), 0.0, np.eye(3), []
         for _ in range(k):
-            current, _rt = first_return(field, plane, current,
-                                        SHOOT_INTEGRATION,
-                                        max_time=_MAX_RETURN_TIME)
-            cycle.append(current)
-        return cycle[-1].coords2 - u, cycle
+            w0 = np.concatenate([state, np.eye(3).ravel()])
+            t, w = _next_crossing(tangent_rhs, plane, w0, t, SHOOT_INTEGRATION,
+                                  _MAX_RETURN_TIME, _REFRACTORY)
+            state, M = w[:3], w[3:].reshape(3, 3) @ M
+            cycle.append(plane.section_point(state, t))
+        return cycle[-1].coords2 - u, cycle, M
 
     u = np.asarray(u0, dtype=float)
-    try:
-        G, cycle = evaluate(u)
-    except (IntegrationError, NonReturningOrbitError, ValueError) as exc:
-        raise NewtonConvergenceError(
-            f"return map undefined at seed (k={k}): {exc}") from exc
     degenerate = False
     try:
+        _require_3d(field)
+        G, cycle, M = evaluate(u)
         for _ in range(_MAX_ITER):
-            M, eigvals = monodromy(field, plane.from_chart(u), cycle[-1].time,
-                                   SHOOT_INTEGRATION)
             residual = float(np.linalg.norm(G))
             if residual < _CONVERGE_TOL:
                 break
@@ -318,10 +342,9 @@ def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
             if step_norm > _TRUST_RADIUS:
                 du *= _TRUST_RADIUS / step_norm
             for _halving in range(_MAX_HALVINGS + 1):
-                G_new, cycle_new = evaluate(u + du)
-                if (float(np.linalg.norm(G_new)) < residual
-                        or float(np.linalg.norm(G_new)) < _CONVERGE_TOL):
-                    u, G, cycle = u + du, G_new, cycle_new
+                G_new, cycle_new, M_new = evaluate(u + du)
+                if float(np.linalg.norm(G_new)) < residual:
+                    u, G, cycle, M = u + du, G_new, cycle_new, M_new
                     break
                 du *= 0.5
             else:
@@ -332,18 +355,18 @@ def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
             raise NewtonConvergenceError(
                 f"no convergence within {_MAX_ITER} Newton steps (k={k}), "
                 f"residual {float(np.linalg.norm(G)):.3e}")
+        coords = np.vstack([u] + [p.coords2 for p in cycle[:-1]])
+        d = _prime_shift(coords, k)
+        if d is not None:
+            return _shoot_chart(field, plane, u, d)
+        fixed_point = plane.section_point(plane.from_chart(u), 0.0)
+        multipliers = _floquet_multipliers(field, M, fixed_point.state3,
+                                           cycle[-1].time)
     except (IntegrationError, NonReturningOrbitError, ValueError,
             np.linalg.LinAlgError) as exc:
         raise NewtonConvergenceError(
             f"return map failed during shooting (k={k}): {exc}") from exc
 
-    coords = np.vstack([u] + [p.coords2 for p in cycle[:-1]])
-    d = _prime_shift(coords, k)
-    if d is not None:
-        return _shoot_chart(field, plane, u, d)
-
-    fixed_point = plane.section_point(plane.from_chart(u), 0.0)
-    multipliers = _sorted_multipliers(eigvals)
     if min(abs(m - 1.0) for m in multipliers) > _UNIT_MULTIPLIER_TOL:
         raise NewtonConvergenceError(
             f"no Floquet multiplier near 1 (k={k}): a rest point, not an orbit")

@@ -95,10 +95,12 @@ class TestSimulate:
         assert len(points.split()) <= 20000
 
     def test_unknown_projection_variable(self, tmp_path):
+        # a usage error, found before anything is integrated or written
         code = main(["simulate", "--system", EQUILIBRIUM, "--x0", "1,0,0",
                      "--t1", "1", "--project", "x,w",
                      "--out", str(tmp_path)])
         assert code == 1
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_blow_up_exits_2(self, tmp_path, escape_system):
         blow = tmp_path / "blow.sys"
@@ -401,6 +403,7 @@ class TestOverflowingStart:
         assert proc.returncode == 2
         assert "integration failed" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("x0", ["1e155,0,0", "1e200,0,0"])
     def test_refute_reports_escape(self, tmp_path, x0):
@@ -408,6 +411,13 @@ class TestOverflowingStart:
                         "--out", str(tmp_path)], timeout=30)
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
-        doc = json.loads((tmp_path / "refutation.json").read_text())
+        assert "RuntimeWarning" not in proc.stderr
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads((tmp_path / "refutation.json").read_text(),
+                         parse_constant=reject)
         assert "escaped backward" in doc["verdict"]
         assert not doc["bounded"]
+        assert doc["witnessed_bound"] == float(x0.split(",")[0])

@@ -177,21 +177,42 @@ class TestNewtonShoot:
             newton_shoot(lorenz, plane, seed)
 
     def test_shooting_makes_no_probe_calls(self, lorenz, monkeypatch):
-        # the Jacobian comes from the tangent flow, so every first return
-        # belongs to a Newton iterate or a step halving; central
-        # differences would add four per iterate
-        calls = []
+        # each Newton iterate or step halving integrates its legs once,
+        # tangent matrix included: no central-difference probes and no
+        # second pass through `monodromy`
+        legs = []
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return first_return(*args, **kwargs)
+            legs.append(1)
+            return next_crossing(*args, **kwargs)
 
-        monkeypatch.setattr(upo, "first_return", counted)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("shooting re-integrated with monodromy")
+
+        next_crossing = upo._next_crossing
+        monkeypatch.setattr(upo, "_next_crossing", counted)
+        monkeypatch.setattr(upo, "monodromy", forbidden)
         plane = x0_plane()
         orbit = newton_shoot(lorenz, plane, chart_seed(plane, [1.7, 22.0],
                                                        1, 1.56))
         assert abs(orbit.period - LORENZ_T) < 1e-5
-        assert len(calls) <= 6
+        assert len(legs) <= 6
+
+    @pytest.mark.parametrize("plane, coords, k, tol", [
+        (SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "negative"),
+         (-2.529, 1.555), 3, 1e-6),
+        (x0_plane(), (1.7, 22.0), 1, 1e-8),
+    ], ids=["z27-k3", "x0-k1"])
+    def test_contracting_multiplier_obeys_liouville(self, lorenz, plane,
+                                                    coords, k, tol):
+        # det M = exp(div T) with Lorenz's constant divergence; M's own
+        # smallest eigenvalue is round-off once it drops ~16 orders
+        # below the leading one, as on the k = 3 orbit (T = 2.306)
+        orbit = newton_shoot(lorenz, plane, chart_seed(plane, coords, k, 1.0))
+        l1, l2, l3 = (m.real for m in orbit.floquet_multipliers)
+        assert all(m.imag == 0.0 for m in orbit.floquet_multipliers)
+        expected = math.exp(LORENZ_DIV * orbit.period) / (l1 * l2)
+        assert abs(l3 / expected - 1.0) < tol
 
     @pytest.mark.parametrize("coords", [LORENZ_FP, [1.7, 22.0],
                                         [3.0, 20.0]])
