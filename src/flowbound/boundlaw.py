@@ -51,6 +51,9 @@ VERDICT_NO_COUNTEREXAMPLE = "orbit escaped backward — no counterexample from t
 CERTIFIED = "certified"
 USER_ASSERTED = "user-asserted"
 
+_EQUILIBRIUM_TOL = 1e-12  # max |f_j| at an accepted equilibrium
+_EQUILIBRIUM_MAX_ITER = 25
+
 
 @dataclass(frozen=True)
 class BoundCertificate:
@@ -199,21 +202,20 @@ def combine_reports(*reports: BoundReport) -> BoundReport:
 
 
 def find_equilibrium(field: PolyField, x0: Sequence[float],
-                     residual_tol: float = 1e-12, max_iter: int = 25,
                      ) -> Optional[tuple[np.ndarray, float]]:
     """Newton iteration on f(x) = 0 from x0.
 
     Returns (x_star, residual) with residual = max |f_j(x_star)| from the
-    compiled floating-point field, or None when Newton fails to reach
-    residual_tol. Steps are least-squares solves, so fields whose
+    compiled floating-point field, or None when 25 Newton steps fail to
+    reach 1e-12. Steps are least-squares solves, so fields whose
     equilibria form a manifold (singular Jacobian everywhere) still
     converge onto the nearest point of it when the geometry allows.
     """
     x = np.asarray(x0, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_EQUILIBRIUM_MAX_ITER):
         fx = field.evaluate(x)
         residual = float(np.max(np.abs(fx)))
-        if residual < residual_tol:
+        if residual < _EQUILIBRIUM_TOL:
             return x, residual
         J = field.jacobian(x)
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
@@ -224,7 +226,7 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
         x = x + dx
     fx = field.evaluate(x)
     residual = float(np.max(np.abs(fx)))
-    if residual < residual_tol:
+    if residual < _EQUILIBRIUM_TOL:
         return x, residual
     return None
 

@@ -171,9 +171,9 @@ class Trajectory:
         return _hermite(ts[i], self.states[i], self.derivs[i],
                         ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
 
-    def write_csv(self, fh: TextIO, variable_names=None) -> None:
+    def write_csv(self, fh: TextIO) -> None:
         """CSV with header t,<var1>,...,<varn>; 17 significant digits."""
-        names = variable_names or self.variable_names
+        names = self.variable_names
         if names is None:
             names = [f"x{i+1}" for i in range(self.dimension)]
         fh.write("t," + ",".join(names) + "\n")
@@ -267,10 +267,9 @@ def _dp54_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
                 a = _DP_A[i][j]
                 if a:
                     acc = acc + a * k[j]
-            k[i] = rhs(y + hs * acc)
-        y_new = y + hs * (_DP_A[6][0] * k[0] + _DP_A[6][2] * k[2]
-                          + _DP_A[6][3] * k[3] + _DP_A[6][4] * k[4]
-                          + _DP_A[6][5] * k[5])
+            # the last stage's argument is the 5th-order solution (FSAL)
+            y_new = y + hs * acc
+            k[i] = rhs(y_new)
         err_vec = hs * (_DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3]
                         + _DP_E[4] * k[4] + _DP_E[5] * k[5] + _DP_E[6] * k[6])
         steps += 1
@@ -328,9 +327,9 @@ def _step_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
 def _drive(rhs, w0, t0, t1, opts, record=None):
     """Step from (t0, w0) to t1; returns (final state, trajectory).
 
-    Given a field as `record`, the trajectory holds its state columns at
-    every accepted step, and any IntegrationError carries it as the
-    partial trajectory; otherwise it is None.
+    Given the field as `record`, the trajectory holds every accepted
+    step, and any IntegrationError carries it as the partial
+    trajectory; otherwise it is None.
     """
     w = w0
     if record is None:
@@ -340,10 +339,8 @@ def _drive(rhs, w0, t0, t1, opts, record=None):
     times, states, derivs = [t0], [w0], [rhs(w0)]
 
     def trajectory():
-        # stack whole steps, then slice once: a view per step costs memory
-        n = record.dimension
-        return Trajectory(t0, np.array(times), np.vstack(states)[:, :n],
-                          np.vstack(derivs)[:, :n], opts.tolerance,
+        return Trajectory(t0, np.array(times), np.vstack(states),
+                          np.vstack(derivs), opts.tolerance,
                           record.variable_names)
 
     try:
@@ -384,12 +381,12 @@ def integrate(field: PolyField, x0, t0: float, t1: float,
 
 def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
                            opts: Optional[IntegrationOptions] = None,
-                           ) -> tuple[Trajectory, np.ndarray]:
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Co-integrate state and tangent matrix dV/dt = J(x(t)) V.
 
-    Returns the state trajectory and the fundamental-solution matrix
-    over [t0, t1] (V(t1) for V(t0) = Q0), stepped as one augmented
+    Returns (x(t1), V(t1)) for V(t0) = Q0, stepped as one augmented
     system so state and tangent share step sizes and error control.
+    Nothing is recorded: an IntegrationError carries no trajectory.
     """
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
@@ -400,16 +397,5 @@ def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
     if not np.all(np.isfinite(Q0)):
         raise ValueError("Q0 must be finite")
     w0 = np.concatenate([y0, Q0.ravel()])
-    w, traj = _drive(field.compiled_tangent_rhs(), w0, t0, t1, opts,
-                     record=field)
-    return traj, w[n:].reshape(n, n)
-
-
-def _final_tangent_state(field: PolyField, x0, Q0: np.ndarray, t0: float,
-                         t1: float, opts: IntegrationOptions,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-free fast path of integrate_with_tangent (final values only)."""
-    n = field.dimension
-    w0 = np.concatenate([np.asarray(x0, dtype=float), Q0.ravel()])
     w, _ = _drive(field.compiled_tangent_rhs(), w0, t0, t1, opts)
     return w[:n], w[n:].reshape(n, n)

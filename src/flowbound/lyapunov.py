@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import IntegrationOptions, _drive, _final_tangent_state
+from .integrator import IntegrationOptions, _drive, integrate_with_tangent
 from .polyfield import PolyField
 
 __all__ = [
@@ -109,7 +109,7 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     elapsed = 0.0
     for i in range(n_chunks):
         dt = min(renorm_interval, total_time - i * renorm_interval)
-        x, V = _final_tangent_state(field, x, Q, 0.0, dt, opts)
+        x, V = integrate_with_tangent(field, x, Q, 0.0, dt, opts)
         Q, R = _mgs_qr(V)
         logs += np.log(np.diag(R))
         elapsed += dt

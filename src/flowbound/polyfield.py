@@ -8,6 +8,7 @@ and a sound-but-incomplete syntactic lower-bound certifier.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -202,6 +203,7 @@ class PolyField:
         self._jac: Optional[Callable] = None
         self._jac_polys: Optional[tuple] = None
         self._tangent_rhs: Optional[Callable] = None
+        self._liouville_rhs: Optional[Callable] = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyField):
@@ -283,6 +285,17 @@ class PolyField:
             self._tangent_rhs = _compile("_aug", out, n, "w", grid)
         return self._tangent_rhs
 
+    def compiled_liouville_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Augmented right-hand side for (x, s): returns (f(x), div f(x)).
+
+        Integrating s from 0 gives log det of the tangent flow
+        (Liouville's formula) without forming the tangent matrix.
+        """
+        if self._liouville_rhs is None:
+            out = [_poly_expr(p) for p in (*self.components, self.divergence())]
+            self._liouville_rhs = _compile("_liouville", out, self.dimension)
+        return self._liouville_rhs
+
     def _jacobian_exprs(self) -> list[list[str]]:
         return [[_poly_expr(p) for p in row]
                 for row in self.jacobian_polynomials()]
@@ -327,6 +340,22 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()/=]))"
 )
+_MAX_DEGREE = 64
+_MAX_PRODUCTS = 100_000  # monomial products formed by one multiplication
+
+
+def _power_products(p: Polynomial, e: int, n: int) -> int:
+    """Most monomial products one multiplication of `p ** e` can form.
+
+    The last one is the largest: p^(e-1) times p. p^(e-1) has at most
+    as many terms as there are multisets of e-1 of p's terms, and as
+    there are monomials in n variables up to its degree.
+    """
+    m = len(p.terms)
+    if e == 0 or m == 0:
+        return 0
+    j = e - 1
+    return m * min(math.comb(m + j - 1, j), math.comb(n + j * p.degree, n))
 
 
 @dataclass
@@ -364,6 +393,10 @@ class _ExprParser:
              term := factor ('*' factor)*
              factor := base ['^' integer]
              base := NUMBER | NAME | '(' expr ')'
+
+    A product or power is refused at its operator, before it is
+    expanded, when its total degree would exceed 64 or one of its
+    multiplications would form more than 100,000 monomial products.
     """
 
     def __init__(self, tokens: list[_Token], lineno: int, n: int,
@@ -388,6 +421,15 @@ class _ExprParser:
 
     def _error(self, message: str, tok: _Token):
         raise SystemConfigError(message, tok.line, tok.column)
+
+    def _check_size(self, op: _Token, degree: int, products: int):
+        """Refuse a product or power at `op` before it is expanded."""
+        if degree > _MAX_DEGREE:
+            self._error(f"total degree {degree} exceeds the limit "
+                        f"{_MAX_DEGREE}", op)
+        if products > _MAX_PRODUCTS:
+            self._error(f"expansion would form up to {products} monomial "
+                        f"products (limit {_MAX_PRODUCTS})", op)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
@@ -420,7 +462,10 @@ class _ExprParser:
             tok = self._peek()
             if tok.kind == "op" and tok.text == "*":
                 self._next()
-                poly = poly * self.factor()
+                rhs = self.factor()
+                self._check_size(tok, poly.degree + rhs.degree,
+                                 len(poly.terms) * len(rhs.terms))
+                poly = poly * rhs
             else:
                 return poly
 
@@ -432,9 +477,12 @@ class _ExprParser:
             etok = self._next()
             if etok.kind != "number" or not re.fullmatch(r"\d+", etok.text):
                 self._error("exponent must be a non-negative integer literal", etok)
-            if int(etok.text) > 64:
-                self._error("exponent too large (limit 64)", etok)
-            poly = poly ** int(etok.text)
+            e = int(etok.text)
+            if e > _MAX_DEGREE:
+                self._error(f"exponent too large (limit {_MAX_DEGREE})", etok)
+            self._check_size(tok, poly.degree * e,
+                             _power_products(poly, e, self.n))
+            poly = poly ** e
         return poly
 
     def base(self) -> Polynomial:

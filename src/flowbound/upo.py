@@ -7,10 +7,10 @@ monodromy matrix (the tangent flow over one period). Each Newton
 iterate integrates its k legs once with the tangent matrix alongside;
 the legs' matrices multiply to the monodromy, which is also the
 shooting Jacobian (the variational Jacobian of ChaosBook, "Fixed points,
-and how to get them"). Determinants of long-time tangent flows are
-evaluated as products over short segments, which keeps multipliers many
-orders of magnitude apart from drowning each other in roundoff; through
-Liouville's formula they give the contracting multiplier.
+and how to get them"). The contracting multiplier, which M's own
+eigenvalues lose to round-off on long orbits, comes from Liouville's
+formula det M = exp(∫ div f dt), with the integral carried as one extra
+component of the orbit's integration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from .integrator import (
     IntegrationError,
     IntegrationOptions,
-    _final_tangent_state,
+    _drive,
+    integrate_with_tangent,
 )
 from .poincare import (
     _REFRACTORY,
@@ -220,36 +221,27 @@ def monodromy(field: PolyField, orbit_start, T: float,
     if not T > 0:
         raise ValueError("period must be positive")
     opts = opts or SHOOT_INTEGRATION
-    _x1, M = _final_tangent_state(field, orbit_start, np.eye(field.dimension),
-                                  0.0, float(T), opts)
+    _x1, M = integrate_with_tangent(field, orbit_start,
+                                    np.eye(field.dimension), 0.0, float(T),
+                                    opts)
     return M, np.linalg.eigvals(M)
 
 
 def flow_determinant(field: PolyField, x0, T: float,
-                     opts: Optional[IntegrationOptions] = None,
-                     segment_max: float = 0.25) -> float:
-    """Determinant of the tangent flow over [0, T], segment by segment.
+                     opts: Optional[IntegrationOptions] = None) -> float:
+    """Determinant of the tangent flow over [0, T] by Liouville's formula.
 
-    det over the full span is the product of dets over subintervals of
-    length at most `segment_max`. Evaluating det on short, well-
-    conditioned segments and multiplying keeps the result accurate even
-    when the full-span matrix has singular values spread over many more
-    orders of magnitude than double precision resolves.
+    det M = exp(s(T)), where s integrates ds/dt = div f(x(t)) from 0
+    alongside the state in one pass. No tangent matrix is formed, so the
+    result stays accurate when M's singular values span many more orders
+    of magnitude than double precision resolves.
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    if not segment_max > 0:
-        raise ValueError("segment_max must be positive")
-    opts = opts or SHOOT_INTEGRATION
-    n_seg = max(1, math.ceil(T / segment_max))
-    bounds = np.linspace(0.0, float(T), n_seg + 1)
-    x = np.asarray(x0, dtype=float)
-    eye = np.eye(field.dimension)
-    det = 1.0
-    for ta, tb in zip(bounds[:-1], bounds[1:]):
-        x, M = _final_tangent_state(field, x, eye, float(ta), float(tb), opts)
-        det *= float(np.linalg.det(M))
-    return det
+    w0 = np.append(np.asarray(x0, dtype=float), 0.0)
+    w, _ = _drive(field.compiled_liouville_rhs(), w0, 0.0, float(T),
+                  opts or SHOOT_INTEGRATION)
+    return float(np.exp(w[-1]))
 
 
 def _prime_shift(cycle_coords: np.ndarray, k: int) -> Optional[int]:

@@ -88,6 +88,24 @@ class TestParsing:
         with pytest.raises(SystemConfigError):
             parse_system("dx/dt = x^-1")
 
+    @pytest.mark.parametrize("rhs, op, message", [
+        ("(x^40)^2", "^", "total degree 80"),
+        ("x^64*y", "*", "total degree 65"),
+        ("(x+y+z)^30*(x+y+z)^30", "*", "246016 monomial products"),
+    ])
+    def test_expansion_caps_report_the_operator(self, rhs, op, message):
+        line = f"dx/dt = {rhs}"
+        with pytest.raises(SystemConfigError, match=message) as exc_info:
+            parse_system(f"param a = 1\n{line}\ndy/dt = 0\ndz/dt = 0")
+        assert exc_info.value.line == 2
+        assert exc_info.value.column == line.rindex(op) + 1
+
+    def test_largest_expansions_within_caps_parse(self):
+        field = parse_system("dx/dt = (x+y+z)^64\ndy/dt = ((x+y+z)^5)^5\n"
+                             "dz/dt = x^64")
+        assert [len(p.terms) for p in field.components] == [2145, 351, 1]
+        assert [p.degree for p in field.components] == [64, 25, 64]
+
     def test_round_trip_through_formatting(self, lorenz, stuart_landau,
                                             closed_orbit, equilibrium):
         for field in (lorenz, stuart_landau, closed_orbit, equilibrium):
