@@ -17,7 +17,7 @@ equilibria and closed orbits satisfying the hypothesis are exhibited by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,10 +83,6 @@ class BoundCertificate:
                 f"component {j} could not be certified as bounded below")
         return cls(j, alpha, CERTIFIED)
 
-    @classmethod
-    def asserted(cls, component_index: int, alpha: float) -> "BoundCertificate":
-        return cls(component_index, alpha, USER_ASSERTED)
-
 
 def certified_components(field: PolyField) -> list[BoundCertificate]:
     """All components the syntactic certifier can bound below."""
@@ -114,7 +110,7 @@ class BoundReport:
     backward_margin: float
     naive_backward_violated: bool
     samples_checked: int
-    tolerance: float = dataclass_field(default=0.0)
+    tolerance: float
 
     def to_json_dict(self) -> dict:
         def _num(v):
@@ -166,7 +162,7 @@ def verify_bounds(traj: Trajectory, cert: BoundCertificate,
         0.5, xs[:-1], xs[1:], fs[:-1], fs[1:], ts[1:] - ts[:-1])])
 
     xj0 = xs[0]
-    line = cert.alpha * (all_t - traj.t0) + xj0
+    line = bound_line(cert.alpha, traj.t0, xj0, all_t)
     slack = all_x - line
     forward = all_t >= traj.t0
     backward = ~forward
@@ -286,7 +282,7 @@ def _norm(x) -> float:
 def refute_nonexistence(field: PolyField, cert: BoundCertificate,
                         x0: Sequence[float], horizon: float,
                         opts: Optional[IntegrationOptions] = None,
-                        tol: float = 1e-6) -> RefutationReport:
+                        ) -> RefutationReport:
     """Search for a backward-bounded orbit under the certificate's
     hypothesis, the direct counterexample to claimed backward divergence.
 
@@ -305,7 +301,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
         x_star, residual = found
         traj = _constant_trajectory(x_star, horizon, opts.tolerance,
                                     field.variable_names)
-        report = verify_bounds(traj, cert, tol=tol)
+        report = verify_bounds(traj, cert)
         return RefutationReport(
             verdict=VERDICT_FALSIFIED,
             bounded=True,
@@ -321,7 +317,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
         traj = integrate(field, x0, 0.0, -horizon, opts)
     except (BlowUpError, StepSizeError) as exc:
         partial = exc.trajectory
-        report = verify_bounds(partial, cert, tol=tol) if partial is not None else None
+        report = verify_bounds(partial, cert) if partial is not None else None
         return RefutationReport(
             verdict=VERDICT_NO_COUNTEREXAMPLE,
             bounded=False,
@@ -332,7 +328,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
         )
 
     witnessed = float(np.max(np.linalg.norm(traj.states, axis=1)))
-    report = verify_bounds(traj, cert, tol=tol)
+    report = verify_bounds(traj, cert)
     return RefutationReport(
         verdict=VERDICT_FALSIFIED,
         bounded=True,

@@ -174,7 +174,7 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
 
 
 def _integration_options(args, **overrides) -> IntegrationOptions:
-    return IntegrationOptions(abs_tol=args.tol, rel_tol=args.tol, **overrides)
+    return IntegrationOptions(tol=args.tol, **overrides)
 
 
 def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
@@ -371,7 +371,7 @@ def _add_common(sp) -> None:
                     help="seed recorded in outputs; fixed seed means "
                          "byte-identical outputs")
     sp.add_argument("--tol", type=float, default=1e-10,
-                    help="integrator abs/rel tolerance")
+                    help="adaptive stepper tolerance, absolute and relative")
     sp.add_argument("--stdout", action="store_true",
                     help="also stream the primary machine output to stdout")
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
                     default=RK45_ADAPTIVE)
     sp.add_argument("--step", type=float, default=None,
-                    help="fixed step (rk4) or initial step (rk45)")
+                    help="fixed step of rk4-fixed only (default 0.01)")
     sp.add_argument("--project", default=None, metavar="VAR,VAR",
                     help="also write an SVG projection of two variables")
 
@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--interval", type=float, default=0.5)
     sp.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
                     default=RK45_ADAPTIVE)
-    sp.add_argument("--step", type=float, default=None)
+    sp.add_argument("--step", type=float, default=None,
+                    help="fixed step of rk4-fixed only (default 0.01)")
     sp.add_argument("--history", action="store_true",
                     help="also write the convergence history CSV")
 

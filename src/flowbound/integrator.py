@@ -49,6 +49,7 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 _MIN_STEP_FACTOR = 0.2
 _MAX_STEP_FACTOR = 5.0
 _SAFETY = 0.9
+_MAX_STEPS = 10_000_000  # step budget of one integration
 
 
 class IntegrationError(RuntimeError):
@@ -82,29 +83,27 @@ class StepSizeError(IntegrationError):
 class IntegrationOptions:
     """Stepper selection and control constants.
 
-    `step` is the fixed step for rk4-fixed and the initial step for
-    rk45-adaptive (None selects it automatically). Tolerances apply to
-    the adaptive stepper only.
+    `step` is rk4-fixed's fixed step (0.01 when None); rk45-adaptive
+    chooses its own initial step and refuses one. `tol` is the adaptive
+    stepper's absolute and relative tolerance.
     """
 
     method: str = RK45_ADAPTIVE
     step: Optional[float] = None
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_steps: int = 10_000_000
+    tol: float = 1e-10
     blow_up_norm: float = 1e12
 
     def __post_init__(self):
         if self.method not in (RK4_FIXED, RK45_ADAPTIVE):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.step is not None and self.method != RK4_FIXED:
+            raise ValueError(f"step applies to {RK4_FIXED} only")
         if self.step is not None and not self.step > 0:
             raise ValueError("step must be positive")
         if self.method == RK4_FIXED and self.step is None:
             self.step = 0.01
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         if not self.blow_up_norm > 0:
             raise ValueError("blow_up_norm must be positive")
 
@@ -113,7 +112,7 @@ class IntegrationOptions:
         """Scalar summary used for downstream tolerance composition."""
         if self.method == RK4_FIXED:
             return 0.0
-        return max(self.abs_tol, self.rel_tol)
+        return self.tol
 
 
 class Trajectory:
@@ -125,13 +124,13 @@ class Trajectory:
     """
 
     def __init__(self, t0: float, times: np.ndarray, states: np.ndarray,
-                 derivs: np.ndarray, tol: float, variable_names=None):
+                 derivs: np.ndarray, tol: float, variable_names):
         self.t0 = float(t0)
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         self.derivs = np.asarray(derivs, dtype=float)
         self.tol = float(tol)
-        self.variable_names = tuple(variable_names) if variable_names else None
+        self.variable_names = tuple(variable_names)
         if self.times.size == 0 or self.times[0] != self.t0:
             raise ValueError("first sample must sit at t0")
 
@@ -173,10 +172,7 @@ class Trajectory:
 
     def write_csv(self, fh: TextIO) -> None:
         """CSV with header t,<var1>,...,<varn>; 17 significant digits."""
-        names = self.variable_names
-        if names is None:
-            names = [f"x{i+1}" for i in range(self.dimension)]
-        fh.write("t," + ",".join(names) + "\n")
+        fh.write("t," + ",".join(self.variable_names) + "\n")
         for t, row in zip(self.times, self.states):
             cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
             fh.write(",".join(cells) + "\n")
@@ -202,22 +198,26 @@ def _hermite_fraction(s, ga, gb, dga, dgb, h):
     return h00 * ga + h01 * gb + h * (h10 * dga + h11 * dgb)
 
 
-def _error_norm(err, ya, yb, abs_tol, rel_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(ya), np.abs(yb))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _rms(v, scale) -> float:
+    """Root mean square of v measured in units of scale."""
+    return float(np.sqrt(np.mean((v / scale) ** 2)))
 
 
-def _initial_step(rhs, t0, y0, f0, direction, abs_tol, rel_tol):
+def _error_norm(err, ya, yb, tol):
+    return _rms(err, tol + tol * np.maximum(np.abs(ya), np.abs(yb)))
+
+
+def _initial_step(rhs, y0, f0, direction, tol):
     """Hairer-style automatic initial step selection (order 5)."""
-    scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = tol + tol * np.abs(y0)
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0:  # d1 overflowed; the stream's underflow check rejects 0
         return 0.0
     y1 = y0 + h0 * direction * f0
     f1 = rhs(y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -244,15 +244,13 @@ def _dp54_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
     f = rhs(y)
     if not np.all(np.isfinite(f)):
         raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
-    h = opts.step if opts.step is not None else _initial_step(
-        rhs, t0, y, f, direction, opts.abs_tol, opts.rel_tol)
-    h = min(h, span)
+    h = min(_initial_step(rhs, y, f, direction, opts.tol), span)
     steps = 0
     k = np.empty((7, y.size))
     while direction * (t1 - t) > 0:
-        if steps >= opts.max_steps:
+        if steps >= _MAX_STEPS:
             raise MaxStepsError(
-                f"max_steps={opts.max_steps} exhausted at t={t:.6g}", t, y)
+                f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}", t, y)
         remaining = abs(t1 - t)
         h = min(h, remaining)
         final_step = h == remaining
@@ -276,7 +274,7 @@ def _dp54_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
         if not np.all(np.isfinite(y_new)):
             h *= _MIN_STEP_FACTOR
             continue
-        err = _error_norm(err_vec, y, y_new, opts.abs_tol, opts.rel_tol)
+        err = _error_norm(err_vec, y, y_new, opts.tol)
         if err <= 1.0:
             # land on t1 exactly instead of leaving a 1-ulp sliver behind
             t_new = t1 if final_step else t + hs
@@ -297,9 +295,9 @@ def _rk4_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
     """Fixed-step classical RK4 steps as (ta, ya, fa, tb, yb, fb)."""
     span = t1 - t0
     n_steps = max(1, math.ceil(abs(span) / opts.step))
-    if n_steps > opts.max_steps:
+    if n_steps > _MAX_STEPS:
         raise MaxStepsError(
-            f"{n_steps} fixed steps needed, max_steps={opts.max_steps}",
+            f"{n_steps} fixed steps needed, step budget {_MAX_STEPS}",
             t0, np.asarray(y0, dtype=float))
     h = span / n_steps
     y = np.asarray(y0, dtype=float)

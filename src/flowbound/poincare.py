@@ -156,9 +156,10 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
     """Refine a bracketed sign change of the signed distance.
 
     Bisection on the scalar Hermite interpolant of the signed distance
-    down to a bracket width of 1e-12 in time, then Newton steps using
-    the true slope s'(t) = ⟨f(x), normal⟩ until |s| < 1e-10. Returns
-    (crossing time, interpolated state, residual signed distance).
+    down to a bracket width of 1e-12 in time, then up to five Newton
+    steps using the true slope s'(t) = ⟨f(x), normal⟩ until |s| < 1e-10,
+    stopping before an iterate that leaves [ta, tb]. Returns (crossing
+    time, interpolated state, residual signed distance).
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
     h = tb - ta
@@ -181,7 +182,10 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
         slope = float(np.dot(rhs(x), normal))
         if slope == 0.0:
             break
-        tau -= g / slope
+        tau_next = tau - g / slope
+        if not min(ta, tb) <= tau_next <= max(ta, tb):
+            break
+        tau = tau_next
         x = _hermite(ta, ya, fa, tb, yb, fb, tau)
         g = float(np.dot(x, normal)) - offset
     return tau, x, g
@@ -227,7 +231,7 @@ def _next_crossing(rhs, plane, state, t0, opts, max_time, min_elapsed):
                                          normal, offset)
             if abs(tau - t0) < min_elapsed:
                 continue
-            if abs(g) > _REFINE_TOL:
+            if not abs(g) <= _REFINE_TOL:  # NaN fails this too
                 raise CrossingRefinementError(
                     f"crossing refinement stalled at |s|={abs(g):.3e} "
                     f"(t={tau:.6g})", tau, x)

@@ -69,7 +69,7 @@ _SINGULAR_TOL = 1e-12
 _MAX_RETURN_TIME = 50.0
 # tighter than the general default: Newton accepts at |G| < 1e-10,
 # so return-map noise must sit well below that
-SHOOT_INTEGRATION = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+SHOOT_INTEGRATION = IntegrationOptions(tol=1e-12)
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -208,39 +208,36 @@ def _floquet_multipliers(field: PolyField, M: np.ndarray, x,
     return _sorted_multipliers(eigvals)
 
 
-def monodromy(field: PolyField, orbit_start, T: float,
-              opts: Optional[IntegrationOptions] = None,
-              ) -> tuple[np.ndarray, np.ndarray]:
+def monodromy(field: PolyField, orbit_start,
+              T: float) -> tuple[np.ndarray, np.ndarray]:
     """Tangent flow over one period and its eigenvalues.
 
     Integrates dV/dt = J(x(t))·V with V(0) = I along the orbit through
-    `orbit_start` for time T and returns (matrix, eigenvalues); the
-    eigenvalues are the Floquet multipliers, one of which is ≈ 1 along
-    the flow direction for any true periodic orbit.
+    `orbit_start` for time T at `SHOOT_INTEGRATION` and returns (matrix,
+    eigenvalues); the eigenvalues are the Floquet multipliers, one of
+    which is ≈ 1 along the flow direction for any true periodic orbit.
     """
     if not T > 0:
         raise ValueError("period must be positive")
-    opts = opts or SHOOT_INTEGRATION
     _x1, M = integrate_with_tangent(field, orbit_start,
                                     np.eye(field.dimension), 0.0, float(T),
-                                    opts)
+                                    SHOOT_INTEGRATION)
     return M, np.linalg.eigvals(M)
 
 
-def flow_determinant(field: PolyField, x0, T: float,
-                     opts: Optional[IntegrationOptions] = None) -> float:
+def flow_determinant(field: PolyField, x0, T: float) -> float:
     """Determinant of the tangent flow over [0, T] by Liouville's formula.
 
     det M = exp(s(T)), where s integrates ds/dt = div f(x(t)) from 0
-    alongside the state in one pass. No tangent matrix is formed, so the
-    result stays accurate when M's singular values span many more orders
-    of magnitude than double precision resolves.
+    with the state in one pass at `SHOOT_INTEGRATION`. No tangent matrix
+    is formed, so the result stays accurate when M's singular values
+    span more orders of magnitude than double precision resolves.
     """
     if not T > 0:
         raise ValueError("T must be positive")
     w0 = np.append(np.asarray(x0, dtype=float), 0.0)
     w, _ = _drive(field.compiled_liouville_rhs(), w0, 0.0, float(T),
-                  opts or SHOOT_INTEGRATION)
+                  SHOOT_INTEGRATION)
     return float(np.exp(w[-1]))
 
 

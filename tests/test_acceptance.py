@@ -143,9 +143,8 @@ class TestCriteria:
             start = plane.section_point([1.0, 0.0, 0.0], time=0.0)
             _pt, rt = first_return(field, plane, start)
             periods[name] = rt
-        opts = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
         _M, eigs = monodromy(stuart_landau, [1.0, 0.0, 0.0],
-                             periods["stuart-landau"], opts)
+                             periods["stuart-landau"])
         mods = sorted((abs(e) for e in eigs), reverse=True)
         expected = [1.0, math.exp(-TWO_PI), math.exp(-2 * TWO_PI)]
         rel_errs = [abs(m - e) / e for m, e in zip(mods, expected)]
@@ -198,7 +197,7 @@ class TestCriteria:
                                    orbit.period)
             expected = math.exp(LORENZ_DIV * orbit.period)
             det_errs.append(abs(det / expected - 1.0))
-            shoot = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+            shoot = IntegrationOptions(tol=1e-12)
             loop = integrate(lorenz, orbit.section_fixed_point.state3,
                              0.0, orbit.period, shoot)
             closures.append(float(np.max(np.abs(
@@ -234,7 +233,7 @@ class TestCriteria:
             errs.append(float(np.max(np.abs(end.final_state - [1.0, 0.0]))))
         ratio = errs[0] / errs[1]
 
-        tight = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+        tight = IntegrationOptions(tol=1e-12)
         start = np.array([1.0, 1.0, 1.0])
         roundtrip = 0.0
         for leg in range(20):

@@ -61,7 +61,7 @@ class TestCertificates:
 
 class TestVerifyBounds:
     def test_equilibrium_held_both_directions(self, equilibrium):
-        cert = BoundCertificate.asserted(3, -1.0)
+        cert = BoundCertificate(3, -1.0)
         opts = IntegrationOptions()
         fwd = integrate(equilibrium, [0.0, 0.0, 0.0], 0.0, 50.0, opts)
         back = integrate(equilibrium, [0.0, 0.0, 0.0], 0.0, -50.0, opts)
@@ -74,7 +74,7 @@ class TestVerifyBounds:
 
     def test_linear_flow_holds_on_both_sides(self):
         field = parse_system("dx/dt = 1")
-        cert = BoundCertificate.asserted(1, -1.0)
+        cert = BoundCertificate(1, -1.0)
         opts = IntegrationOptions()
         fwd = integrate(field, [0.0], 0.0, 50.0, opts)
         back = integrate(field, [0.0], 0.0, -50.0, opts)
@@ -91,7 +91,7 @@ class TestVerifyBounds:
     def test_invariant_circle_example(self, closed_orbit):
         cert = BoundCertificate.certified(closed_orbit, 3)
         assert cert.alpha == -1.0
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         span = 20.0 * math.pi
         fwd = integrate(closed_orbit, [1.0, 0.0, 0.0], 0.0, span, opts)
         back = integrate(closed_orbit, [1.0, 0.0, 0.0], 0.0, -span, opts)
@@ -117,12 +117,12 @@ class TestVerifyBounds:
     def test_tolerance_composition(self, equilibrium):
         cert = BoundCertificate.certified(equilibrium, 3)
         traj = integrate(equilibrium, [0.5, 0.5, 0.5], 0.0, 1.0,
-                         IntegrationOptions(abs_tol=1e-8, rel_tol=1e-10))
+                         IntegrationOptions(tol=1e-8))
         report = verify_bounds(traj, cert, tol=1e-6)
         assert report.tolerance == pytest.approx(1e-6 + 10 * 1e-8)
 
     def test_false_assertion_is_caught(self, equilibrium):
-        cert = BoundCertificate.asserted(3, 1.0)
+        cert = BoundCertificate(3, 1.0)
         traj = integrate(equilibrium, [0.5, 0.0, 0.0], 0.0, 10.0,
                          IntegrationOptions())
         report = verify_bounds(traj, cert)
@@ -133,7 +133,7 @@ class TestVerifyBounds:
         traj = integrate(equilibrium, [0.5, 0.5, 0.5], 0.0, 1.0,
                          IntegrationOptions())
         with pytest.raises(ValueError):
-            verify_bounds(traj, BoundCertificate.asserted(4, 0.0))
+            verify_bounds(traj, BoundCertificate(4, 0.0))
 
     def test_json_keys_are_stable(self, equilibrium):
         cert = BoundCertificate.certified(equilibrium, 3)
@@ -244,7 +244,7 @@ class TestRefuteNonexistence:
 
     def test_cubic_escape_closed_form(self):
         traj = integrate(CUBIC_ESCAPE, [0.0, 0.0, 5.0], 0.0, -10.0,
-                         IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12))
+                         IntegrationOptions(tol=1e-12))
         assert abs(traj.final_state[2] - (5.0 - 1000.0 / 3.0)) < 1e-8
 
     def test_positive_horizon_required(self, equilibrium):

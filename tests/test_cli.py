@@ -102,6 +102,17 @@ class TestSimulate:
         assert code == 1
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_step_needs_rk4(self, tmp_path):
+        # --step is rk4-fixed's fixed step; the adaptive stepper refuses it
+        code = main(["simulate", "--system", EQUILIBRIUM, "--x0", "1,0,0",
+                     "--t1", "1", "--step", "0.1", "--out", str(tmp_path)])
+        assert code == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+        code = main(["lyapunov", "--system", EQUILIBRIUM, "--x0", "1,0,0",
+                     "--step", "0.1", "--out", str(tmp_path)])
+        assert code == 1
+        assert not (tmp_path / "lyapunov.json").exists()
+
     def test_blow_up_exits_2(self, tmp_path, escape_system):
         blow = tmp_path / "blow.sys"
         blow.write_text("dx/dt = x^2\n")

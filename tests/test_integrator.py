@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -16,12 +17,13 @@ from flowbound import (
     load_system,
     parse_system,
 )
+from flowbound import integrator
 
 DECAY = parse_system("dx/dt = -x")
 HARMONIC = parse_system("dx/dt = y\ndy/dt = -x")
 ESCAPE = parse_system("dx/dt = x^2")
 
-TIGHT = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+TIGHT = IntegrationOptions(tol=1e-12)
 
 
 class TestEndpoints:
@@ -30,7 +32,7 @@ class TestEndpoints:
         assert abs(traj.final_state[0] - math.exp(-1.0)) < 1e-8
 
     def test_harmonic_full_period(self):
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 2.0 * math.pi, opts)
         assert np.max(np.abs(traj.final_state - [1.0, 0.0])) < 1e-6
 
@@ -78,7 +80,7 @@ class TestBackward:
         assert traj.is_backward
 
     def test_backward_full_period(self):
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, -2.0 * math.pi, opts)
         assert np.max(np.abs(traj.final_state - [1.0, 0.0])) < 1e-6
 
@@ -91,7 +93,7 @@ class TestBackward:
     def test_time_symmetry_within_ten_tolerances(self, name, span):
         field = load_system(name)
         x0 = [1.0, 1.0, 1.0] if name == "lorenz" else [0.8, 0.3, 0.5]
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         fwd = integrate(field, x0, 0.0, span, opts)
         back = integrate(field, fwd.final_state, span, 0.0, opts)
         assert np.max(np.abs(back.final_state - x0)) < 10 * 1e-10
@@ -99,7 +101,7 @@ class TestBackward:
 
 class TestLocalErrorControl:
     def test_per_step_error_on_decay(self):
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         traj = integrate(DECAY, [1.0], 0.0, 5.0, opts)
         for i in range(len(traj) - 1):
             h = traj.times[i + 1] - traj.times[i]
@@ -108,7 +110,7 @@ class TestLocalErrorControl:
             assert err <= 10 * (1e-10 + 1e-10 * abs(exact))
 
     def test_per_step_error_on_harmonic(self):
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 10.0, opts)
         for i in range(len(traj) - 1):
             h = traj.times[i + 1] - traj.times[i]
@@ -121,14 +123,14 @@ class TestLocalErrorControl:
 
 class TestDenseOutput:
     def test_interpolation_matches_closed_form(self):
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 6.0, opts)
         for t in np.linspace(0.05, 5.95, 37):
             exact = np.array([math.cos(t), -math.sin(t)])
             assert np.max(np.abs(traj.interpolate(t) - exact)) < 1e-8
 
     def test_interpolation_backward(self):
-        opts = IntegrationOptions(abs_tol=1e-10, rel_tol=1e-10)
+        opts = IntegrationOptions(tol=1e-10)
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, -6.0, opts)
         for t in (-0.5, -3.3, -5.9):
             exact = np.array([math.cos(t), -math.sin(t)])
@@ -224,10 +226,10 @@ class TestFailureModes:
             integrate(ESCAPE, [1.0], 0.0, 2.0, opts)
         assert exc_info.value.trajectory is not None
 
-    def test_max_steps_budget(self):
-        opts = IntegrationOptions(max_steps=10)
+    def test_max_steps_budget(self, monkeypatch):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 10)
         with pytest.raises(MaxStepsError):
-            integrate(HARMONIC, [1.0, 0.0], 0.0, 100.0, opts)
+            integrate(HARMONIC, [1.0, 0.0], 0.0, 100.0, IntegrationOptions())
 
     def test_equal_times_rejected(self):
         with pytest.raises(ValueError):
@@ -237,9 +239,15 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             IntegrationOptions(method="euler")
         with pytest.raises(ValueError):
-            IntegrationOptions(abs_tol=0.0)
+            IntegrationOptions(tol=0.0)
         with pytest.raises(ValueError):
-            IntegrationOptions(step=-0.1)
+            IntegrationOptions(method="rk4-fixed", step=-0.1)
+        with pytest.raises(ValueError, match="rk4-fixed only"):
+            IntegrationOptions(step=0.1)
+
+    def test_settable_fields(self):
+        names = [f.name for f in dataclasses.fields(IntegrationOptions)]
+        assert names == ["method", "step", "tol", "blow_up_norm"]
 
 
 class TestTrajectoryContainer:

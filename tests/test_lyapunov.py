@@ -64,7 +64,7 @@ class TestKnownSpectra:
         assert_close(result.exponents, [0.0, 0.0, -1.0], 1e-5, "rk4")
 
     def test_lorenz_sum_rule(self, lorenz):
-        opts = IntegrationOptions(abs_tol=1e-9, rel_tol=1e-9)
+        opts = IntegrationOptions(tol=1e-9)
         result = lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0],
                                    transient=20.0, total_time=100.0,
                                    renorm_interval=0.5, opts=opts)

@@ -174,6 +174,23 @@ class TestFirstReturn:
         assert info.value.t == pytest.approx(TWO_PI, abs=1e-6)
         assert info.value.state.shape == (3,)
 
+    def test_refinement_never_returns_a_crossing_off_the_step(self,
+                                                             monkeypatch):
+        # z: -1 -> 3 over [0, 1] with endpoint slopes 5000, but a field
+        # whose normal slope is 1e-9: Newton steps would leave the step
+        ya, yb = np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 3.0])
+        fa = fb = np.array([0.0, 0.0, 5000.0])
+        monkeypatch.setattr(poincare, "_step_stream",
+                            lambda *_a: iter([(0.0, ya, fa, 1.0, yb, fb)]))
+        plane = SectionPlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "positive")
+        try:
+            tau, _x = poincare._next_crossing(
+                lambda y: np.array([0.0, 0.0, 1e-9]), plane, ya, 0.0,
+                IntegrationOptions(), 1.0, 0.0)
+        except CrossingRefinementError:
+            return
+        assert math.isfinite(tau) and 0.0 <= tau <= 1.0
+
     def test_start_time_offsets_crossing_time(self, closed_orbit):
         plane = y0_plane()
         start = plane.section_point([1.0, 0.0, 0.0], time=5.0)
@@ -250,7 +267,7 @@ class TestReturnMapIterates:
 class TestLorenzSection:
     def test_section_stays_in_attractor_box(self, lorenz):
         plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "both")
-        opts = IntegrationOptions(abs_tol=1e-9, rel_tol=1e-9)
+        opts = IntegrationOptions(tol=1e-9)
         settled, _ = first_crossing(lorenz, plane, [1.0, 1.0, 1.0],
                                     opts=opts, max_time=100.0)
         points = return_map_iterates(lorenz, plane, settled, 300, opts)

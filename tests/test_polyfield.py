@@ -88,6 +88,25 @@ class TestParsing:
         with pytest.raises(SystemConfigError):
             parse_system("dx/dt = x^-1")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("param", 1, 6),
+        ("param a", 1, 8),
+        ("param a =", 1, 10),
+        ("param a = x", 1, 11),
+        ("param a = 1 2", 1, 13),
+        ("param a = 1\nparam a = 2", 2, 7),
+        ("param a = 1e999", 1, 11),
+        ("param 3 = 1", 1, 7),
+        ("dx/dt =", 1, 8),
+        ("dx/dt", 1, 1),
+        ("d/dt = 1", 1, 1),
+        ("dx/dx = 1", 1, 1),
+    ])
+    def test_malformed_line_reports_position(self, text, line, column):
+        with pytest.raises(SystemConfigError) as exc_info:
+            parse_system(text)
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
+
     @pytest.mark.parametrize("rhs, op, message", [
         ("(x^40)^2", "^", "total degree 80"),
         ("x^64*y", "*", "total degree 65"),

@@ -118,7 +118,7 @@ class TestScan:
         # and lag 2 still swaps lobes; only lag 4 gets close. The
         # shortest orbit crosses z = 27 four times per period.
         plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "both")
-        opts = IntegrationOptions(abs_tol=1e-9, rel_tol=1e-9)
+        opts = IntegrationOptions(tol=1e-9)
         settled = integrate(lorenz, [1.0, 1.0, 1.0], 0.0, 50.0, opts)
         start, _ = first_crossing(lorenz, plane, settled.final_state,
                                   opts=opts, max_time=100.0)
@@ -219,7 +219,7 @@ class TestNewtonShoot:
     def test_chart_jacobian_matches_central_differences(self, lorenz,
                                                          coords):
         plane = x0_plane()
-        opts = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+        opts = IntegrationOptions(tol=1e-12)
 
         def G(u):
             p = plane.section_point(plane.from_chart(u), 0.0)
@@ -228,7 +228,7 @@ class TestNewtonShoot:
         u = np.asarray(coords, dtype=float)
         start = plane.section_point(plane.from_chart(u), 0.0)
         end, T = first_return(lorenz, plane, start, opts)
-        M, _ = monodromy(lorenz, start.state3, T, opts)
+        M, _ = monodromy(lorenz, start.state3, T)
         J = upo._chart_jacobian(lorenz, plane, M, end.state3)
         h = 1e-6
         fd = np.column_stack([(G(u + h * e) - G(u - h * e)) / (2 * h)
@@ -344,7 +344,7 @@ class TestCensus:
         plane = circle_plane()
         orbit = census(stuart_landau, plane, circle_start(plane),
                        n_iterates=4, k_max=2, threshold=1e-3)[0]
-        opts = IntegrationOptions(abs_tol=1e-12, rel_tol=1e-12)
+        opts = IntegrationOptions(tol=1e-12)
         x0 = orbit.section_fixed_point.state3
         traj = integrate(stuart_landau, x0, 0.0, orbit.period, opts)
         assert_close(traj.final_state, x0, 1e-6, "closure")
