@@ -1,8 +1,9 @@
 """Bidirectional numerical integration of polynomial vector fields.
 
 Two steppers: classical fixed-step RK4 and adaptive Dormand-Prince 5(4)
-(the default). Backward runs step with negative time increments on the
-same field. Cubic Hermite interpolation between accepted steps provides
+(the default), both one loop over the step that `PolyField.compiled_step`
+generates from their tableaus. Backward runs step with negative time
+increments on the same field. Cubic Hermite interpolation between accepted steps provides
 dense output for event location and mid-sample checks. A configurable
 state-norm cap turns finite-time escape into an explicit error carrying
 the partial trajectory.
@@ -11,6 +12,8 @@ the partial trajectory.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO
 
@@ -33,7 +36,6 @@ RK4_FIXED = "rk4-fixed"
 RK45_ADAPTIVE = "rk45-adaptive"
 
 # Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -45,6 +47,10 @@ _DP_A = (
 )
 # difference between 5th- and 4th-order weights, for the error estimate
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# (stage rows, solution weights, their divisor, error weights) for
+# PolyField.compiled_step; DP5(4)'s last row is its 5th-order solution
+_DP54 = (_DP_A[1:6], _DP_A[6], 1.0, _DP_E)
+_RK4 = (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0, None)
 
 _MIN_STEP_FACTOR = 0.2
 _MAX_STEP_FACTOR = 5.0
@@ -203,10 +209,6 @@ def _rms(v, scale) -> float:
     return float(np.sqrt(np.mean((v / scale) ** 2)))
 
 
-def _error_norm(err, ya, yb, tol):
-    return _rms(err, tol + tol * np.maximum(np.abs(ya), np.abs(yb)))
-
-
 def _initial_step(rhs, y0, f0, direction, tol):
     """Hairer-style automatic initial step selection (order 5)."""
     scale = tol + tol * np.abs(y0)
@@ -225,131 +227,105 @@ def _initial_step(rhs, y0, f0, direction, tol):
     return min(100 * h0, h1)
 
 
-def _check_finite_norm(t, y, cap):
-    if not np.all(np.isfinite(y)):
-        raise BlowUpError(f"non-finite state at t={t:.6g}", t, y)
-    norm = float(np.linalg.norm(y))
-    if norm > cap:
-        raise BlowUpError(
-            f"state norm {norm:.3e} exceeded blow-up cap {cap:.3e} at t={t:.6g}",
-            t, y)
-
-
-def _dp54_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
-    """Accepted Dormand-Prince 5(4) steps as (ta, ya, fa, tb, yb, fb)."""
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    t = t0
+def _step_stream(field: PolyField, system: str, y0, t0, t1,
+                 opts) -> Iterator[tuple]:
+    """Accepted steps of the field's generated `system` step as (ta, ya,
+    fa, tb, yb, fb), states and slopes as float tuples: ceil(|t1 - t0| /
+    step) equal RK4 steps, or DP5(4) steps with error norm at most 1,
+    retried at a fifth of h after a non-finite stage."""
+    rhs = getattr(field, f"compiled_{system}")()
     y = np.asarray(y0, dtype=float)
     f = rhs(y)
-    if not np.all(np.isfinite(f)):
-        raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
-    h = min(_initial_step(rhs, y, f, direction, opts.tol), span)
-    steps = 0
-    k = np.empty((7, y.size))
-    while direction * (t1 - t) > 0:
-        if steps >= _MAX_STEPS:
+    adaptive = opts.method == RK45_ADAPTIVE
+    direction = 1.0 if t1 > t0 else -1.0
+    if adaptive:
+        if not np.all(np.isfinite(f)):
+            raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
+        h = min(_initial_step(rhs, y, f, direction, opts.tol), abs(t1 - t0))
+    else:
+        n_steps = max(1, math.ceil(abs(t1 - t0) / opts.step))
+        if n_steps > _MAX_STEPS:
             raise MaxStepsError(
-                f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}", t, y)
-        remaining = abs(t1 - t)
-        h = min(h, remaining)
-        final_step = h == remaining
-        if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StepSizeError(
-                f"step size underflow (h={h:.3e}) at t={t:.6g}", t, y)
+                f"{n_steps} fixed steps needed, step budget {_MAX_STEPS}", t0, y)
+        h = abs(t1 - t0) / n_steps
+    step = field.compiled_step(system, _DP54 if adaptive else _RK4)
+    # a squared norm below this is finite and under the blow-up cap
+    limit = opts.blow_up_norm * opts.blow_up_norm * (1.0 - 1e-9)
+    t, y, f = t0, tuple(y.tolist()), tuple(f.tolist())
+    steps = 0
+    while (direction * (t1 - t) > 0) if adaptive else steps < n_steps:
+        if adaptive:
+            if steps >= _MAX_STEPS:
+                raise MaxStepsError(
+                    f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}",
+                    t, np.array(y))
+            remaining = abs(t1 - t)
+            h = min(h, remaining)
+            final_step = h == remaining
+            if h <= 16 * sys.float_info.epsilon * max(abs(t), 1.0):
+                raise StepSizeError(
+                    f"step size underflow (h={h:.3e}) at t={t:.6g}", t, np.array(y))
+        else:
+            final_step = steps == n_steps - 1
         hs = direction * h
-        k[0] = f
-        for i in range(1, 7):
-            acc = _DP_A[i][0] * k[0]
-            for j in range(1, i):
-                a = _DP_A[i][j]
-                if a:
-                    acc = acc + a * k[j]
-            # the last stage's argument is the 5th-order solution (FSAL)
-            y_new = y + hs * acc
-            k[i] = rhs(y_new)
-        err_vec = hs * (_DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3]
-                        + _DP_E[4] * k[4] + _DP_E[5] * k[5] + _DP_E[6] * k[6])
         steps += 1
-        if not np.all(np.isfinite(y_new)):
+        # land on t1 exactly instead of leaving a 1-ulp sliver behind
+        t_new = t1 if final_step else t + hs if adaptive else t0 + steps * hs
+        try:
+            z, g, err, ss = step(y, f, hs, opts.tol)
+        except OverflowError:  # a stage before z overflowed: z is not finite
+            z, g, err, ss = (math.nan,) * len(y), None, 0.0, math.nan
+        if not ss < limit and not all(map(math.isfinite, z)):
+            if not adaptive:
+                raise BlowUpError(f"non-finite state at t={t_new:.6g}",
+                                  t_new, np.array(z))
             h *= _MIN_STEP_FACTOR
             continue
-        err = _error_norm(err_vec, y, y_new, opts.tol)
-        if err <= 1.0:
-            # land on t1 exactly instead of leaving a 1-ulp sliver behind
-            t_new = t1 if final_step else t + hs
-            _check_finite_norm(t_new, y_new, opts.blow_up_norm)
-            # FSAL: stage 7 is f(t+h, y_new); copy it out of the stage buffer,
-            # which the next step overwrites. Nothing else yielded is written.
-            f_new = k[6].copy()
-            yield t, y, f, t_new, y_new, f_new
-            t, y, f = t_new, y_new, f_new
+        if not err <= 1.0:
+            h *= max(_MIN_STEP_FACTOR, _SAFETY * err ** -0.2)
+            continue
+        cap = opts.blow_up_norm
+        if not ss < limit and (norm := float(np.linalg.norm(z))) > cap:
+            raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
+                              f"{cap:.3e} at t={t_new:.6g}", t_new, np.array(z))
+        yield t, y, f, t_new, z, g
+        t, y, f = t_new, z, g
+        if adaptive:
             factor = _MAX_STEP_FACTOR if err == 0.0 else min(
                 _MAX_STEP_FACTOR, _SAFETY * err ** -0.2)
             h *= max(_MIN_STEP_FACTOR, factor)
-        else:
-            h *= max(_MIN_STEP_FACTOR, _SAFETY * err ** -0.2)
 
 
-def _rk4_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
-    """Fixed-step classical RK4 steps as (ta, ya, fa, tb, yb, fb)."""
-    span = t1 - t0
-    n_steps = max(1, math.ceil(abs(span) / opts.step))
-    if n_steps > _MAX_STEPS:
-        raise MaxStepsError(
-            f"{n_steps} fixed steps needed, step budget {_MAX_STEPS}",
-            t0, np.asarray(y0, dtype=float))
-    h = span / n_steps
-    y = np.asarray(y0, dtype=float)
-    f = rhs(y)
-    for i in range(n_steps):
-        t = t0 + i * h
-        k1 = f
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_new = t1 if i == n_steps - 1 else t0 + (i + 1) * h
-        _check_finite_norm(t_new, y_new, opts.blow_up_norm)
-        f_new = rhs(y_new)
-        yield t, y, f, t_new, y_new, f_new
-        y, f = y_new, f_new
+def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
+    """Step `system` from (t0, w0) to t1; returns (final state, trajectory).
 
-
-def _step_stream(rhs, y0, t0, t1, opts) -> Iterator[tuple]:
-    if opts.method == RK4_FIXED:
-        return _rk4_stream(rhs, y0, t0, t1, opts)
-    return _dp54_stream(rhs, y0, t0, t1, opts)
-
-
-def _drive(rhs, w0, t0, t1, opts, record=None):
-    """Step from (t0, w0) to t1; returns (final state, trajectory).
-
-    Given the field as `record`, the trajectory holds every accepted
-    step, and any IntegrationError carries it as the partial
-    trajectory; otherwise it is None.
+    With `record`, every accepted step goes into flat float buffers, and
+    the trajectory, also attached to any IntegrationError, is a view of
+    them; otherwise it is None.
     """
+    stream = _step_stream(field, system, w0, t0, t1, opts)
     w = w0
-    if record is None:
-        for _ta, _wa, _fa, _tb, w, _fb in _step_stream(rhs, w0, t0, t1, opts):
+    if not record:
+        for _ta, _wa, _fa, _tb, w, _fb in stream:
             pass
-        return w, None
-    times, states, derivs = [t0], [w0], [rhs(w0)]
+        return np.array(w), None
+    f0 = getattr(field, f"compiled_{system}")()(w0)
+    times, states, derivs = array("d", [t0]), array("d", w0), array("d", f0)
 
     def trajectory():
-        return Trajectory(t0, np.array(times), np.vstack(states),
-                          np.vstack(derivs), opts.tolerance,
-                          record.variable_names)
+        rows = [np.frombuffer(b).reshape(len(times), -1) for b in (states, derivs)]
+        return Trajectory(t0, np.frombuffer(times), *rows, opts.tolerance,
+                          field.variable_names)
 
     try:
-        for _ta, _wa, _fa, tb, w, fb in _step_stream(rhs, w0, t0, t1, opts):
+        for _ta, _wa, _fa, tb, w, fb in stream:
             times.append(tb)
-            states.append(w)
-            derivs.append(fb)
+            states.extend(w)
+            derivs.extend(fb)
     except IntegrationError as exc:
         exc.trajectory = trajectory()
         raise
-    return w, trajectory()
+    return np.array(w), trajectory()
 
 
 def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:
@@ -374,7 +350,7 @@ def integrate(field: PolyField, x0, t0: float, t1: float,
     """
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
-    return _drive(field.compiled_rhs(), y0, t0, t1, opts, record=field)[1]
+    return _drive(field, "rhs", y0, t0, t1, opts, record=True)[1]
 
 
 def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
@@ -395,5 +371,5 @@ def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
     if not np.all(np.isfinite(Q0)):
         raise ValueError("Q0 must be finite")
     w0 = np.concatenate([y0, Q0.ravel()])
-    w, _ = _drive(field.compiled_tangent_rhs(), w0, t0, t1, opts)
+    w, _ = _drive(field, "tangent_rhs", w0, t0, t1, opts)
     return w[:n], w[n:].reshape(n, n)

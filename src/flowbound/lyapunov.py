@@ -101,7 +101,7 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     n = field.dimension
     x = np.asarray(x0, dtype=float)
     if transient > 0:
-        x, _ = _drive(field.compiled_rhs(), x, 0.0, transient, opts)
+        x, _ = _drive(field, "rhs", x, 0.0, transient, opts)
     Q = np.eye(n)
     logs = np.zeros(n)
     n_chunks = max(1, math.ceil(total_time / renorm_interval - 1e-9))

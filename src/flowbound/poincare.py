@@ -162,6 +162,7 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
     time, interpolated state, residual signed distance).
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
+    ya, fa, yb, fb = (np.asarray(v, dtype=float) for v in (ya, fa, yb, fb))
     h = tb - ta
     while (sb - sa) * abs(h) > _BRACKET_WIDTH:
         sm = 0.5 * (sa + sb)
@@ -191,28 +192,37 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
     return tau, x, g
 
 
-def _next_crossing(rhs, plane, state, t0, opts, max_time, min_elapsed):
-    """March `rhs` from (t0, state) to the next counted plane crossing.
+def _next_crossing(field, system, plane, state, t0, opts, max_time,
+                   min_elapsed):
+    """March the field's `system` from (t0, state) to the next counted
+    plane crossing.
 
     Only the first three components decide a crossing; any others (a
     tangent matrix) ride along and come back in the returned state.
     """
     if not max_time > 0:
         raise ValueError("max_time must be positive")
+    rhs = getattr(field, f"compiled_{system}")()
     y0 = np.asarray(state, dtype=float)
     normal = np.pad(plane.normal, (0, y0.size - 3))
+    n0, n1, n2 = plane.normal.tolist()
     offset = float(np.dot(plane.point, plane.normal))
     count_up = plane.direction in ("positive", "both")
     count_down = plane.direction in ("negative", "both")
     t1 = t0 + max_time
     t_last, y_last = t0, y0
-    for ta, ya, fa, tb, yb, fb in _step_stream(rhs, y0, t0, t1, opts):
+    for ta, ya, fa, tb, yb, fb in _step_stream(field, system, y0, t0, t1, opts):
         t_last, y_last = tb, yb
-        ga = float(np.dot(ya, normal)) - offset
-        gb = float(np.dot(yb, normal)) - offset
-        dga = float(np.dot(fa, normal))
-        dgb = float(np.dot(fb, normal))
+        ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
+        gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
+        dga = fa[0] * n0 + fa[1] * n1 + fa[2] * n2
+        dgb = fb[0] * n0 + fb[1] * n1 + fb[2] * n2
         h = tb - ta
+        # at the fractions _SUB_S, h00 + h01 = 1 and |h10|, |h11| <= 0.140625,
+        # so no sample of a step passing this test leaves the side of ga and gb
+        if ga * gb > 0.0 and (min(abs(ga), abs(gb))
+                              > 0.15 * abs(h) * (abs(dga) + abs(dgb)) + 1e-300):
+            continue
         samples = [(0.0, ga)]
         samples += [(s, _hermite_fraction(s, ga, gb, dga, dgb, h))
                     for s in _SUB_S]
@@ -238,7 +248,7 @@ def _next_crossing(rhs, plane, state, t0, opts, max_time, min_elapsed):
             return tau, x
     raise NonReturningOrbitError(
         f"no counted section crossing within {max_time} time units",
-        abs(t_last - t0), y_last)
+        abs(t_last - t0), np.asarray(y_last, dtype=float))
 
 
 def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
@@ -262,8 +272,8 @@ def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
     if abs(s0) >= _ON_PLANE_TOL:
         raise ValueError(
             f"start point lies {s0:.3e} off the plane (limit {_ON_PLANE_TOL})")
-    tau, x = _next_crossing(field.compiled_rhs(), plane, start.state3,
-                            start.time, opts, max_time, _REFRACTORY)
+    tau, x = _next_crossing(field, "rhs", plane, start.state3, start.time,
+                            opts, max_time, _REFRACTORY)
     return plane.section_point(x, tau), tau - start.time
 
 
@@ -278,8 +288,8 @@ def first_crossing(field: PolyField, plane: SectionPlane, x0, t0: float = 0.0,
     """
     opts = opts or IntegrationOptions()
     _require_3d(field)
-    tau, x = _next_crossing(field.compiled_rhs(), plane, x0, t0, opts,
-                            max_time, 0.0)
+    tau, x = _next_crossing(field, "rhs", plane, x0, t0, opts, max_time,
+                            0.0)
     return plane.section_point(x, tau), tau - t0
 
 

@@ -171,7 +171,7 @@ class Polynomial:
 class PolyField:
     """An n-component polynomial vector field f: R^n -> R^n.
 
-    Immutable after construction; evaluation and Jacobian callables are
+    Immutable after construction; evaluation, Jacobian and step callables are
     compiled lazily and cached, so sharing one instance across threads
     or repeated integrations is cheap.
     """
@@ -199,11 +199,8 @@ class PolyField:
             for m in p.terms:
                 if len(m.exponents) != self.dimension:
                     raise ValueError("monomial exponent tuple has wrong length")
-        self._rhs: Optional[Callable] = None
-        self._jac: Optional[Callable] = None
         self._jac_polys: Optional[tuple] = None
-        self._tangent_rhs: Optional[Callable] = None
-        self._liouville_rhs: Optional[Callable] = None
+        self._generated: dict = {}  # compiled callables by name or (system, tableau)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyField):
@@ -254,18 +251,11 @@ class PolyField:
 
     def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
         """f(y) -> ndarray, generated and exec'd once per field."""
-        if self._rhs is None:
-            self._rhs = _compile("_rhs", [_poly_expr(p) for p in self.components],
-                                 self.dimension)
-        return self._rhs
+        return self._compiled("rhs")
 
     def compiled_jacobian(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self._jac is None:
-            flat = [e for row in self._jacobian_exprs() for e in row]
-            fn = _compile("_jac", flat, self.dimension)
-            n = self.dimension
-            self._jac = lambda y, _fn=fn, _n=n: _fn(y).reshape(_n, _n)
-        return self._jac
+        fn, n = self._compiled("jacobian"), self.dimension
+        return lambda y: fn(y).reshape(n, n)
 
     def compiled_tangent_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
         """Augmented right-hand side for (x, V): returns (f(x), J(x) V) flat.
@@ -273,17 +263,7 @@ class PolyField:
         Input and output are flat vectors of length n + n*n with V in
         row-major order.
         """
-        if self._tangent_rhs is None:
-            n = self.dimension
-            grid = [f"j{i}{k} = {e}"
-                    for i, row in enumerate(self._jacobian_exprs())
-                    for k, e in enumerate(row)]
-            out = [_poly_expr(p) for p in self.components]
-            # dV/dt = J V, with V unpacked row-major from w[n:]
-            out += [" + ".join(f"j{i}{k}*w[{n + k * n + c}]" for k in range(n))
-                    for i in range(n) for c in range(n)]
-            self._tangent_rhs = _compile("_aug", out, n, "w", grid)
-        return self._tangent_rhs
+        return self._compiled("tangent_rhs")
 
     def compiled_liouville_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
         """Augmented right-hand side for (x, s): returns (f(x), div f(x)).
@@ -291,46 +271,129 @@ class PolyField:
         Integrating s from 0 gives log det of the tangent flow
         (Liouville's formula) without forming the tangent matrix.
         """
-        if self._liouville_rhs is None:
-            out = [_poly_expr(p) for p in (*self.components, self.divergence())]
-            self._liouville_rhs = _compile("_liouville", out, self.dimension)
-        return self._liouville_rhs
+        return self._compiled("liouville_rhs")
 
-    def _jacobian_exprs(self) -> list[list[str]]:
-        return [[_poly_expr(p) for p in row]
-                for row in self.jacobian_polynomials()]
+    def compiled_step(self, system: str, tableau) -> Callable:
+        """The generated step of `system` ("rhs", "tangent_rhs" or
+        "liouville_rhs") for a tableau, built on first use."""
+        return self._compiled((system, tableau))
+
+    def _compiled(self, key):
+        """The cached callable for a `_system` name, or for (name, tableau)."""
+        if key not in self._generated:
+            self._generated[key] = (
+                _compile_step(lambda v: self._system(key[0], v), key[1])
+                if isinstance(key, tuple) else _compile(*self._system(key, "x")))
+        return self._generated[key]
+
+    def _system(self, name: str, v: str) -> tuple[int, list[str], list[str]]:
+        """(inputs, body lines, output expressions) of one generated
+        function of the variables v0, v1, ...: "rhs" is f, "tangent_rhs"
+        (f(x), J(x) V) with V row-major after x, "liouville_rhs"
+        (f(x), div f(x)), "jacobian" J(x) row-major."""
+        n = self.dimension
+        out = [_poly_expr(p, v) for p in self.components]
+        if name == "liouville_rhs":
+            return n + 1, [], out + [_poly_expr(self.divergence(), v)]
+        if name == "rhs":
+            return n, [], out
+        grid = [[_poly_expr(p, v) for p in row] for row in self.jacobian_polynomials()]
+        if name == "jacobian":
+            return n, [], [e for row in grid for e in row]
+        body = [f"j{i}_{k} = {e}" for i, row in enumerate(grid) for k, e in enumerate(row)]
+        out += [" + ".join(f"j{i}_{k}*{v}{n + k * n + c}" for k in range(n))
+                for i in range(n) for c in range(n)]
+        return n + n * n, body, out
 
 
 # -- code generation -------------------------------------------------------
 
 
-def _monomial_expr(m: Monomial) -> str:
+def _monomial_expr(m: Monomial, v: str) -> str:
     parts = [repr(m.coefficient)]
     for i, e in enumerate(m.exponents):
         if e == 1:
-            parts.append(f"x{i}")
+            parts.append(f"{v}{i}")
         elif e > 1:
-            parts.append(f"x{i}**{e}")
+            parts.append(f"{v}{i}**{e}")
     return "*".join(parts)
 
 
-def _poly_expr(p: Polynomial) -> str:
+def _poly_expr(p: Polynomial, v: str) -> str:
     if not p.terms:
         return "0.0"
-    return " + ".join(_monomial_expr(m) for m in p.terms)
+    return " + ".join(_monomial_expr(m, v) for m in p.terms)
 
 
-def _compile(name: str, outputs: Sequence[str], n: int, src: str = "y",
-             body: Sequence[str] = ()) -> Callable:
-    """exec `def name(src)`: unpack x0..x{n-1}, run `body`, return the
-    float array of the `outputs` expressions."""
-    lines = [f"def {name}({src}, _array=_array):"]
-    lines += [f"    x{i} = {src}[{i}]" for i in range(n)]
+def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
+    """exec `def _rhs(y)`: unpack x0..x{size-1} from y, run `body`,
+    return the float array of the `outputs` expressions."""
+    lines = ["def _rhs(y, _array=_array):"]
+    lines += [f"    x{i} = y[{i}]" for i in range(size)]
     lines += [f"    {line}" for line in body]
     lines.append(f"    return _array(({', '.join(outputs)},))")
     ns = {"_array": lambda t: np.array(t, dtype=float)}
     exec("\n".join(lines), ns)
-    return ns[name]
+    return ns["_rhs"]
+
+
+def _numpy_sum(terms: list[str]) -> str:
+    """Sum of `terms` in the order of NumPy's pairwise `add.reduce`."""
+    n, rest = len(terms), len(terms) - len(terms) % 8
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_numpy_sum(terms[:half])} + {_numpy_sum(terms[half:])})"
+    if n >= 8:  # eight running sums, added pairwise, then the rest in turn
+        r = [f"({' + '.join(terms[j:rest:8])})" for j in range(8)]
+        while len(r) > 1:
+            r = [f"({a} + {b})" for a, b in zip(r[::2], r[1::2])]
+        terms = r + terms[rest:]
+    return f"({' + '.join(terms)})"
+
+
+def _compile_step(system: Callable, tableau) -> Callable:
+    """exec `def _step(y, f, hs, tol)`: one explicit Runge-Kutta step of
+    `system(v)` -> (size, body, outputs) as straight-line float code.
+
+    `tableau` (A, b, d, e) gives the stage rows A, the new state z = y +
+    (hs/d) Σ b_j k_j, whose slope g is the next first stage (FSAL), and
+    the error weights e (None: no estimate). Zero coefficients are
+    skipped and sums run in NumPy's order, so the step equals the same
+    array arithmetic bit for bit. Returns (z, g, err, ss): err is the
+    RMS of hs Σ e_j k_j in units of tol + tol max(|y|, |z|), else 0.0,
+    and ss = Σ z_i². Where arrays would hold inf, an overflowing power
+    raises OverflowError, or, evaluating g, makes g inf.
+    """
+    A, b, d, e = tableau
+    m = system("y")[0]
+    k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(m)) + ","
+
+    def combo(weights, i):
+        return " + ".join(f"{c!r}*{k[j]}{i}" for j, c in enumerate(weights) if c)
+
+    lines = [f"{names('y')} = y", f"{names(k[0])} = f", f"hb = hs / {d!r}"]
+    for s, row in enumerate([*A, b], start=1):
+        v, h = ("z", "hb") if s > len(A) else ("a", "hs")
+        lines += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]
+        _size, body, out = system(v)
+        stage = [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
+        if s > len(A):
+            stage = ["try:", *(f"    {x}" for x in stage), "except OverflowError:",
+                     f"    {' = '.join(f'{k[s]}{i}' for i in range(m))} = _inf"]
+        lines += stage
+    err = "0.0"
+    if e is not None:
+        lines += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / "
+                  f"(tol + tol*(p if p >= q else q))" for i in range(m)]
+        err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
+    ss = " + ".join(f"z{i}*z{i}" for i in range(m))
+    lines.append(f"return ({names('z')}), ({names(k[-1])}), {err}, {ss}")
+    ns = {"_sqrt": math.sqrt, "_inf": math.inf}
+    exec("def _step(y, f, hs, tol):\n    " + "\n    ".join(lines), ns)
+    return ns["_step"]
 
 
 # -- parsing ---------------------------------------------------------------

@@ -236,7 +236,7 @@ def flow_determinant(field: PolyField, x0, T: float) -> float:
     if not T > 0:
         raise ValueError("T must be positive")
     w0 = np.append(np.asarray(x0, dtype=float), 0.0)
-    w, _ = _drive(field.compiled_liouville_rhs(), w0, 0.0, float(T),
+    w, _ = _drive(field, "liouville_rhs", w0, 0.0, float(T),
                   SHOOT_INTEGRATION)
     return float(np.exp(w[-1]))
 
@@ -295,16 +295,15 @@ def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
 
 
 def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
-    tangent_rhs = field.compiled_tangent_rhs()
-
     def evaluate(u):
         # one tangent-augmented pass per leg; by the chain rule the
         # product of the legs' matrices is the full-period monodromy
         state, t, M, cycle = plane.from_chart(u), 0.0, np.eye(3), []
         for _ in range(k):
             w0 = np.concatenate([state, np.eye(3).ravel()])
-            t, w = _next_crossing(tangent_rhs, plane, w0, t, SHOOT_INTEGRATION,
-                                  _MAX_RETURN_TIME, _REFRACTORY)
+            t, w = _next_crossing(field, "tangent_rhs", plane, w0, t,
+                                  SHOOT_INTEGRATION, _MAX_RETURN_TIME,
+                                  _REFRACTORY)
             state, M = w[:3], w[3:].reshape(3, 3) @ M
             cycle.append(plane.section_point(state, t))
         return cycle[-1].coords2 - u, cycle, M

@@ -415,6 +415,8 @@ class TestOverflowingStart:
         assert "integration failed" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        # generated steps run on floats, whose powers raise OverflowError
+        assert "OverflowError" not in proc.stderr
 
     @pytest.mark.parametrize("x0", ["1e155,0,0", "1e200,0,0"])
     def test_refute_reports_escape(self, tmp_path, x0):
@@ -423,6 +425,9 @@ class TestOverflowingStart:
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        assert "OverflowError" not in proc.stderr
+        assert proc.stderr.endswith("verdict: orbit escaped backward — no "
+                                    "counterexample from this seed\n")
 
         def reject(token):
             raise ValueError(f"non-JSON token {token}")

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,130 @@ class TestTangentFlow:
             quad = np.trapezoid(vals, ts)
             expected = math.exp(quad)
             assert abs(np.linalg.det(M) - expected) / abs(expected) < 1e-4
+
+
+def _reference_step(rhs, y, f, hs, tol, method):
+    """One step on NumPy arrays, written out from the tableau: DP5(4)
+    stage sums in `_DP_A` order and its error in `_DP_E` order, zero
+    coefficients skipped; classical RK4 with its usual weights."""
+    if method == "rk4-fixed":
+        k2 = rhs(y + 0.5 * hs * f)
+        k3 = rhs(y + 0.5 * hs * k2)
+        k4 = rhs(y + hs * k3)
+        z = y + (hs / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
+        return z, rhs(z), 0.0
+    k = [f]
+    for row in integrator._DP_A[1:]:
+        acc = row[0] * k[0]
+        for a, kj in zip(row[1:], k[1:]):
+            if a:
+                acc = acc + a * kj
+        z = y + hs * acc
+        k.append(rhs(z))
+    terms = [e * kj for e, kj in zip(integrator._DP_E, k) if e]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    scale = tol + tol * np.maximum(np.abs(y), np.abs(z))
+    return z, k[-1], float(np.sqrt(np.mean((hs * acc / scale) ** 2)))
+
+
+class TestGeneratedStep:
+    """`PolyField.compiled_step` is straight-line float code; it must
+    reproduce the array arithmetic of the same tableau bit for bit."""
+
+    @pytest.mark.parametrize("name, system, method, x0, hs", [
+        ("lorenz", "rhs", "rk45-adaptive", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "rhs", "rk45-adaptive", [1.0, 1.0, 1.0], -0.001),
+        ("lorenz", "tangent_rhs", "rk45-adaptive", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "tangent_rhs", "rk45-adaptive", [-3.0, 2.0, 30.0], -0.001),
+        ("lorenz", "liouville_rhs", "rk45-adaptive", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "rhs", "rk4-fixed", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "rhs", "rk4-fixed", [1.0, 1.0, 1.0], -0.001),
+        ("lorenz", "tangent_rhs", "rk4-fixed", [1.0, 1.0, 1.0], 0.01),
+        ("closed-orbit", "rhs", "rk45-adaptive", [0.3, -1.7, 0.5], 0.02),
+    ])
+    def test_matches_array_arithmetic(self, name, system, method, x0, hs):
+        field = load_system(name)
+        rhs = getattr(field, f"compiled_{system}")()
+        w = np.array(x0, dtype=float)
+        if system == "tangent_rhs":
+            w = np.concatenate([w, np.eye(3).ravel()])
+        elif system == "liouville_rhs":
+            w = np.append(w, 0.0)
+        tableau = integrator._RK4 if method == "rk4-fixed" else integrator._DP54
+        step = field.compiled_step(system, tableau)
+        y, f = tuple(w.tolist()), tuple(rhs(w).tolist())
+        for _ in range(200):
+            z, g, err, _ss = step(y, f, hs, 1e-10)
+            z_ref, g_ref, err_ref = _reference_step(
+                rhs, np.array(y), np.array(f), hs, 1e-10, method)
+            assert z == tuple(z_ref.tolist())
+            assert g == tuple(g_ref.tolist())
+            assert err == err_ref
+            y, f = z, g
+
+    def test_overflowing_power(self, closed_orbit):
+        # a stage before z overflows: the step raises, as no slope exists
+        rhs = closed_orbit.compiled_rhs()
+        step = closed_orbit.compiled_step("rhs", integrator._DP54)
+        y = (1e80, 0.0, 0.0)
+        with pytest.raises(OverflowError):
+            step(y, tuple(rhs(np.array(y)).tolist()), 1e-100, 1e-10)
+
+    def test_overflow_at_the_new_state_keeps_the_cap_verdict(self,
+                                                             closed_orbit):
+        # backward RK4 overshoots: z is finite but its slope overflows,
+        # so the slope is inf and the cap, checked first, reports z
+        opts = IntegrationOptions(method="rk4-fixed")
+        with pytest.raises(BlowUpError, match="exceeded blow-up cap") as info:
+            integrate(closed_orbit, [1.0, 1.0, 1.0], 0.0, -0.5, opts)
+        traj = info.value.trajectory
+        step = closed_orbit.compiled_step("rhs", integrator._RK4)
+        z, g, _err, _ss = step(tuple(traj.states[-1].tolist()),
+                               tuple(traj.derivs[-1].tolist()), -0.01, 1e-10)
+        assert all(map(math.isfinite, z)) and g == (math.inf,) * 3
+
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+    def test_overflowing_stage_is_not_finite(self, monkeypatch, method):
+        # DP5(4) retries at a fifth of the step; RK4 reports a blow-up
+        calls = []
+        generated = type(DECAY).compiled_step
+
+        def first_overflows(field, system, tableau):
+            step = generated(field, system, tableau)
+
+            def wrapped(y, f, hs, tol):
+                calls.append(hs)
+                if len(calls) == 1:
+                    raise OverflowError("stage overflow")
+                return step(y, f, hs, tol)
+            return wrapped
+
+        monkeypatch.setattr(type(DECAY), "compiled_step", first_overflows)
+        opts = IntegrationOptions(method=method)
+        if method == "rk4-fixed":
+            with pytest.raises(BlowUpError, match="non-finite state"):
+                integrate(DECAY, [1.0], 0.0, 1.0, opts)
+            return
+        traj = integrate(DECAY, [1.0], 0.0, 1.0, opts)
+        assert calls[1] == integrator._MIN_STEP_FACTOR * calls[0]
+        assert traj.final_time == 1.0
+        assert abs(traj.final_state[0] - math.exp(-1.0)) < 1e-8
+
+
+class TestRecordingMemory:
+    def test_peak_stays_near_the_trajectory(self, lorenz):
+        integrate(lorenz, [1.0, 1.0, 1.0], 0.0, 1.0)  # generate the step
+        tracemalloc.start()
+        try:
+            traj = integrate(lorenz, [1.0, 1.0, 1.0], 0.0, 200.0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes
+        assert len(traj) > 50_000
+        assert peak < 3 * kept
 
 
 class TestFailureModes:

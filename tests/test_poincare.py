@@ -183,10 +183,10 @@ class TestFirstReturn:
         monkeypatch.setattr(poincare, "_step_stream",
                             lambda *_a: iter([(0.0, ya, fa, 1.0, yb, fb)]))
         plane = SectionPlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "positive")
+        creep = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 1e-9")
         try:
             tau, _x = poincare._next_crossing(
-                lambda y: np.array([0.0, 0.0, 1e-9]), plane, ya, 0.0,
-                IntegrationOptions(), 1.0, 0.0)
+                creep, "rhs", plane, ya, 0.0, IntegrationOptions(), 1.0, 0.0)
         except CrossingRefinementError:
             return
         assert math.isfinite(tau) and 0.0 <= tau <= 1.0

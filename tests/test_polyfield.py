@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import flowbound
+from flowbound import polyfield
 from flowbound import (
     Monomial,
     Polynomial,
@@ -161,6 +162,16 @@ class TestEvaluation:
                                    rtol=1e-15)
 
 
+class TestGeneratedSums:
+    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
+    def test_sum_follows_numpy_reduction_order(self, n):
+        # the generated step's RMS must round exactly as np.mean does
+        rng = np.random.default_rng(n)
+        q = (rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)) ** 2
+        expr = polyfield._numpy_sum([f"q[{i}]" for i in range(n)])
+        assert eval(expr, {"q": q.tolist()}) == float(np.add.reduce(q))
+
+
 class TestJacobian:
     def test_power_rule(self):
         field = parse_system("dx/dt = x^2*y\ndy/dt = 0\ndz/dt = 0")
@@ -198,6 +209,22 @@ class TestJacobian:
                 fd = (field.evaluate(state + e) - field.evaluate(state - e)) / (2 * h)
                 scale = np.maximum(np.abs(J[:, k]), 1.0)
                 assert np.max(np.abs(J[:, k] - fd) / scale) < 1e-6
+
+    def test_tangent_rhs_with_two_digit_indices(self):
+        # from twelve variables on, Jacobian entries such as (1, 10) and
+        # (11, 0) need distinct names in the generated code
+        n = 12
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(n, n)).round(3)
+        field = PolyField([
+            Polynomial.from_terms(
+                Monomial(float(A[i, k]), tuple(int(j == k) for j in range(n)))
+                for k in range(n))
+            for i in range(n)])
+        x, V = rng.normal(size=n), rng.normal(size=(n, n))
+        out = field.compiled_tangent_rhs()(np.concatenate([x, V.ravel()]))
+        np.testing.assert_allclose(out[:n], A @ x, atol=1e-12)
+        np.testing.assert_allclose(out[n:].reshape(n, n), A @ V, atol=1e-12)
 
     def test_divergence_polynomial(self, lorenz):
         div = lorenz.divergence()
