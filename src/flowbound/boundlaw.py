@@ -37,6 +37,7 @@ __all__ = [
     "BoundReport",
     "RefutationReport",
     "bound_line",
+    "check_bound_tol",
     "verify_bounds",
     "combine_reports",
     "refute_nonexistence",
@@ -134,6 +135,12 @@ def bound_line(alpha: float, t0: float, xj0: float, t: float) -> float:
     return alpha * (t - t0) + xj0
 
 
+def check_bound_tol(tol: float) -> None:
+    """Refuse a bound tolerance that is not positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def verify_bounds(traj: Trajectory, cert: BoundCertificate,
                   tol: float = 1e-6) -> BoundReport:
     """Check the forward and backward bound lines on trajectory samples
@@ -143,8 +150,7 @@ def verify_bounds(traj: Trajectory, cert: BoundCertificate,
     the trajectory was produced with, separating mathematical violations
     from numerical noise.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_bound_tol(tol)
     if len(traj) < 1:
         raise ValueError("empty trajectory")
     j = cert.component_index - 1
@@ -292,8 +298,8 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     escape (blow-up or step-size underflow) is a valid non-counterexample
     outcome, reported with the escape verdict.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     opts = opts or IntegrationOptions()
 
     found = find_equilibrium(field, x0)

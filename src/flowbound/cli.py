@@ -32,6 +32,7 @@ from . import __version__
 from .boundlaw import (
     BoundCertificate,
     certified_components,
+    check_bound_tol,
     combine_reports,
     refute_nonexistence,
     verify_bounds,
@@ -208,6 +209,7 @@ def _leg(field, x0, t_end, opts):
 
 
 def cmd_bounds_check(field: PolyField, x0: np.ndarray, args) -> int:
+    check_bound_tol(args.bound_tol)  # also when no component is certified
     opts = _integration_options(args)
     if args.j is not None:
         certs = [BoundCertificate.certified(field, args.j)]
@@ -472,10 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         x0 = _parse_vector(args.x0, field.dimension)
-        # overflow from a huge start state surfaces as a typed error; the
-        # NumPy warning on the way would only repeat it with a source line
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command][0](field, x0, args)
+        return _HANDLERS[args.command][0](field, x0, args)
     except (ValueError, OSError) as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE

@@ -1,17 +1,19 @@
 """Bidirectional numerical integration of polynomial vector fields.
 
 Two steppers: classical fixed-step RK4 and adaptive Dormand-Prince 5(4)
-(the default), both one loop over the step that `PolyField.compiled_step`
-generates from their tableaus. Backward runs step with negative time
-increments on the same field. Cubic Hermite interpolation between accepted steps provides
-dense output for event location and mid-sample checks. A configurable
-state-norm cap turns finite-time escape into an explicit error carrying
-the partial trajectory.
+(the default), both one loop on Python floats over the step that
+`PolyField.compiled_step` generates from their tableaus; the first slope
+and the initial step come from the field's one float evaluator,
+`PolyField.compiled_slope`. Backward runs step with negative time
+increments. Cubic Hermite interpolation between accepted steps gives
+dense output for event location and mid-sample checks. A state-norm cap
+turns finite-time escape into an error carrying the partial trajectory.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
-from .polyfield import PolyField
+from .polyfield import PolyField, _numpy_sum
 
 __all__ = [
     "IntegrationOptions",
@@ -108,8 +110,8 @@ class IntegrationOptions:
             raise ValueError("step must be positive")
         if self.method == RK4_FIXED and self.step is None:
             self.step = 0.01
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not self.blow_up_norm > 0:
             raise ValueError("blow_up_norm must be positive")
 
@@ -205,21 +207,23 @@ def _hermite_fraction(s, ga, gb, dga, dgb, h):
 
 
 def _rms(v, scale) -> float:
-    """Root mean square of v measured in units of scale."""
-    return float(np.sqrt(np.mean((v / scale) ** 2)))
+    """Root mean square of v in units of scale, rounded as np.mean of
+    the squared ratios rounds."""
+    u = [a / b for a, b in zip(v, scale)]
+    return math.sqrt(_numpy_sum([a * a for a in u], operator.add) / len(u))
 
 
-def _initial_step(rhs, y0, f0, direction, tol):
-    """Hairer-style automatic initial step selection (order 5)."""
-    scale = tol + tol * np.abs(y0)
+def _initial_step(slope, y0, f0, direction, tol):
+    """Automatic initial step of order 5 (Hairer, Nørsett & Wanner,
+    Solving ODEs I, §II.4) from the float state y0 and its slope f0."""
+    scale = [tol + tol * abs(a) for a in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0:  # d1 overflowed; the stream's underflow check rejects 0
         return 0.0
-    y1 = y0 + h0 * direction * f0
-    f1 = rhs(y1)
-    d2 = _rms(f1 - f0, scale) / h0
+    f1 = slope([a + h0 * direction * b for a, b in zip(y0, f0)])
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -229,30 +233,29 @@ def _initial_step(rhs, y0, f0, direction, tol):
 
 def _step_stream(field: PolyField, system: str, y0, t0, t1,
                  opts) -> Iterator[tuple]:
-    """Accepted steps of the field's generated `system` step as (ta, ya,
-    fa, tb, yb, fb), states and slopes as float tuples: ceil(|t1 - t0| /
-    step) equal RK4 steps, or DP5(4) steps with error norm at most 1,
-    retried at a fifth of h after a non-finite stage."""
-    rhs = getattr(field, f"compiled_{system}")()
-    y = np.asarray(y0, dtype=float)
-    f = rhs(y)
+    """Accepted steps of the field's generated `system` step from the
+    float tuple y0 as (ta, ya, fa, tb, yb, fb), all float tuples:
+    ceil(|t1 - t0| / step) equal RK4 steps, or DP5(4) steps with error
+    norm at most 1, retried at a fifth of h after a non-finite stage."""
+    slope = field.compiled_slope(system)
+    y, f = y0, slope(y0)
     adaptive = opts.method == RK45_ADAPTIVE
     direction = 1.0 if t1 > t0 else -1.0
     if adaptive:
-        if not np.all(np.isfinite(f)):
-            raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
-        h = min(_initial_step(rhs, y, f, direction, opts.tol), abs(t1 - t0))
+        if not all(map(math.isfinite, f)):
+            raise BlowUpError(f"non-finite field value at t={t0:.6g}",
+                              t0, np.array(y))
+        h = min(_initial_step(slope, y, f, direction, opts.tol), abs(t1 - t0))
     else:
         n_steps = max(1, math.ceil(abs(t1 - t0) / opts.step))
         if n_steps > _MAX_STEPS:
-            raise MaxStepsError(
-                f"{n_steps} fixed steps needed, step budget {_MAX_STEPS}", t0, y)
+            raise MaxStepsError(f"{n_steps} fixed steps needed, step budget "
+                                f"{_MAX_STEPS}", t0, np.array(y))
         h = abs(t1 - t0) / n_steps
     step = field.compiled_step(system, _DP54 if adaptive else _RK4)
     # a squared norm below this is finite and under the blow-up cap
     limit = opts.blow_up_norm * opts.blow_up_norm * (1.0 - 1e-9)
-    t, y, f = t0, tuple(y.tolist()), tuple(f.tolist())
-    steps = 0
+    t, steps = t0, 0
     while (direction * (t1 - t) > 0) if adaptive else steps < n_steps:
         if adaptive:
             if steps >= _MAX_STEPS:
@@ -303,13 +306,13 @@ def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
     the trajectory, also attached to any IntegrationError, is a view of
     them; otherwise it is None.
     """
+    w = w0 = tuple([float(a) for a in w0])  # not map(): swells the free list
     stream = _step_stream(field, system, w0, t0, t1, opts)
-    w = w0
     if not record:
         for _ta, _wa, _fa, _tb, w, _fb in stream:
             pass
         return np.array(w), None
-    f0 = getattr(field, f"compiled_{system}")()(w0)
+    f0 = field.compiled_slope(system)(w0)
     times, states, derivs = array("d", [t0]), array("d", w0), array("d", f0)
 
     def trajectory():
@@ -333,8 +336,8 @@ def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:
     if y0.shape != (field.dimension,):
         raise ValueError(
             f"x0 has shape {y0.shape}, expected ({field.dimension},)")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("x0 must be finite")
+    if not np.all(np.isfinite([*y0, t0, t1])):
+        raise ValueError("x0, t0 and t1 must be finite")
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
     return y0

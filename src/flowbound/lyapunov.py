@@ -93,10 +93,10 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     """
     if not renorm_interval > 0:
         raise ValueError("renorm_interval must be positive")
-    if not total_time >= renorm_interval:
-        raise ValueError("total_time must cover at least one interval")
-    if transient < 0:
-        raise ValueError("transient must be nonnegative")
+    if not renorm_interval <= total_time < math.inf:
+        raise ValueError("total_time must be finite and cover an interval")
+    if not 0 <= transient < math.inf:
+        raise ValueError("transient must be finite and nonnegative")
     opts = opts or IntegrationOptions()
     n = field.dimension
     x = np.asarray(x0, dtype=float)

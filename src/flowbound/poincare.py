@@ -152,14 +152,14 @@ def _require_3d(field: PolyField) -> None:
             f"section machinery needs a 3D field, got n={field.dimension}")
 
 
-def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
+def _refine_crossing(step, sa, sb, rising, slope, normal, offset):
     """Refine a bracketed sign change of the signed distance.
 
     Bisection on the scalar Hermite interpolant of the signed distance
     down to a bracket width of 1e-12 in time, then up to five Newton
-    steps using the true slope s'(t) = ⟨f(x), normal⟩ until |s| < 1e-10,
-    stopping before an iterate that leaves [ta, tb]. Returns (crossing
-    time, interpolated state, residual signed distance).
+    steps using the true slope s'(t) = ⟨slope(x), normal⟩ of the 3-D
+    field until |s| < 1e-10, stopping before an iterate that leaves
+    [ta, tb]. Returns (crossing time, interpolated state, residual).
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
     ya, fa, yb, fb = (np.asarray(v, dtype=float) for v in (ya, fa, yb, fb))
@@ -176,19 +176,19 @@ def _refine_crossing(step, sa, sb, rising, rhs, normal, offset):
             sb = sm
     tau = ta + 0.5 * (sa + sb) * h
     x = _hermite(ta, ya, fa, tb, yb, fb, tau)
-    g = float(np.dot(x, normal)) - offset
+    g = float(np.dot(x[:3], normal)) - offset
     for _ in range(5):
         if abs(g) <= _REFINE_TOL:
             break
-        slope = float(np.dot(rhs(x), normal))
-        if slope == 0.0:
+        ds = float(np.dot(slope(x[:3].tolist()), normal))
+        if ds == 0.0:
             break
-        tau_next = tau - g / slope
+        tau_next = tau - g / ds
         if not min(ta, tb) <= tau_next <= max(ta, tb):
             break
         tau = tau_next
         x = _hermite(ta, ya, fa, tb, yb, fb, tau)
-        g = float(np.dot(x, normal)) - offset
+        g = float(np.dot(x[:3], normal)) - offset
     return tau, x, g
 
 
@@ -202,16 +202,15 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     """
     if not max_time > 0:
         raise ValueError("max_time must be positive")
-    rhs = getattr(field, f"compiled_{system}")()
-    y0 = np.asarray(state, dtype=float)
-    normal = np.pad(plane.normal, (0, y0.size - 3))
+    slope = field.compiled_slope("rhs")
     n0, n1, n2 = plane.normal.tolist()
     offset = float(np.dot(plane.point, plane.normal))
     count_up = plane.direction in ("positive", "both")
     count_down = plane.direction in ("negative", "both")
     t1 = t0 + max_time
-    t_last, y_last = t0, y0
-    for ta, ya, fa, tb, yb, fb in _step_stream(field, system, y0, t0, t1, opts):
+    state = tuple([float(a) for a in state])
+    t_last, y_last = t0, state
+    for ta, ya, fa, tb, yb, fb in _step_stream(field, system, state, t0, t1, opts):
         t_last, y_last = tb, yb
         ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
         gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
@@ -237,8 +236,8 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
                 continue
             if not (count_up if rising else count_down):
                 continue
-            tau, x, g = _refine_crossing(step, sa, sb, rising, rhs,
-                                         normal, offset)
+            tau, x, g = _refine_crossing(step, sa, sb, rising, slope,
+                                         plane.normal, offset)
             if abs(tau - t0) < min_elapsed:
                 continue
             if not abs(g) <= _REFINE_TOL:  # NaN fails this too

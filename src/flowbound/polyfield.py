@@ -8,6 +8,7 @@ and a sound-but-incomplete syntactic lower-bound certifier.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -229,7 +230,8 @@ class PolyField:
         return self.compiled_rhs()(self._check_state(state))
 
     def jacobian(self, state: Sequence[float]) -> np.ndarray:
-        return self.compiled_jacobian()(self._check_state(state))
+        n = self.dimension
+        return self._array("jacobian")(self._check_state(state)).reshape(n, n)
 
     def jacobian_polynomials(self) -> tuple[tuple[Polynomial, ...], ...]:
         """The n x n grid of exact partial derivatives dF_i/dx_k."""
@@ -249,29 +251,23 @@ class PolyField:
 
     # -- compiled callables ------------------------------------------------
 
-    def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
-        """f(y) -> ndarray, generated and exec'd once per field."""
-        return self._compiled("rhs")
+    def compiled_slope(self, system: str) -> Callable[[Sequence[float]], tuple]:
+        """Float evaluator of a `_system`, floats in, tuple out. If a power
+        overflows, every component is +inf, whatever its sign or true value."""
+        return self._compiled(system)
 
-    def compiled_jacobian(self) -> Callable[[np.ndarray], np.ndarray]:
-        fn, n = self._compiled("jacobian"), self.dimension
-        return lambda y: fn(y).reshape(n, n)
+    def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
+        """f(y) -> ndarray, an adapter over `compiled_slope("rhs")`."""
+        return self._array("rhs")
 
     def compiled_tangent_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Augmented right-hand side for (x, V): returns (f(x), J(x) V) flat.
+        """(x, V) -> (f(x), J(x) V) as flat ndarrays of length n + n*n, V
+        row-major; an adapter over `compiled_slope("tangent_rhs")`."""
+        return self._array("tangent_rhs")
 
-        Input and output are flat vectors of length n + n*n with V in
-        row-major order.
-        """
-        return self._compiled("tangent_rhs")
-
-    def compiled_liouville_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Augmented right-hand side for (x, s): returns (f(x), div f(x)).
-
-        Integrating s from 0 gives log det of the tangent flow
-        (Liouville's formula) without forming the tangent matrix.
-        """
-        return self._compiled("liouville_rhs")
+    def _array(self, system: str) -> Callable[[np.ndarray], np.ndarray]:
+        slope = self._compiled(system)
+        return lambda y: np.array(slope(np.asarray(y, dtype=float).tolist()))
 
     def compiled_step(self, system: str, tableau) -> Callable:
         """The generated step of `system` ("rhs", "tangent_rhs" or
@@ -290,7 +286,8 @@ class PolyField:
         """(inputs, body lines, output expressions) of one generated
         function of the variables v0, v1, ...: "rhs" is f, "tangent_rhs"
         (f(x), J(x) V) with V row-major after x, "liouville_rhs"
-        (f(x), div f(x)), "jacobian" J(x) row-major."""
+        (f(x), div f(x)) for Liouville's formula, "jacobian" J(x)
+        row-major."""
         n = self.dimension
         out = [_poly_expr(p, v) for p in self.components]
         if name == "liouville_rhs":
@@ -325,30 +322,36 @@ def _poly_expr(p: Polynomial, v: str) -> str:
     return " + ".join(_monomial_expr(m, v) for m in p.terms)
 
 
+def _names(v: str, size: int) -> str:
+    return ", ".join(f"{v}{i}" for i in range(size)) + ","
+
+
 def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
-    """exec `def _rhs(y)`: unpack x0..x{size-1} from y, run `body`,
-    return the float array of the `outputs` expressions."""
-    lines = ["def _rhs(y, _array=_array):"]
-    lines += [f"    x{i} = y[{i}]" for i in range(size)]
-    lines += [f"    {line}" for line in body]
-    lines.append(f"    return _array(({', '.join(outputs)},))")
-    ns = {"_array": lambda t: np.array(t, dtype=float)}
-    exec("\n".join(lines), ns)
-    return ns["_rhs"]
+    """exec `def _slope(y)`: unpack x0..x{size-1} from the floats y, run
+    `body`, return the tuple of the `outputs` expressions, or of infs when
+    a power overflows (float `**` raises where arrays would hold inf)."""
+    lines = [f"{_names('x', size)} = y", "try:", *(f"    {x}" for x in body),
+             f"    return ({', '.join(outputs)},)", "except OverflowError:",
+             f"    return ({'_inf, ' * len(outputs)})"]
+    ns = {"_inf": math.inf}
+    exec("def _slope(y):\n    " + "\n    ".join(lines), ns)
+    return ns["_slope"]
 
 
-def _numpy_sum(terms: list[str]) -> str:
-    """Sum of `terms` in the order of NumPy's pairwise `add.reduce`."""
+def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
+    """Sum of `terms` in the order of NumPy's pairwise `add.reduce`;
+    `add` joins two partial sums: code strings by default, or floats
+    with `operator.add`."""
     n, rest = len(terms), len(terms) - len(terms) % 8
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return f"({_numpy_sum(terms[:half])} + {_numpy_sum(terms[half:])})"
+        return add(_numpy_sum(terms[:half], add), _numpy_sum(terms[half:], add))
     if n >= 8:  # eight running sums, added pairwise, then the rest in turn
-        r = [f"({' + '.join(terms[j:rest:8])})" for j in range(8)]
+        r = [functools.reduce(add, terms[j:rest:8]) for j in range(8)]
         while len(r) > 1:
-            r = [f"({a} + {b})" for a, b in zip(r[::2], r[1::2])]
+            r = [add(a, b) for a, b in zip(r[::2], r[1::2])]
         terms = r + terms[rest:]
-    return f"({' + '.join(terms)})"
+    return functools.reduce(add, terms)
 
 
 def _compile_step(system: Callable, tableau) -> Callable:
@@ -368,13 +371,10 @@ def _compile_step(system: Callable, tableau) -> Callable:
     m = system("y")[0]
     k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
 
-    def names(prefix):
-        return ", ".join(f"{prefix}{i}" for i in range(m)) + ","
-
     def combo(weights, i):
         return " + ".join(f"{c!r}*{k[j]}{i}" for j, c in enumerate(weights) if c)
 
-    lines = [f"{names('y')} = y", f"{names(k[0])} = f", f"hb = hs / {d!r}"]
+    lines = [f"{_names('y', m)} = y", f"{_names(k[0], m)} = f", f"hb = hs / {d!r}"]
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
         lines += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]
@@ -390,7 +390,7 @@ def _compile_step(system: Callable, tableau) -> Callable:
                   f"(tol + tol*(p if p >= q else q))" for i in range(m)]
         err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
     ss = " + ".join(f"z{i}*z{i}" for i in range(m))
-    lines.append(f"return ({names('z')}), ({names(k[-1])}), {err}, {ss}")
+    lines.append(f"return ({_names('z', m)}), ({_names(k[-1], m)}), {err}, {ss}")
     ns = {"_sqrt": math.sqrt, "_inf": math.inf}
     exec("def _step(y, f, hs, tol):\n    " + "\n    ".join(lines), ns)
     return ns["_step"]

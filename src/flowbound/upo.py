@@ -143,8 +143,8 @@ def scan_close_recurrences(field: PolyField, plane: SectionPlane,
     """
     if not (n_iterates >= k_max >= 1):
         raise ValueError("need n_iterates >= k_max >= 1")
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < math.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     points = [start]
     points += return_map_iterates(field, plane, start, n_iterates, opts,
                                   max_time=max_time)

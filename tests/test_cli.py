@@ -171,6 +171,45 @@ class TestUsageErrors:
         assert info.value.code == 0
         assert __version__ in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1=inf",
+         "--method", "rk4-fixed"],
+        ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1=nan"],
+        ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "1",
+         "--tol=inf"],
+        ["lyapunov", "--system", LORENZ, "--x0", "1,1,1", "--total=inf"],
+        ["lyapunov", "--system", LORENZ, "--x0", "1,1,1", "--transient=inf"],
+        ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
+         "--t-fwd=nan"],
+        ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
+         "--bound-tol=nan"],
+        ["bounds-check", "--system", LORENZ, "--x0", "1,1,1",
+         "--bound-tol=nan"],
+        ["refute", "--system", CLOSED_ORBIT, "--x0", "0.5,0,0",
+         "--horizon=nan"],
+        ["refute", "--system", EQUILIBRIUM, "--x0", "0.1,0,0",
+         "--horizon=inf"],
+        ["upo", "--system", STUART_LANDAU, "--x0", "1.3,-0.2,0",
+         "--plane", CIRCLE_PLANE, "--iterates", "4", "--k-max", "2",
+         "--threshold=nan"],
+    ], ids=lambda a: f"{a[0]}-{Path(a[2]).stem}"
+                     f"{a[-1] if '=' in a[-1] else a[-3]}")
+    def test_non_finite_argument(self, tmp_path, capsys, argv):
+        # refused where the value enters, before anything is written
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert not any(out.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
+    def test_unbounded_section_time_still_runs(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["section", "--system", CLOSED_ORBIT, "--x0", "1,-0.1,0",
+                     "--plane", CIRCLE_PLANE, "--iterates", "3",
+                     "--max-time=inf", "--out", str(out)])
+        assert code == 0
+        assert len(read_csv(out / "section.csv")) == 3
+
 
 class TestBoundsCheck:
     def test_equilibrium_passes(self, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,18 @@ from scipy.linalg import expm
 
 from flowbound import (
     BlowUpError,
+    IntegrationError,
     IntegrationOptions,
     MaxStepsError,
+    SectionPlane,
     StepSizeError,
+    find_equilibrium,
+    first_crossing,
+    flow_determinant,
     integrate,
     integrate_with_tangent,
     load_system,
+    lyapunov_spectrum,
     parse_system,
 )
 from flowbound import integrator
@@ -235,7 +242,7 @@ class TestGeneratedStep:
     ])
     def test_matches_array_arithmetic(self, name, system, method, x0, hs):
         field = load_system(name)
-        rhs = getattr(field, f"compiled_{system}")()
+        rhs = field._array(system)
         w = np.array(x0, dtype=float)
         if system == "tangent_rhs":
             w = np.concatenate([w, np.eye(3).ravel()])
@@ -300,6 +307,117 @@ class TestGeneratedStep:
         assert calls[1] == integrator._MIN_STEP_FACTOR * calls[0]
         assert traj.final_time == 1.0
         assert abs(traj.final_state[0] - math.exp(-1.0)) < 1e-8
+
+
+def _reference_initial_step(rhs, y0, f0, direction, tol):
+    """The starting-step rule written on NumPy arrays, the reference for
+    the float `_initial_step`; returns (h, f1), f1 the slope at the trial
+    point or None when d0 and d1 settle h first."""
+    def rms(v, scale):
+        return float(np.sqrt(np.mean((v / scale) ** 2)))
+
+    scale = tol + tol * np.abs(y0)
+    d0 = rms(y0, scale)
+    d1 = rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0:
+        return 0.0, None
+    f1 = rhs(y0 + h0 * direction * f0)
+    d2 = rms(f1 - f0, scale) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1), f1
+
+
+_V = [1.5, 0.9, -0.6, 0.5, 1.7, -1.9, -1.4, 1.6, 1.3]
+_INITIAL_STEP_CASES = [
+    (system, w, direction, None)
+    for system, starts in [
+        ("rhs", [[1.0, 1.0, 1.0], [-3.0, 2.0, 30.0]]),
+        ("liouville_rhs", [[1.0, 1.0, 1.0, 0.0], [-3.0, 2.0, 30.0, 0.5]]),
+        ("tangent_rhs", [[1.0, 1.0, 1.0, *np.eye(3).ravel()], [-3.0, 2.0, 30.0, *_V]]),
+    ]
+    for w in starts for direction in (1.0, -1.0)
+] + [
+    # |f0| / scale squares past the largest float: d1 is inf
+    ("rhs", [1e154, -1e154, 28.0], 1.0, "d1"),
+    ("liouville_rhs", [1e154, -1e154, 28.0, 0.0], -1.0, "d1"),
+    # f0 is finite, but J V overflows at the backward trial point
+    ("tangent_rhs", [-3.0, 2.0, 30.0, *(9.45e306 * v for v in _V)], -1.0, "f1"),
+    ("tangent_rhs", [-3.0, 2.0, 30.0, *(9.45e306 * v for v in _V)], 1.0, None),
+]
+
+
+class TestInitialStep:
+    """`_initial_step` runs on floats; it must give the h of the NumPy
+    formula in `_reference_initial_step` bit for bit, also where d1 or f1
+    overflows. The 12-variable tangent system sums in NumPy's eight lanes."""
+
+    @pytest.mark.parametrize("system, w, direction, overflow",
+                             _INITIAL_STEP_CASES)
+    def test_matches_numpy_formula(self, lorenz, system, w, direction,
+                                   overflow):
+        slope = lorenz.compiled_slope(system)
+        y0 = tuple(map(float, w))
+        f0 = slope(y0)
+        assert all(map(math.isfinite, f0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_ref, f1 = _reference_initial_step(
+                lorenz._array(system), np.array(y0), np.array(f0),
+                direction, 1e-10)
+        h = integrator._initial_step(slope, y0, f0, direction, 1e-10)
+        assert h == h_ref
+        assert (f1 is None) == (overflow == "d1")
+        assert (f1 is not None and not np.all(np.isfinite(f1))) == (overflow == "f1")
+
+    def test_random_tangent_starts(self, lorenz):
+        # summation order changes h on only a few of these; a plain
+        # left-to-right sum fails here
+        slope = lorenz.compiled_slope("tangent_rhs")
+        rhs = lorenz._array("tangent_rhs")
+        rng = np.random.default_rng(3)
+        for w in rng.normal(size=(40, 12)) * 10.0 ** rng.uniform(-3, 3, (40, 12)):
+            y0 = tuple(w.tolist())
+            f0 = slope(y0)
+            for direction in (1.0, -1.0):
+                h_ref, _f1 = _reference_initial_step(
+                    rhs, w, np.array(f0), direction, 1e-10)
+                assert integrator._initial_step(
+                    slope, y0, f0, direction, 1e-10) == h_ref
+
+
+_OVERFLOWING_CALLS = {
+    "integrate-dp54": lambda f, x: integrate(f, x, 0.0, 1.0),
+    "integrate-rk4": lambda f, x: integrate(
+        f, x, 0.0, 1.0, IntegrationOptions(method="rk4-fixed")),
+    "integrate_with_tangent": lambda f, x: integrate_with_tangent(
+        f, x, np.eye(3), 0.0, 1.0),
+    "first_crossing": lambda f, x: first_crossing(
+        f, SectionPlane([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], "positive"), x),
+    "lyapunov_spectrum": lambda f, x: lyapunov_spectrum(f, x, 1.0, 1.0, 0.5),
+    "flow_determinant": lambda f, x: flow_determinant(f, x, 1.0),
+}
+
+
+class TestOverflowingStart:
+    """From a start whose field overflows, library calls raise a typed
+    error, or find no equilibrium, and NumPy warns about nothing."""
+
+    @pytest.mark.parametrize("x", [1e80, 1e155, 1e200])
+    @pytest.mark.parametrize("call", sorted(_OVERFLOWING_CALLS))
+    def test_typed_error_and_no_warning(self, closed_orbit, call, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                _OVERFLOWING_CALLS[call](closed_orbit, [x, 0.0, 0.0])
+
+    @pytest.mark.parametrize("x", [1e80, 1e155, 1e200])
+    def test_no_equilibrium_and_no_warning(self, closed_orbit, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_equilibrium(closed_orbit, [x, 0.0, 0.0]) is None
 
 
 class TestRecordingMemory:

@@ -278,12 +278,16 @@ class TestMonodromy:
         expected = math.exp(-3.0 * TWO_PI)
         assert abs(np.linalg.det(M) / expected - 1.0) < 1e-4
 
-        def refuse(_field):
-            raise AssertionError("flow_determinant built the tangent RHS")
+        compiled = type(stuart_landau)._compiled
+
+        def refuse_tangent(field, key):
+            # key is a system name, or (name, tableau) for a generated step
+            if (key[0] if isinstance(key, tuple) else key) == "tangent_rhs":
+                raise AssertionError("flow_determinant built the tangent RHS")
+            return compiled(field, key)
 
         # Liouville's formula needs the divergence, not the tangent matrix
-        monkeypatch.setattr(type(stuart_landau), "compiled_tangent_rhs",
-                            refuse)
+        monkeypatch.setattr(type(stuart_landau), "_compiled", refuse_tangent)
         det = flow_determinant(stuart_landau, [1.0, 0.0, 0.0], TWO_PI)
         assert abs(det / expected - 1.0) < 1e-6
 
