@@ -271,7 +271,7 @@ def _constant_trajectory(x_star: np.ndarray, horizon: float, tol: float,
     ts = np.linspace(0.0, -horizon, 11)
     states = np.tile(x_star, (ts.size, 1))
     derivs = np.zeros_like(states)
-    return Trajectory(0.0, ts, states, derivs, tol, names)
+    return Trajectory(ts, states, derivs, tol, names)
 
 
 def _norm(x) -> float:

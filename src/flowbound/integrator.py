@@ -4,10 +4,13 @@ Two steppers: classical fixed-step RK4 and adaptive Dormand-Prince 5(4)
 (the default), both one loop on Python floats over the step that
 `PolyField.compiled_step` generates from their tableaus; the first slope
 and the initial step come from the field's one float evaluator,
-`PolyField.compiled_slope`. Backward runs step with negative time
-increments. Cubic Hermite interpolation between accepted steps gives
-dense output for event location and mid-sample checks. A state-norm cap
-turns finite-time escape into an error carrying the partial trajectory.
+`PolyField.compiled_slope`. The loop yields accepted points from the
+start on and is the one place that converts a run's start to floats and
+refuses a start state or start time that is not finite. Backward runs
+step with negative time increments. Cubic Hermite interpolation between
+accepted steps gives dense output for event location and mid-sample
+checks. A state-norm cap turns finite-time escape into an error carrying
+the partial trajectory.
 """
 
 from __future__ import annotations
@@ -127,20 +130,18 @@ class Trajectory:
     """Time-stamped state sequence from t0, forward or backward.
 
     `times` is strictly monotone (increasing forward, decreasing
-    backward) and starts at t0. `derivs` holds the field value at each
-    sample, which makes cubic Hermite interpolation local and cheap.
+    backward); its first sample is t0. `derivs` holds the field value at
+    each sample, which makes cubic Hermite interpolation local and cheap.
     """
 
-    def __init__(self, t0: float, times: np.ndarray, states: np.ndarray,
+    def __init__(self, times: np.ndarray, states: np.ndarray,
                  derivs: np.ndarray, tol: float, variable_names):
-        self.t0 = float(t0)
         self.times = np.asarray(times, dtype=float)
+        self.t0 = float(self.times[0])
         self.states = np.asarray(states, dtype=float)
         self.derivs = np.asarray(derivs, dtype=float)
         self.tol = float(tol)
         self.variable_names = tuple(variable_names)
-        if self.times.size == 0 or self.times[0] != self.t0:
-            raise ValueError("first sample must sit at t0")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -233,12 +234,17 @@ def _initial_step(slope, y0, f0, direction, tol):
 
 def _step_stream(field: PolyField, system: str, y0, t0, t1,
                  opts) -> Iterator[tuple]:
-    """Accepted steps of the field's generated `system` step from the
-    float tuple y0 as (ta, ya, fa, tb, yb, fb), all float tuples:
+    """Accepted points (t, y, f) of the field's generated `system` step,
+    the start (t0, y0) first, with y and its slope f as float tuples:
     ceil(|t1 - t0| / step) equal RK4 steps, or DP5(4) steps with error
-    norm at most 1, retried at a fifth of h after a non-finite stage."""
+    norm at most 1, retried at a fifth of h after a non-finite stage.
+    A start state or t0 that is not finite raises ValueError."""
+    y, t0 = tuple([float(a) for a in y0]), float(t0)  # not map(): swells the free list
+    if not (all(map(math.isfinite, y)) and math.isfinite(t0)):
+        raise ValueError("start state and t0 must be finite")
     slope = field.compiled_slope(system)
-    y, f = y0, slope(y0)
+    f = slope(y)
+    yield t0, y, f
     adaptive = opts.method == RK45_ADAPTIVE
     direction = 1.0 if t1 > t0 else -1.0
     if adaptive:
@@ -291,8 +297,8 @@ def _step_stream(field: PolyField, system: str, y0, t0, t1,
         if not ss < limit and (norm := float(np.linalg.norm(z))) > cap:
             raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
                               f"{cap:.3e} at t={t_new:.6g}", t_new, np.array(z))
-        yield t, y, f, t_new, z, g
         t, y, f = t_new, z, g
+        yield t, y, f
         if adaptive:
             factor = _MAX_STEP_FACTOR if err == 0.0 else min(
                 _MAX_STEP_FACTOR, _SAFETY * err ** -0.2)
@@ -302,29 +308,27 @@ def _step_stream(field: PolyField, system: str, y0, t0, t1,
 def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
     """Step `system` from (t0, w0) to t1; returns (final state, trajectory).
 
-    With `record`, every accepted step goes into flat float buffers, and
+    With `record`, every accepted point goes into flat float buffers, and
     the trajectory, also attached to any IntegrationError, is a view of
     them; otherwise it is None.
     """
-    w = w0 = tuple([float(a) for a in w0])  # not map(): swells the free list
     stream = _step_stream(field, system, w0, t0, t1, opts)
     if not record:
-        for _ta, _wa, _fa, _tb, w, _fb in stream:
+        for _t, w, _f in stream:
             pass
         return np.array(w), None
-    f0 = field.compiled_slope(system)(w0)
-    times, states, derivs = array("d", [t0]), array("d", w0), array("d", f0)
+    times, states, derivs = array("d"), array("d"), array("d")
 
     def trajectory():
         rows = [np.frombuffer(b).reshape(len(times), -1) for b in (states, derivs)]
-        return Trajectory(t0, np.frombuffer(times), *rows, opts.tolerance,
+        return Trajectory(np.frombuffer(times), *rows, opts.tolerance,
                           field.variable_names)
 
     try:
-        for _ta, _wa, _fa, tb, w, fb in stream:
-            times.append(tb)
+        for t, w, f in stream:
+            times.append(t)
             states.extend(w)
-            derivs.extend(fb)
+            derivs.extend(f)
     except IntegrationError as exc:
         exc.trajectory = trajectory()
         raise
@@ -332,12 +336,9 @@ def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
 
 
 def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:
-    y0 = np.asarray(x0, dtype=float)
-    if y0.shape != (field.dimension,):
-        raise ValueError(
-            f"x0 has shape {y0.shape}, expected ({field.dimension},)")
-    if not np.all(np.isfinite([*y0, t0, t1])):
-        raise ValueError("x0, t0 and t1 must be finite")
+    y0 = field._check_state(x0)
+    if not math.isfinite(t1):
+        raise ValueError("t1 must be finite")
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
     return y0
@@ -371,8 +372,6 @@ def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
     Q0 = np.asarray(Q0, dtype=float)
     if Q0.shape != (n, n):
         raise ValueError(f"Q0 has shape {Q0.shape}, expected ({n}, {n})")
-    if not np.all(np.isfinite(Q0)):
-        raise ValueError("Q0 must be finite")
     w0 = np.concatenate([y0, Q0.ravel()])
     w, _ = _drive(field, "tangent_rhs", w0, t0, t1, opts)
     return w[:n], w[n:].reshape(n, n)

@@ -99,7 +99,7 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
         raise ValueError("transient must be finite and nonnegative")
     opts = opts or IntegrationOptions()
     n = field.dimension
-    x = np.asarray(x0, dtype=float)
+    x = field._check_state(x0)
     if transient > 0:
         x, _ = _drive(field, "rhs", x, 0.0, transient, opts)
     Q = np.eye(n)

@@ -207,11 +207,11 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     offset = float(np.dot(plane.point, plane.normal))
     count_up = plane.direction in ("positive", "both")
     count_down = plane.direction in ("negative", "both")
-    t1 = t0 + max_time
-    state = tuple([float(a) for a in state])
-    t_last, y_last = t0, state
-    for ta, ya, fa, tb, yb, fb in _step_stream(field, system, state, t0, t1, opts):
-        t_last, y_last = tb, yb
+    points = _step_stream(field, system, state, t0, t0 + max_time, opts)
+    tb, yb, fb = next(points)
+    for point in points:
+        ta, ya, fa = tb, yb, fb
+        tb, yb, fb = point
         ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
         gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
         dga = fa[0] * n0 + fa[1] * n1 + fa[2] * n2
@@ -247,7 +247,7 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
             return tau, x
     raise NonReturningOrbitError(
         f"no counted section crossing within {max_time} time units",
-        abs(t_last - t0), np.asarray(y_last, dtype=float))
+        abs(tb - t0), np.array(yb))
 
 
 def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
@@ -287,6 +287,7 @@ def first_crossing(field: PolyField, plane: SectionPlane, x0, t0: float = 0.0,
     """
     opts = opts or IntegrationOptions()
     _require_3d(field)
+    field._check_state(x0)
     tau, x = _next_crossing(field, "rhs", plane, x0, t0, opts, max_time,
                             0.0)
     return plane.section_point(x, tau), tau - t0

@@ -44,7 +44,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if not np.isfinite(self.coefficient):
+        if not math.isfinite(self.coefficient):
             raise ValueError("monomial coefficient must be finite")
         if any(e < 0 or int(e) != e for e in self.exponents):
             raise ValueError("exponents must be non-negative integers")
@@ -81,7 +81,7 @@ class Polynomial:
     def from_terms(cls, terms: Iterable[Monomial]) -> "Polynomial":
         merged: dict[tuple[int, ...], float] = {}
         for m in terms:
-            merged[m.exponents] = merged.get(m.exponents, 0.0) + m.coefficient
+            merged[m.exponents] = merged.get(m.exponents, 0) + m.coefficient
         kept = [Monomial(c, e) for e, c in sorted(merged.items()) if c != 0.0]
         return cls(tuple(kept))
 
@@ -131,8 +131,8 @@ class Polynomial:
         if exponent < 0 or int(exponent) != exponent:
             raise ValueError("polynomial exponent must be a non-negative integer")
         n = len(self.terms[0].exponents) if self.terms else 0
-        result = Polynomial.constant(1.0, n)
-        for _ in range(int(exponent)):
+        result = self if exponent else Polynomial.constant(1.0, n)
+        for _ in range(int(exponent) - 1):
             result = result * self
         return result
 

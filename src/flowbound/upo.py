@@ -233,9 +233,9 @@ def flow_determinant(field: PolyField, x0, T: float) -> float:
     is formed, so the result stays accurate when M's singular values
     span more orders of magnitude than double precision resolves.
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
-    w0 = np.append(np.asarray(x0, dtype=float), 0.0)
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
+    w0 = np.append(field._check_state(x0), 0.0)
     w, _ = _drive(field, "liouville_rhs", w0, 0.0, float(T),
                   SHOOT_INTEGRATION)
     return float(np.exp(w[-1]))

@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from flowbound import (
     IntegrationError,
@@ -47,6 +48,17 @@ HORIZON = 50.0
 def _seeds():
     rng = np.random.default_rng(0)
     return rng.uniform(-5.0, 5.0, size=(N_SEEDS, 3))
+
+
+def _mirror_match(orbit, orbits):
+    """How far the (x, y, z) -> (-x, -y, z) image of the orbit's fixed
+    point lies from the nearest cycle point of a census orbit with the
+    same k (max-norm), and how far that orbit's period is from this one."""
+    image = orbit.section_fixed_point.state3 * [-1.0, -1.0, 1.0]
+    return min((float(np.max(np.abs(p.state3 - image))),
+                abs(other.period - orbit.period))
+               for other in orbits if other.k == orbit.k
+               for p in other.cycle_points)
 
 
 def _verdict(n, ok, details):
@@ -179,7 +191,7 @@ class TestCriteria:
         assert abs(total + 13.667) < 0.07
         assert elapsed < 60.0
 
-    def test_criterion_6(self, lorenz):
+    def test_criterion_6(self, lorenz, lorenz_scipy_rhs):
         t0 = time.perf_counter()
         plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "negative")
         scan_opts = IntegrationOptions()
@@ -188,7 +200,8 @@ class TestCriteria:
                                   opts=scan_opts, max_time=100.0)
         orbits = census(lorenz, plane, start, n_iterates=2000, k_max=4,
                         threshold=0.1, scan_opts=scan_opts)
-        unit_errs, det_errs, closures = [], [], []
+        unit_errs, det_errs, closures, scipy_closures = [], [], [], []
+        mirrors = [_mirror_match(orbit, orbits) for orbit in orbits]
         for orbit in orbits:
             unit_errs.append(min(abs(m - 1.0)
                                  for m in orbit.floquet_multipliers))
@@ -202,21 +215,36 @@ class TestCriteria:
                              0.0, orbit.period, shoot)
             closures.append(float(np.max(np.abs(
                 loop.final_state - orbit.section_fixed_point.state3))))
+            # the same closure by an integrator that shares no code with ours
+            ref = solve_ivp(lorenz_scipy_rhs, (0.0, orbit.period),
+                            orbit.section_fixed_point.state3, method="DOP853",
+                            rtol=1e-12, atol=1e-12)
+            scipy_closures.append(float(np.max(np.abs(
+                ref.y[:, -1] - orbit.section_fixed_point.state3))))
         elapsed = time.perf_counter() - t0
         all_unstable = all(o.stability == "unstable" for o in orbits)
+        mirror = max(m for m, _tie in mirrors)
+        tie = max(t for _m, t in mirrors)
         ok = (len(orbits) >= 3 and all_unstable
               and max(unit_errs) < 1e-3 and max(det_errs) < 1e-3
-              and max(closures) < 1e-6 and elapsed < 120.0)
+              and max(closures) < 1e-6 and mirror < 1e-7 and tie < 1e-9
+              and max(scipy_closures) < 1e-6 and elapsed < 120.0)
         periods = ", ".join(f"{o.period:.4f}" for o in orbits)
         _verdict(6, ok, f"{len(orbits)} distinct unstable orbits "
                  f"(T = {periods}); unit multiplier within "
                  f"{max(unit_errs):.1e}; volume-contraction identity "
-                 f"within {max(det_errs):.1e} relative; {elapsed:.1f}s")
+                 f"within {max(det_errs):.1e} relative; mirror image "
+                 f"within {mirror:.1e} of a cycle point, period tie "
+                 f"{tie:.1e}; SciPy DOP853 closure "
+                 f"{max(scipy_closures):.1e}; {elapsed:.1f}s")
         assert len(orbits) >= 3
         assert all_unstable
         assert max(unit_errs) < 1e-3
         assert max(det_errs) < 1e-3
         assert max(closures) < 1e-6
+        assert mirror < 1e-7
+        assert tie < 1e-9
+        assert max(scipy_closures) < 1e-6
         assert elapsed < 120.0
 
     def test_criterion_7(self, lorenz):

@@ -15,9 +15,11 @@ from flowbound import (
     IntegrationOptions,
     MaxStepsError,
     SectionPlane,
+    SectionPoint,
     StepSizeError,
     find_equilibrium,
     first_crossing,
+    first_return,
     flow_determinant,
     integrate,
     integrate_with_tangent,
@@ -418,6 +420,36 @@ class TestOverflowingStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_equilibrium(closed_orbit, [x, 0.0, 0.0]) is None
+
+
+_Y0 = SectionPlane([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], "positive")
+_NAN = [math.nan, 0.0, 0.0]
+_BAD_STARTS = {
+    "first_crossing-nan": lambda f: first_crossing(f, _Y0, _NAN),
+    "first_crossing-2vector": lambda f: first_crossing(f, _Y0, [1.0, 0.0]),
+    "first_crossing-t0-nan": lambda f: first_crossing(
+        f, _Y0, [1.0, 0.0, 0.0], math.nan),
+    "first_return-nan": lambda f: first_return(
+        f, _Y0, SectionPoint([0.0, 0.0], _NAN, 0.0)),
+    "flow_determinant-nan": lambda f: flow_determinant(f, _NAN, 1.0),
+    "flow_determinant-2vector": lambda f: flow_determinant(f, [1.0, 0.0], 1.0),
+    "lyapunov_spectrum-nan": lambda f: lyapunov_spectrum(f, _NAN, 1.0, 1.0, 0.5),
+    "lyapunov_spectrum-2vector": lambda f: lyapunov_spectrum(
+        f, [1.0, 0.0], 1.0, 1.0, 0.5),
+    "integrate_with_tangent-Q0-nan": lambda f: integrate_with_tangent(
+        f, [1.0, 0.0, 0.0], np.full((3, 3), math.nan), 0.0, 1.0),
+}
+
+
+class TestBadStart:
+    """A start that is not finite, or has the wrong length, is refused
+    with ValueError before any step, never with an integration error."""
+
+    @pytest.mark.parametrize("call", sorted(_BAD_STARTS))
+    def test_value_error(self, closed_orbit, call):
+        with pytest.raises(ValueError, match="shape" if "2vector" in call
+                           else "finite"):
+            _BAD_STARTS[call](closed_orbit)
 
 
 class TestRecordingMemory:

@@ -181,7 +181,7 @@ class TestFirstReturn:
         ya, yb = np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 3.0])
         fa = fb = np.array([0.0, 0.0, 5000.0])
         monkeypatch.setattr(poincare, "_step_stream",
-                            lambda *_a: iter([(0.0, ya, fa, 1.0, yb, fb)]))
+                            lambda *_a: iter([(0.0, ya, fa), (1.0, yb, fb)]))
         plane = SectionPlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "positive")
         creep = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 1e-9")
         try:

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,19 @@ class TestCanonicalForm:
     def test_parsing_canonicalizes_scattered_terms(self):
         field = parse_system("dx/dt = x + 2 + x + x^2 - 2")
         assert coeffs(poly(field)) == {(1,): 2.0, (2,): 1.0}
+
+    def test_fraction_coefficients_stay_exact(self):
+        # g = x^2 + y^2 - 1: d(g^2)/dx = 4 x g with no rounding anywhere
+        one = Fraction(1)
+        x = Polynomial((Monomial(one, (1, 0)),))
+        g = Polynomial.from_terms([Monomial(one, (2, 0)), Monomial(one, (0, 2)),
+                                   Monomial(-one, (0, 0))])
+        g2 = g ** 2
+        assert all(isinstance(m.coefficient, Fraction) for m in g2.terms)
+        four = Polynomial.constant(Fraction(4), 2)
+        assert (g2.differentiate(0) - four * x * g).is_zero
+        assert coeffs(g ** 0) == {(0, 0): 1.0}
+        assert isinstance(coeffs(g ** 0)[(0, 0)], float)
 
 
 class TestShippedSystems:

@@ -304,6 +304,8 @@ class TestMonodromy:
             monodromy(stuart_landau, [1.0, 0.0, 0.0], 0.0)
         with pytest.raises(ValueError):
             flow_determinant(stuart_landau, [1.0, 0.0, 0.0], -1.0)
+        with pytest.raises(ValueError):
+            flow_determinant(stuart_landau, [1.0, 0.0, 0.0], math.inf)
 
 
 class TestCensus:

@@ -1,0 +1,139 @@
+"""Compare the CLI's behaviour in two checkouts over a fixed command matrix.
+
+    python tools/parity.py PARENT_CHECKOUT CHANGE_CHECKOUT
+
+Each command of the matrix runs once per checkout, each in a fresh Python
+process with that checkout's `src/` on `PYTHONPATH`, in an empty working
+directory, writing its artifacts to `out/` there. Every artifact, stdout,
+stderr and the exit code are compared; each checkout's own path (which
+`--system` carries into every JSON artifact) is first replaced by the
+placeholder `<CHECKOUT>`. Prints one line per differing command and exits 1
+if any command differs, else 0. Runs two commands at a time.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+PLACEHOLDER = b"<CHECKOUT>"
+WORKERS = 2
+
+LORENZ_Z27 = "0,0,27/0,0,1/negative"
+Y0_PLANE = "0,0,0/0,1,0/positive"
+STARTS = {
+    "lorenz": ("1,1,1", "-5,3,20", "0.1,0,0"),
+    "closed-orbit": ("0.5,0,0", "1,0,0", "2,0,0"),
+    "stuart-landau": ("1.3,-0.2,0.5", "0.5,0,0", "1,0,0"),
+    "equilibrium": ("0.5,0,0", "0,0,0", "0.1,0.2,-0.3"),
+}
+
+
+def _matrix() -> list[tuple[str, ...]]:
+    """(command, system, arguments...) rows; the system is a shipped name."""
+    rows = []
+    for system, starts in STARTS.items():
+        x0 = starts[0]
+        rows += [
+            ("simulate", system, "--x0", x0, "--t1", "5", "--project", "x,z",
+             "--stdout"),
+            ("simulate", system, "--x0", x0, "--t1", "5",
+             "--method", "rk4-fixed", "--step", "0.01"),
+            ("simulate", system, "--x0", x0, "--t0", "0.25", "--t1", "-0.25"),
+        ]
+        rows += [("bounds-check", system, "--x0", x, "--t-fwd", "20",
+                  "--t-back", "20", "--stdout") for x in starts]
+    rows += [("refute", "closed-orbit", "--x0", x, "--stdout")
+             for x in ("0.5,0,0", "1,0,0", "1.1,0,0", "2,0,0")]
+    rows += [
+        ("refute", "closed-orbit", "--x0", "1.1,0,0", "--cap", "1e3"),
+        ("refute", "equilibrium", "--x0", "0.1,0,0"),
+    ]
+    rows += [("section", "lorenz", "--x0", "1,1,1", "--plane", plane,
+              "--iterates", "50", "--stdout")
+             for plane in (LORENZ_Z27, Y0_PLANE, "0,0,20/1,1,1/both",
+                           "1,2,25/0.3,-0.5,1/positive")]
+    rows += [
+        ("upo", "stuart-landau", "--x0", "1.3,-0.2,0", "--plane", Y0_PLANE,
+         "--iterates", "4", "--k-max", "2", "--stdout"),
+        ("upo", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
+         "--iterates", "300"),
+        ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
+         "--total", "100", "--interval", "0.5", "--history"),
+        ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
+         "--total", "100", "--interval", "0.5", "--history",
+         "--method", "rk4-fixed", "--step", "0.01"),
+    ]
+    # starts whose field value is huge or overflows
+    for system, plane in (("closed-orbit", Y0_PLANE), ("lorenz", LORENZ_Z27)):
+        for big in ("1e20", "1e80", "1e150", "1e155", "1e200"):
+            x0 = f"--x0={big},0,0"
+            rows += [
+                ("simulate", system, x0, "--t1", "1"),
+                ("simulate", system, x0, "--t1", "1", "--method", "rk4-fixed"),
+                ("bounds-check", system, x0, "--t-fwd", "1", "--t-back", "1"),
+                ("lyapunov", system, x0, "--transient", "1", "--total", "1"),
+                ("section", system, x0, "--plane", plane, "--iterates", "3"),
+                ("refute", system, x0, "--horizon", "1"),
+            ]
+    rows += [
+        ("simulate", "lorenz", "--x0", "1,1,1"),  # usage error: no --t1
+        ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
+         "--iterates", "5", "--max-time=inf"),
+    ]
+    return rows
+
+
+def _run(checkout: Path, row: tuple[str, ...]) -> dict:
+    """Run one matrix row in `checkout`; returns what it produced, with
+    the checkout path replaced by the placeholder."""
+    command, system, *rest = row
+    sys_file = checkout / "src" / "flowbound" / "systems" / f"{system}.sys"
+    argv = [sys.executable, "-m", "flowbound.cli", command,
+            "--system", str(sys_file), *rest, "--out", "out"]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory(prefix="parity-") as work:
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+        out = Path(work) / "out"
+        artifacts = sorted(out.iterdir()) if out.is_dir() else []
+        files = {p.name: p.read_bytes() for p in artifacts}
+    path = str(checkout).encode()
+
+    def norm(data: bytes) -> bytes:
+        return data.replace(path, PLACEHOLDER)
+
+    return {"exit": proc.returncode, "stdout": norm(proc.stdout),
+            "stderr": norm(proc.stderr),
+            **{f"file {name}": norm(data) for name, data in files.items()}}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/parity.py PARENT_CHECKOUT CHANGE_CHECKOUT",
+              file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    rows = _matrix()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        before = list(pool.map(lambda r: _run(parent, r), rows))
+        after = list(pool.map(lambda r: _run(change, r), rows))
+    differing = 0
+    for row, a, b in zip(rows, before, after):
+        keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        if keys:
+            differing += 1
+            print(f"DIFF {' '.join(row)}: {', '.join(keys)}")
+    codes = Counter(r["exit"] for r in before)
+    print(f"{differing} of {len(rows)} commands differ; parent exit codes: "
+          + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
