@@ -18,13 +18,13 @@ failures, 3 a bound verification that did not hold.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import re
+import shutil
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .integrator import (
     RK45_ADAPTIVE,
     IntegrationError,
     IntegrationOptions,
-    Trajectory,
+    _csv_blocks,
     integrate,
 )
 from .lyapunov import TangentCollapseError, lyapunov_spectrum
@@ -97,12 +97,15 @@ def _parse_plane(text: str) -> SectionPlane:
     return SectionPlane(np.array(point), np.array(normal), parts[2])
 
 
-def _emit(args, filename: str, text: str) -> Path:
-    """Write one artifact; with --stdout, mirror it if it is the primary."""
+def _emit(args, filename: str, text: str | Iterable[str]) -> Path:
+    """Write one artifact, a string or an iterable of text blocks streamed
+    into the file; with --stdout, mirror the primary once it is written."""
     path = args.out / filename
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     if args.stdout and filename == _HANDLERS[args.command][1]:
-        sys.stdout.write(text)
+        with path.open(encoding="utf-8") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
     return path
 
 
@@ -114,12 +117,6 @@ def _header(args, x0: np.ndarray) -> dict:
 
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_trajectory(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    return buf.getvalue()
 
 
 def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
@@ -145,7 +142,7 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
     y_lo, y_hi = _range(ys)
     px = ml + (xs - x_lo) / (x_hi - x_lo) * plot_w
     py = _SVG_HEIGHT - mb - (ys - y_lo) / (y_hi - y_lo) * plot_h
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    points = " ".join(["%.2f,%.2f" % p for p in zip(px.tolist(), py.tolist())])
     frame = (f'<rect x="{ml:.0f}" y="{mt:.0f}" width="{plot_w:.0f}" '
              f'height="{plot_h:.0f}" fill="none" stroke="#333"/>')
     labels = (
@@ -186,7 +183,7 @@ def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
             f"--project needs two of {','.join(names)} (got {args.project!r})")
     opts = _integration_options(args, method=args.method, step=args.step)
     traj = integrate(field, x0, args.t0, args.t1, opts)
-    path = _emit(args, "trajectory.csv", _csv_trajectory(traj))
+    path = _emit(args, "trajectory.csv", traj.csv_blocks())
     _human(f"wrote {path} ({len(traj)} samples, "
            f"t={traj.t0:g}..{traj.final_time:g})")
     if pair:
@@ -279,11 +276,9 @@ def cmd_section(field: PolyField, x0: np.ndarray, args) -> int:
                                      max_time=args.max_time)
     points = [start] + return_map_iterates(
         field, plane, start, args.iterates - 1, opts, max_time=args.max_time)
-    rows = ["iterate,u,v,t"]
-    rows += [
-        f"{i},{p.coords2[0]:.17g},{p.coords2[1]:.17g},{p.time:.17g}"
-        for i, p in enumerate(points)]
-    path = _emit(args, "section.csv", "\n".join(rows) + "\n")
+    path = _emit(args, "section.csv", _csv_blocks(
+        ("iterate", "u", "v", "t"), range(len(points)),
+        [p.coords2 for p in points], [p.time for p in points]))
     _human(f"wrote {path} ({len(points)} section points)")
     return EXIT_OK
 
@@ -313,7 +308,7 @@ def cmd_upo(field: PolyField, x0: np.ndarray, args) -> int:
         })
         orbit_traj = integrate(field, fp.state3, 0.0, orbit.period,
                                SHOOT_INTEGRATION)
-        _emit(args, f"orbit-{idx:03d}.csv", _csv_trajectory(orbit_traj))
+        _emit(args, f"orbit-{idx:03d}.csv", orbit_traj.csv_blocks())
         _human(f"orbit {idx}: k={orbit.k} T={orbit.period:.6f} "
                f"{orbit.stability} residual={orbit.residual:.2e}")
     doc = {
@@ -340,12 +335,11 @@ def cmd_lyapunov(field: PolyField, x0: np.ndarray, args) -> int:
     doc = {**_header(args, x0), **result.to_json_dict()}
     _emit(args, "lyapunov.json", _json_text(doc))
     if args.history:
-        rows = ["time," + ",".join(
-            f"lambda{i + 1}" for i in range(field.dimension))]
-        rows += [
-            f"{t:.17g}," + ",".join(f"{v:.17g}" for v in ex)
-            for t, ex in result.convergence_history]
-        _emit(args, "convergence.csv", "\n".join(rows) + "\n")
+        history = result.convergence_history
+        names = [f"lambda{i + 1}" for i in range(field.dimension)]
+        _emit(args, "convergence.csv", _csv_blocks(
+            ("time", *names), [t for t, _ex in history],
+            [ex for _t, ex in history]))
     _human("exponents: "
            + ", ".join(f"{v:.6f}" for v in result.exponents))
     return EXIT_OK

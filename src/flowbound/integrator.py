@@ -61,6 +61,7 @@ _MIN_STEP_FACTOR = 0.2
 _MAX_STEP_FACTOR = 5.0
 _SAFETY = 0.9
 _MAX_STEPS = 10_000_000  # step budget of one integration
+_CSV_BLOCK = 4096  # rows that `_csv_blocks` formats at once
 
 
 class IntegrationError(RuntimeError):
@@ -179,12 +180,23 @@ class Trajectory:
         return _hermite(ts[i], self.states[i], self.derivs[i],
                         ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
 
+    def csv_blocks(self) -> Iterator[str]:
+        """CSV text in blocks: header t,<var1>,...,<varn>; 17 digits."""
+        return _csv_blocks(("t", *self.variable_names), self.times, self.states)
+
     def write_csv(self, fh: TextIO) -> None:
-        """CSV with header t,<var1>,...,<varn>; 17 significant digits."""
-        fh.write("t," + ",".join(self.variable_names) + "\n")
-        for t, row in zip(self.times, self.states):
-            cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
-            fh.write(",".join(cells) + "\n")
+        """Write `csv_blocks()` to the text file fh."""
+        fh.writelines(self.csv_blocks())
+
+
+def _csv_blocks(names, *columns) -> Iterator[str]:
+    """CSV text in blocks of rows: the header `names`, then the `columns`
+    side by side (a 2-D column is several), each value in "%.17g"."""
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    yield ",".join(names) + "\n"
+    for i in range(0, len(columns[0]), _CSV_BLOCK):
+        block = np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
+        yield "".join([row % tuple(r) for r in block.tolist()])
 
 
 def _hermite_basis(s):
@@ -238,7 +250,8 @@ def _step_stream(field: PolyField, system: str, y0, t0, t1,
     the start (t0, y0) first, with y and its slope f as float tuples:
     ceil(|t1 - t0| / step) equal RK4 steps, or DP5(4) steps with error
     norm at most 1, retried at a fifth of h after a non-finite stage.
-    A start state or t0 that is not finite raises ValueError."""
+    A start state or t0 that is not finite, or an RK4 span that is not,
+    raises ValueError."""
     y, t0 = tuple([float(a) for a in y0]), float(t0)  # not map(): swells the free list
     if not (all(map(math.isfinite, y)) and math.isfinite(t0)):
         raise ValueError("start state and t0 must be finite")
@@ -253,11 +266,14 @@ def _step_stream(field: PolyField, system: str, y0, t0, t1,
                               t0, np.array(y))
         h = min(_initial_step(slope, y, f, direction, opts.tol), abs(t1 - t0))
     else:
-        n_steps = max(1, math.ceil(abs(t1 - t0) / opts.step))
-        if n_steps > _MAX_STEPS:
-            raise MaxStepsError(f"{n_steps} fixed steps needed, step budget "
-                                f"{_MAX_STEPS}", t0, np.array(y))
-        h = abs(t1 - t0) / n_steps
+        span = abs(t1 - t0)
+        if not math.isfinite(span):
+            raise ValueError(f"{RK4_FIXED} needs a finite time span")
+        if span / opts.step > _MAX_STEPS:
+            raise MaxStepsError(f"{span / opts.step:.3g} fixed steps needed, "
+                                f"step budget {_MAX_STEPS}", t0, np.array(y))
+        n_steps = max(1, math.ceil(span / opts.step))
+        h = span / n_steps
     step = field.compiled_step(system, _DP54 if adaptive else _RK4)
     # a squared norm below this is finite and under the blow-up cap
     limit = opts.blow_up_norm * opts.blow_up_norm * (1.0 - 1e-9)

@@ -294,11 +294,24 @@ class PolyField:
             return n + 1, [], out + [_poly_expr(self.divergence(), v)]
         if name == "rhs":
             return n, [], out
-        grid = [[_poly_expr(p, v) for p in row] for row in self.jacobian_polynomials()]
+        jac = self.jacobian_polynomials()
+        grid = [[_poly_expr(p, v) for p in row] for row in jac]
         if name == "jacobian":
             return n, [], [e for row in grid for e in row]
-        body = [f"j{i}_{k} = {e}" for i, row in enumerate(grid) for k, e in enumerate(row)]
-        out += [" + ".join(f"j{i}_{k}*{v}{n + k * n + c}" for k in range(n))
+        # constant and single-variable entries are inlined into J V; a
+        # zero entry keeps its 0.0*v term, so that no zero changes sign
+        inline = [[len(p.terms) <= 1 and p.degree <= 1 for p in row] for row in jac]
+        body = [f"j{i}_{k} = {e}" for i, row in enumerate(grid)
+                for k, e in enumerate(row) if not inline[i][k]]
+        zero = Monomial(0.0, (0,) * n)
+
+        def product(i, k, c):  # J[i][k] V[k][c]
+            vk = f"{v}{n + k * n + c}"
+            if not inline[i][k]:
+                return f"j{i}_{k}*{vk}"
+            return _monomial_expr((jac[i][k].terms or (zero,))[0], v, vk)
+
+        out += [" + ".join(product(i, k, c) for k in range(n))
                 for i in range(n) for c in range(n)]
         return n + n * n, body, out
 
@@ -306,14 +319,18 @@ class PolyField:
 # -- code generation -------------------------------------------------------
 
 
-def _monomial_expr(m: Monomial, v: str) -> str:
-    parts = [repr(m.coefficient)]
-    for i, e in enumerate(m.exponents):
-        if e == 1:
-            parts.append(f"{v}{i}")
-        elif e > 1:
-            parts.append(f"{v}{i}**{e}")
-    return "*".join(parts)
+def _monomial_expr(m: Monomial, v: str, *factors: str) -> str:
+    """c*v0**e0*v1**e1*...*factors, or c alone for a constant term."""
+    parts = [f"{v}{i}**{e}" if e > 1 else f"{v}{i}"
+             for i, e in enumerate(m.exponents) if e]
+    parts += factors
+    return _scaled(m.coefficient, "*".join(parts)) if parts else repr(m.coefficient)
+
+
+def _scaled(c: float, expr: str) -> str:
+    """c*expr for a product or power `expr`, without identity arithmetic:
+    1.0*x is x and -1.0*x is -x in floating point, bit for bit."""
+    return expr if c == 1.0 else f"-{expr}" if c == -1.0 else f"{c!r}*{expr}"
 
 
 def _poly_expr(p: Polynomial, v: str) -> str:
@@ -372,9 +389,10 @@ def _compile_step(system: Callable, tableau) -> Callable:
     k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
 
     def combo(weights, i):
-        return " + ".join(f"{c!r}*{k[j]}{i}" for j, c in enumerate(weights) if c)
+        return " + ".join(_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c)
 
-    lines = [f"{_names('y', m)} = y", f"{_names(k[0], m)} = f", f"hb = hs / {d!r}"]
+    lines = [f"{_names('y', m)} = y", f"{_names(k[0], m)} = f",
+             "hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
         lines += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,29 @@ class TestSimulate:
         assert data["t"][-1] == 1.0
         assert abs(data["x"][-1] - math.exp(-1.0)) < 1e-8
         assert abs(data["z"][-1] - 0.5 * (1.0 - math.exp(-2.0))) < 1e-8
+
+    def test_peak_memory_stays_near_the_trajectory(self, tmp_path,
+                                                   monkeypatch):
+        # the CSV is streamed in blocks, never held whole next to the
+        # arrays; the step is generated before tracing starts, because
+        # code generated under tracemalloc runs about ten times slower
+        field = flowbound.load_system("lorenz")
+        flowbound.integrate(field, [1.0, 1.0, 1.0], 0.0, 1.0)
+        monkeypatch.setattr(cli, "parse_system", lambda _text: field)
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--system", LORENZ, "--x0", "1,1,1",
+                         "--t1", "200", "--out", str(out)])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with (out / "trajectory.csv").open() as fh:
+            samples = sum(1 for _line in fh) - 1
+        arrays = samples * (1 + 3 + 3) * 8  # times, states and derivs
+        assert samples > 50_000
+        assert peak < 2 * arrays
 
     def test_projection_svg(self, tmp_path):
         out = tmp_path / "run"
@@ -400,6 +424,15 @@ class TestLyapunov:
         assert lines[0] == "time,lambda1,lambda2,lambda3"
         assert len(lines) == 2  # 100 renormalizations fit once in 50 tu
 
+    def test_history_without_samples_is_its_header(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["lyapunov", "--system", STUART_LANDAU, "--x0", "1,0,0",
+                     "--transient", "1", "--total", "10",
+                     "--interval", "0.5", "--history", "--out", str(out)])
+        assert code == 0
+        text = (out / "convergence.csv").read_text()
+        assert text == "time,lambda1,lambda2,lambda3\n"
+
     def test_no_history_flag_no_file(self, tmp_path):
         out = tmp_path / "run"
         code = main(["lyapunov", "--system", STUART_LANDAU, "--x0", "1,0,0",
@@ -422,7 +455,11 @@ class TestStdoutPassthrough:
         (["lyapunov", "--system", STUART_LANDAU, "--x0", "1,0,0",
           "--transient", "1", "--total", "10", "--history"],
          "lyapunov.json", "exponents"),
-    ], ids=["section", "simulate-project", "upo", "lyapunov-history"])
+        # about 10,000 rows: the CSV is written in several blocks
+        (["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "40"],
+         "trajectory.csv", "samples"),
+    ], ids=["section", "simulate-project", "upo", "lyapunov-history",
+            "simulate-blocks"])
     def test_stdout_mirrors_file(self, tmp_path, argv, primary, summary):
         # secondary artifacts (SVG, orbit CSVs, convergence.csv) are
         # written but never streamed

@@ -466,6 +466,66 @@ class TestRecordingMemory:
         assert peak < 3 * kept
 
 
+def _per_value_csv(names, table):
+    """CSV text as written one value at a time before the block writer."""
+    lines = [",".join(names)]
+    lines += [",".join(format(v, ".17g") for v in row) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+_BLOCK = integrator._CSV_BLOCK
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      3 * _BLOCK + 7])
+    def test_matches_per_value_formatting(self, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.normal(size=(rows, 6)) * 10.0 ** rng.uniform(-300, 300, (rows, 6))
+        special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
+        table[-1] = special
+        table[rng.integers(0, rows, 6), range(6)] = rng.permutation(special)
+        names = ("t", "a", "b", "c", "d", "e")
+        blocks = list(integrator._csv_blocks(names, table[:, 0], table[:, 1:]))
+        assert len(blocks) == 1 + math.ceil(rows / _BLOCK)
+        assert "".join(blocks) == _per_value_csv(names, table)
+
+    def test_iterate_column_prints_integers(self):
+        # section.csv numbers its rows with the iterate index
+        u = [0.5, -0.0, 2.0]
+        text = "".join(integrator._csv_blocks(("iterate", "u"), range(3), u))
+        assert text == "iterate,u\n0,0.5\n1,-0\n2,2\n"
+
+    def test_trajectory_csv(self):
+        opts = IntegrationOptions(method="rk4-fixed", step=0.001)
+        traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 5.0, opts)
+        assert len(traj) > _BLOCK
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        table = np.column_stack([traj.times, traj.states])
+        assert buf.getvalue() == _per_value_csv(("t", "x", "y"), table)
+
+
+class TestRk4Span:
+    """An RK4 run is sized up front, so its span must be finite and fit
+    the step budget."""
+
+    PLANE = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "negative")
+    OPTS = IntegrationOptions(method="rk4-fixed")
+
+    def test_infinite_span_is_refused(self, lorenz):
+        with pytest.raises(ValueError, match="rk4-fixed needs a finite time span"):
+            first_crossing(lorenz, self.PLANE, [1.0, 1.0, 1.0], opts=self.OPTS,
+                           max_time=math.inf)
+
+    def test_huge_span_reports_a_short_step_count(self, lorenz):
+        with pytest.raises(MaxStepsError) as info:
+            first_crossing(lorenz, self.PLANE, [1.0, 1.0, 1.0], opts=self.OPTS,
+                           max_time=1e300)
+        assert str(info.value) == ("1e+302 fixed steps needed, step budget "
+                                   f"{integrator._MAX_STEPS}")
+
+
 class TestFailureModes:
     def test_blow_up_carries_partial_trajectory(self):
         with pytest.raises(BlowUpError) as exc_info:

@@ -1,3 +1,4 @@
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import flowbound
-from flowbound import polyfield
+from flowbound import integrator, polyfield
 from flowbound import (
     Monomial,
     Polynomial,
@@ -171,6 +172,130 @@ class TestGeneratedSums:
         q = (rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)) ** 2
         expr = polyfield._numpy_sum([f"q[{i}]" for i in range(n)])
         assert eval(expr, {"q": q.tolist()}) == float(np.add.reduce(q))
+
+
+SHIPPED = ("lorenz", "stuart-landau", "closed-orbit", "equilibrium")
+SYSTEMS = ("rhs", "tangent_rhs", "liouville_rhs", "jacobian")
+
+
+def _term_value(m, w):
+    """A term straight from its Monomial: coefficient times its powers."""
+    v = m.coefficient
+    for x, e in zip(w, m.exponents):
+        if e:
+            v = v * x ** e
+    return v
+
+
+def _left_sum(values):
+    """values[0] + values[1] + ..., from the first value, not from 0."""
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
+
+
+def _poly_value(p, w):
+    return _left_sum([_term_value(m, w) for m in p.terms]) if p.terms else 0.0
+
+
+def _reference_slope(field, system, w):
+    """A generated system evaluated from Polynomial terms, independently
+    of the generated code."""
+    n = field.dimension
+    x = w[:n]
+    f = [_poly_value(p, x) for p in field.components]
+    jac = [[_poly_value(p, x) for p in row] for row in field.jacobian_polynomials()]
+    if system == "rhs":
+        return f
+    if system == "jacobian":
+        return [e for row in jac for e in row]
+    if system == "liouville_rhs":
+        return f + [_poly_value(field.divergence(), x)]
+    return f + [_left_sum([jac[i][k] * w[n + k * n + c] for k in range(n)])
+                for i in range(n) for c in range(n)]
+
+
+def _size(field, system):
+    n = field.dimension
+    return {"rhs": n, "jacobian": n, "liouville_rhs": n + 1}.get(system, n + n * n)
+
+
+def _capture_sources(monkeypatch):
+    """A list that collects the source of every function generated from
+    now on."""
+    sources = []
+    monkeypatch.setattr(polyfield, "exec", lambda src, ns: (
+        sources.append(src), exec(src, ns)), raising=False)
+    return sources
+
+
+def _is_unit(node):
+    """A literal 1.0 or -1.0 (ast.parse keeps -1.0 as a negation)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value == 1.0
+
+
+class TestGeneratedEvaluator:
+    """`compiled_slope` against values computed straight from the
+    Polynomial terms, bit for bit and sign of zero included, and the
+    generated sources free of identity arithmetic."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_matches_polynomial_terms_bit_for_bit(self, name, system):
+        field = flowbound.load_system(name)
+        slope = field.compiled_slope(system)
+        size = _size(field, system)
+        rng = np.random.default_rng(sum(map(ord, name + system)))
+        states = rng.normal(size=(50, size)) * 10.0 ** rng.uniform(-3, 3, (50, size))
+        states[rng.random(states.shape) < 0.3] = 0.0
+        # signed zeros, among other values and alone
+        states = np.concatenate([states, np.zeros((8, size))])
+        states[rng.random(states.shape) < 0.5] *= -1.0
+        for w in states.tolist():
+            assert ([float.hex(v) for v in slope(w)]
+                    == [float.hex(v) for v in _reference_slope(field, system, w)])
+
+    def test_monomial_expressions(self):
+        assert polyfield._monomial_expr(Monomial(1.0, (1, 0, 2)), "x") == "x0*x2**2"
+        assert polyfield._monomial_expr(Monomial(-1.0, (0, 1, 0)), "x") == "-x1"
+        assert polyfield._monomial_expr(Monomial(-1.0, (2, 1, 0)), "v") == "-v0**2*v1"
+        assert polyfield._monomial_expr(Monomial(2.5, (0, 0, 1)), "x") == "2.5*x2"
+        assert polyfield._monomial_expr(Monomial(1.0, (0, 0, 0)), "x") == "1.0"
+        assert polyfield._monomial_expr(Monomial(-1.0, (0, 0, 0)), "x") == "-1.0"
+        assert polyfield._monomial_expr(Monomial(-0.5, (0, 0, 0)), "x") == "-0.5"
+
+    def test_no_multiplication_or_division_by_unit(self, monkeypatch):
+        # the four slopes and the DP5(4) and RK4 steps of the three
+        # stepped systems; 21.0*x is no identity, 1.0*x and x/1.0 are
+        sources = _capture_sources(monkeypatch)
+        for name in SHIPPED:
+            field = flowbound.load_system(name)
+            for system in SYSTEMS:
+                field.compiled_slope(system)
+            for system in SYSTEMS[:3]:
+                for tableau in (integrator._DP54, integrator._RK4):
+                    field.compiled_step(system, tableau)
+        assert len(sources) == 4 * (4 + 3 * 2)
+        for source in sources:
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+                    assert not (_is_unit(node.left) or _is_unit(node.right)), \
+                        ast.unparse(node)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_zero_jacobian_entries_keep_their_term(self, monkeypatch, name):
+        # J V sums every k: a 0.0*v term can decide the sign of a zero sum
+        field = flowbound.load_system(name)
+        zeros = sum(p.is_zero for row in field.jacobian_polynomials() for p in row)
+        sources = _capture_sources(monkeypatch)
+        field.compiled_slope("tangent_rhs")
+        terms = [node for node in ast.walk(ast.parse(sources[0]))
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                 and isinstance(node.left, ast.Constant) and node.left.value == 0.0]
+        assert zeros and len(terms) == zeros * field.dimension
 
 
 class TestJacobian:

@@ -58,6 +58,15 @@ def _matrix() -> list[tuple[str, ...]]:
               "--iterates", "50", "--stdout")
              for plane in (LORENZ_Z27, Y0_PLANE, "0,0,20/1,1,1/both",
                            "1,2,25/0.3,-0.5,1/positive")]
+    # CSVs of several blocks of rows, and a decimated SVG
+    rows += [
+        ("simulate", "lorenz", "--x0", "1,1,1", "--t1", "100",
+         "--project", "x,z", "--stdout"),
+        ("simulate", "lorenz", "--x0", "1,1,1", "--t1", "30",
+         "--method", "rk4-fixed", "--step", "0.005", "--stdout"),
+        ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
+         "--iterates", "300", "--stdout"),
+    ]
     rows += [
         ("upo", "stuart-landau", "--x0", "1.3,-0.2,0", "--plane", Y0_PLANE,
          "--iterates", "4", "--k-max", "2", "--stdout"),
