@@ -214,11 +214,13 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
     converge onto the nearest point of it when the geometry allows.
     """
     x = np.asarray(x0, dtype=float)
-    for _ in range(_EQUILIBRIUM_MAX_ITER):
+    for steps in range(_EQUILIBRIUM_MAX_ITER + 1):
         fx = field.evaluate(x)
         residual = float(np.max(np.abs(fx)))
         if residual < _EQUILIBRIUM_TOL:
             return x, residual
+        if steps == _EQUILIBRIUM_MAX_ITER:
+            return None
         J = field.jacobian(x)
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
             return None  # LAPACK can spin on non-finite input
@@ -226,11 +228,6 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
         if not np.all(np.isfinite(dx)) or not np.any(dx):
             return None
         x = x + dx
-    fx = field.evaluate(x)
-    residual = float(np.max(np.abs(fx)))
-    if residual < _EQUILIBRIUM_TOL:
-        return x, residual
-    return None
 
 
 @dataclass
@@ -239,6 +236,7 @@ class RefutationReport:
 
     Evidence-based: "bounded" means the computed orbit stayed below the
     norm cap over the requested horizon, not a proof about t -> -inf.
+    `bound_report` checks the equilibrium, the backward run or its escape.
     """
 
     verdict: str
@@ -246,7 +244,7 @@ class RefutationReport:
     equilibrium: bool
     witnessed_bound: float
     horizon: float
-    bound_report: Optional[BoundReport]
+    bound_report: BoundReport
     equilibrium_state: Optional[np.ndarray] = None
     equilibrium_residual: Optional[float] = None
 
@@ -257,21 +255,12 @@ class RefutationReport:
             "equilibrium": self.equilibrium,
             "witnessed_bound": self.witnessed_bound,
             "horizon": self.horizon,
-            "bound_report": (self.bound_report.to_json_dict()
-                             if self.bound_report else None),
+            "bound_report": self.bound_report.to_json_dict(),
         }
         if self.equilibrium:
             doc["equilibrium_state"] = [float(v) for v in self.equilibrium_state]
             doc["equilibrium_residual"] = self.equilibrium_residual
         return doc
-
-
-def _constant_trajectory(x_star: np.ndarray, horizon: float, tol: float,
-                         names) -> Trajectory:
-    ts = np.linspace(0.0, -horizon, 11)
-    states = np.tile(x_star, (ts.size, 1))
-    derivs = np.zeros_like(states)
-    return Trajectory(ts, states, derivs, tol, names)
 
 
 def _norm(x) -> float:
@@ -302,44 +291,30 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
         raise ValueError("horizon must be positive and finite")
     opts = opts or IntegrationOptions()
 
-    found = find_equilibrium(field, x0)
-    if found is not None:
-        x_star, residual = found
-        traj = _constant_trajectory(x_star, horizon, opts.tolerance,
-                                    field.variable_names)
-        report = verify_bounds(traj, cert)
-        return RefutationReport(
-            verdict=VERDICT_FALSIFIED,
-            bounded=True,
-            equilibrium=True,
-            witnessed_bound=float(np.linalg.norm(x_star)),
-            horizon=horizon,
-            bound_report=report,
-            equilibrium_state=x_star,
-            equilibrium_residual=residual,
-        )
+    x_star, residual = find_equilibrium(field, x0) or (None, None)
+    bounded, reached = True, horizon
+    if x_star is not None:
+        ts = np.linspace(0.0, -horizon, 11)
+        states = np.tile(x_star, (ts.size, 1))
+        traj = Trajectory(ts, states, np.zeros_like(states), opts.tolerance,
+                          field.variable_names)
+        witnessed = float(np.linalg.norm(x_star))
+    else:
+        try:
+            traj = integrate(field, x0, 0.0, -horizon, opts)
+            witnessed = float(np.max(np.linalg.norm(traj.states, axis=1)))
+        except (BlowUpError, StepSizeError) as exc:
+            # integrate records the start before anything can fail
+            traj, bounded, reached = exc.trajectory, False, float(abs(exc.t))
+            witnessed = _norm(exc.state)
 
-    try:
-        traj = integrate(field, x0, 0.0, -horizon, opts)
-    except (BlowUpError, StepSizeError) as exc:
-        partial = exc.trajectory
-        report = verify_bounds(partial, cert) if partial is not None else None
-        return RefutationReport(
-            verdict=VERDICT_NO_COUNTEREXAMPLE,
-            bounded=False,
-            equilibrium=False,
-            witnessed_bound=_norm(exc.state),
-            horizon=float(abs(exc.t)),
-            bound_report=report,
-        )
-
-    witnessed = float(np.max(np.linalg.norm(traj.states, axis=1)))
-    report = verify_bounds(traj, cert)
     return RefutationReport(
-        verdict=VERDICT_FALSIFIED,
-        bounded=True,
-        equilibrium=False,
+        verdict=VERDICT_FALSIFIED if bounded else VERDICT_NO_COUNTEREXAMPLE,
+        bounded=bounded,
+        equilibrium=x_star is not None,
         witnessed_bound=witnessed,
-        horizon=horizon,
-        bound_report=report,
+        horizon=reached,
+        bound_report=verify_bounds(traj, cert),
+        equilibrium_state=x_star,
+        equilibrium_residual=residual,
     )

@@ -275,8 +275,9 @@ def _step_stream(field: PolyField, system: str, y0, t0, t1,
         n_steps = max(1, math.ceil(span / opts.step))
         h = span / n_steps
     step = field.compiled_step(system, _DP54 if adaptive else _RK4)
-    # a squared norm below this is finite and under the blow-up cap
-    limit = opts.blow_up_norm * opts.blow_up_norm * (1.0 - 1e-9)
+    # a squared norm of all of z below this is finite, with z[:n] under the cap
+    cap, n = opts.blow_up_norm, field.dimension
+    limit = cap * cap * (1.0 - 1e-9)
     t, steps = t0, 0
     while (direction * (t1 - t) > 0) if adaptive else steps < n_steps:
         if adaptive:
@@ -309,8 +310,7 @@ def _step_stream(field: PolyField, system: str, y0, t0, t1,
         if not err <= 1.0:
             h *= max(_MIN_STEP_FACTOR, _SAFETY * err ** -0.2)
             continue
-        cap = opts.blow_up_norm
-        if not ss < limit and (norm := float(np.linalg.norm(z))) > cap:
+        if not ss < limit and (norm := float(np.linalg.norm(z[:n]))) > cap:
             raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
                               f"{cap:.3e} at t={t_new:.6g}", t_new, np.array(z))
         t, y, f = t_new, z, g

@@ -83,23 +83,27 @@ class SectionPlane:
             raise ValueError("plane normal must be nonzero")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
+        normal = normal / length
+        k = int(np.argmin(np.abs(normal)))
+        e1 = -normal[k] * normal
+        e1[k] += 1.0
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(normal, e1)
+        e1.flags.writeable = e2.flags.writeable = False
         object.__setattr__(self, "point", point)
-        object.__setattr__(self, "normal", normal / length)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "_basis", (e1, e2))
 
     def chart_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic orthonormal in-plane basis (e1, e2).
+        """Deterministic orthonormal in-plane basis (e1, e2), computed
+        once at construction and read-only.
 
         e1 is the Gram-Schmidt projection of the coordinate axis least
         aligned with the normal (ties break toward the lowest index);
         e2 = normal × e1 completes a right-handed frame. The chart is a
         pure function of the plane, so coordinates are reproducible.
         """
-        k = int(np.argmin(np.abs(self.normal)))
-        e1 = -self.normal[k] * self.normal
-        e1[k] += 1.0
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(self.normal, e1)
-        return e1, e2
+        return self._basis
 
     def signed_distance(self, state) -> float:
         """⟨state − point, normal⟩: zero on the plane, sign by side."""

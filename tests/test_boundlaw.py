@@ -19,6 +19,26 @@ from flowbound import (
 from flowbound.boundlaw import certified_components
 
 CUBIC_ESCAPE = parse_system("dx/dt = 1\ndy/dt = 0\ndz/dt = x^2")
+SQUARE = parse_system("dx/dt = x^2")
+
+REFUTATION_KEYS = ["verdict", "bounded", "equilibrium", "witnessed_bound",
+                   "horizon", "bound_report"]
+
+
+def assert_one_outcome(report):
+    """verdict, bounded and equilibrium tell one story, and refutation.json
+    keeps its keys in order (the equilibrium adds its state and residual)."""
+    assert report.verdict == (VERDICT_FALSIFIED if report.bounded
+                              else VERDICT_NO_COUNTEREXAMPLE)
+    assert report.bounded or not report.equilibrium
+    assert (report.equilibrium_state is not None) == report.equilibrium
+    assert (report.equilibrium_residual is not None) == report.equilibrium
+    extra = ["equilibrium_state", "equilibrium_residual"]
+    doc = report.to_json_dict()
+    assert list(doc) == REFUTATION_KEYS + (extra if report.equilibrium else [])
+    assert list(doc["bound_report"]) == [
+        "forward_holds", "backward_holds", "naive_backward_violated",
+        "margins", "samples_checked", "tolerance"]
 
 
 class TestBoundLine:
@@ -190,6 +210,14 @@ class TestFindEquilibrium:
         field = parse_system("dx/dt = x^2 + 1")
         assert find_equilibrium(field, [1.0]) is None
 
+    def test_residual_is_tested_after_the_last_step(self):
+        # Newton halves x exactly on dx/dt = x^2: from 30 the residual
+        # first drops below 1e-12 after the 25th and last step
+        x_star, residual = find_equilibrium(SQUARE, [30.0])
+        assert x_star[0] == 30.0 / 2**25 == 8.940696716308594e-07
+        assert residual == 7.993605777301127e-13
+        assert find_equilibrium(SQUARE, [34.0]) is None
+
 
 class TestRefuteNonexistence:
     def test_equilibrium_witness(self, equilibrium):
@@ -199,6 +227,7 @@ class TestRefuteNonexistence:
         assert report.bounded
         assert report.equilibrium
         assert report.equilibrium_residual < 1e-12
+        assert_one_outcome(report)
         assert report.witnessed_bound == 0.0
         assert report.bound_report.forward_holds
         assert report.bound_report.backward_holds
@@ -211,6 +240,7 @@ class TestRefuteNonexistence:
         assert not report.equilibrium
         assert report.witnessed_bound < 1e3
         assert report.horizon == 100.0
+        assert_one_outcome(report)
         assert report.bound_report.backward_holds
 
     def test_cubic_escape_is_no_counterexample(self):
@@ -226,6 +256,7 @@ class TestRefuteNonexistence:
         # horizon, since steps grow fast on this polynomially exact field
         assert 31.0 < report.horizon <= 100.0
         assert report.witnessed_bound > 1e4
+        assert_one_outcome(report)
         assert report.bound_report is not None
         assert report.bound_report.backward_holds
 
@@ -240,6 +271,7 @@ class TestRefuteNonexistence:
         assert report.verdict == VERDICT_NO_COUNTEREXAMPLE
         assert not report.bounded
         assert abs(report.horizon - 0.5 * math.log(r2 / (r2 - 1.0))) < 1e-6
+        assert_one_outcome(report)
         assert report.bound_report.backward_holds
 
     def test_cubic_escape_closed_form(self):

@@ -555,6 +555,16 @@ class TestFailureModes:
         assert exc.state.shape == (12,)
         assert np.linalg.norm(exc.state) > 1e12
 
+    def test_tangent_run_state_escape_trips_the_cap(self):
+        with pytest.raises(BlowUpError, match="exceeded blow-up cap") as exc_info:
+            integrate_with_tangent(ESCAPE, [1.0], np.eye(1), 0.0, 2.0)
+        assert exc_info.value.state[0] > 1e12
+
+    def test_non_finite_tangent_entry_is_a_blow_up(self, lorenz):
+        with pytest.raises(BlowUpError, match=r"^non-finite state at t=0.01$"):
+            integrate_with_tangent(lorenz, [1.0, 1.0, 1.0], 1e308 * np.eye(3),
+                                   0.0, 1.0, IntegrationOptions(method="rk4-fixed"))
+
     def test_step_underflow_near_singularity(self):
         opts = IntegrationOptions(blow_up_norm=1e300)
         with pytest.raises(StepSizeError) as exc_info:

@@ -62,6 +62,23 @@ class TestPlaneGeometry:
             assert abs(np.dot(e2, plane.normal)) < 1e-12
             assert abs(np.dot(np.cross(e1, e2), plane.normal) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("normal", [[3.0, 1.0, -2.0], [1.0, 1.0, 1.0],
+                                        [0.0, 0.0, 1.0], [-0.2, 5.0, 0.1]])
+    def test_chart_basis_is_built_once_and_read_only(self, normal):
+        plane = SectionPlane([1.0, -2.0, 0.5], normal, "both")
+        n = plane.normal
+        k = int(np.argmin(np.abs(n)))
+        e1 = -n[k] * n
+        e1[k] += 1.0
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1)
+        b1, b2 = plane.chart_basis()
+        assert b1.tobytes() == e1.tobytes() and b2.tobytes() == e2.tobytes()
+        assert plane.chart_basis()[0] is b1
+        for e in (b1, b2):
+            with pytest.raises(ValueError, match="read-only"):
+                e[0] = 0.0
+
     def test_canonical_charts(self):
         z27 = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "both")
         assert np.allclose(z27.to_chart([3.0, -4.0, 27.0]), [3.0, -4.0])

@@ -299,6 +299,14 @@ class TestMonodromy:
             det = flow_determinant(lorenz, x0, T)
             assert abs(det / math.exp(LORENZ_DIV * T) - 1.0) < 1e-12
 
+    def test_tangent_growth_is_not_an_escape(self, lorenz):
+        # on the attractor |x| stays below 60 while the tangent matrix
+        # grows past the 1e12 blow-up cap, which bounds the state only
+        x = integrate(lorenz, [1.0, 1.0, 1.0], 0.0, 20.0).final_state
+        M, eigs = monodromy(lorenz, x, 30.0)
+        assert np.all(np.isfinite(M))
+        assert max(abs(e) for e in eigs) > 1e12
+
     def test_argument_validation(self, stuart_landau):
         with pytest.raises(ValueError):
             monodromy(stuart_landau, [1.0, 0.0, 0.0], 0.0)

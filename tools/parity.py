@@ -53,6 +53,15 @@ def _matrix() -> list[tuple[str, ...]]:
     rows += [
         ("refute", "closed-orbit", "--x0", "1.1,0,0", "--cap", "1e3"),
         ("refute", "equilibrium", "--x0", "0.1,0,0"),
+        # every refute outcome: a Newton path of several steps, an exact
+        # equilibrium, no certifiable component, long bounded backward
+        # runs, and a cap passed before the step underflows
+        ("refute", "equilibrium", "--x0", "2,-1,0.5", "--stdout"),
+        ("refute", "equilibrium", "--x0", "0,0,0"),
+        ("refute", "stuart-landau", "--x0", "1,0,0"),
+        ("refute", "closed-orbit", "--x0", "0.5,0,0", "--horizon", "1000"),
+        ("refute", "closed-orbit", "--x0", "2,0,0", "--cap", "10"),
+        ("refute", "closed-orbit", "--x0", "0.3,0.4,-2", "--horizon", "50"),
     ]
     rows += [("section", "lorenz", "--x0", "1,1,1", "--plane", plane,
               "--iterates", "50", "--stdout")
