@@ -18,6 +18,7 @@ failures, 3 a bound verification that did not hold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -387,6 +388,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache  # built on the first main call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="flowbound",

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _HISTORY_EVERY = 100  # renormalizations between convergence-history samples
+_COLLAPSE = 1e-12  # smallest share of its norm a column may keep in QR
 
 
 class TangentCollapseError(RuntimeError):
@@ -61,19 +62,31 @@ class LyapunovResult:
 
 
 def _mgs_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt QR with positive diagonal of R."""
+    """Modified Gram-Schmidt QR with positive diagonal of R.
+
+    Refuses a column that projection leaves with less than 1e-12 of its
+    norm: its direction, and so its exponent, is then round-off. The
+    column's squared norm before projection is R[j,j]² plus `above`,
+    the sum of its squared projections R[i,j]², so the test
+    R[j,j] < 1e-12 sqrt(above) is, to double precision, R[j,j] < 1e-12
+    of that norm.
+    """
     n = A.shape[1]
     Q = np.array(A, dtype=float)
     R = np.zeros((n, n))
     for j in range(n):
+        above = 0.0
         for i in range(j):
-            R[i, j] = float(np.dot(Q[:, i], Q[:, j]))
+            R[i, j] = r = float(np.dot(Q[:, i], Q[:, j]))
+            above += r * r
             Q[:, j] -= R[i, j] * Q[:, i]
         diag = float(np.linalg.norm(Q[:, j]))
-        if not math.isfinite(diag) or diag <= 0.0:
+        if (not math.isfinite(diag) or diag <= 0.0
+                or diag < _COLLAPSE * math.sqrt(above)):
             raise TangentCollapseError(
                 f"tangent vector {j} collapsed during renormalization "
-                f"(column norm {diag}); shrink renorm_interval")
+                f"(column norm {diag:.3g} of {math.hypot(diag, math.sqrt(above)):.3g} "
+                f"before projection); shrink renorm_interval")
         R[j, j] = diag
         Q[:, j] /= diag
     return Q, R

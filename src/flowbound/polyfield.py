@@ -174,7 +174,11 @@ class PolyField:
 
     Immutable after construction; evaluation, Jacobian and step callables are
     compiled lazily and cached, so sharing one instance across threads
-    or repeated integrations is cheap.
+    or repeated integrations is cheap. Generated functions are shared
+    process-wide, keyed by their exact source text: two fields with
+    identical generated code (say, parsed from the same text) get the
+    same function objects and exec it once. That module-level dict grows
+    by one entry per distinct generated function in a process.
     """
 
     def __init__(
@@ -343,16 +347,28 @@ def _names(v: str, size: int) -> str:
     return ", ".join(f"{v}{i}" for i in range(size)) + ","
 
 
+_DEFINED: dict[str, Callable] = {}  # generated source text -> its function
+
+
+def _define(source: str, name: str) -> Callable:
+    """The function `name` that the generated `source` defines; the one
+    exec site. Equal source text gives the same function object, so
+    fields whose generated code is identical share it."""
+    if source not in _DEFINED:
+        ns = {"_sqrt": math.sqrt, "_inf": math.inf}
+        exec(source, ns)
+        _DEFINED[source] = ns[name]
+    return _DEFINED[source]
+
+
 def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
-    """exec `def _slope(y)`: unpack x0..x{size-1} from the floats y, run
+    """Generate `def _slope(y)`: unpack x0..x{size-1} from the floats y, run
     `body`, return the tuple of the `outputs` expressions, or of infs when
     a power overflows (float `**` raises where arrays would hold inf)."""
     lines = [f"{_names('x', size)} = y", "try:", *(f"    {x}" for x in body),
              f"    return ({', '.join(outputs)},)", "except OverflowError:",
              f"    return ({'_inf, ' * len(outputs)})"]
-    ns = {"_inf": math.inf}
-    exec("def _slope(y):\n    " + "\n    ".join(lines), ns)
-    return ns["_slope"]
+    return _define("def _slope(y):\n    " + "\n    ".join(lines), "_slope")
 
 
 def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
@@ -372,7 +388,7 @@ def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
 
 
 def _compile_step(system: Callable, tableau) -> Callable:
-    """exec `def _step(y, f, hs, tol)`: one explicit Runge-Kutta step of
+    """Generate `def _step(y, f, hs, tol)`: one explicit Runge-Kutta step of
     `system(v)` -> (size, body, outputs) as straight-line float code.
 
     `tableau` (A, b, d, e) gives the stage rows A, the new state z = y +
@@ -409,9 +425,7 @@ def _compile_step(system: Callable, tableau) -> Callable:
         err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
     ss = " + ".join(f"z{i}*z{i}" for i in range(m))
     lines.append(f"return ({_names('z', m)}), ({_names(k[-1], m)}), {err}, {ss}")
-    ns = {"_sqrt": math.sqrt, "_inf": math.inf}
-    exec("def _step(y, f, hs, tol):\n    " + "\n    ".join(lines), ns)
-    return ns["_step"]
+    return _define("def _step(y, f, hs, tol):\n    " + "\n    ".join(lines), "_step")
 
 
 # -- parsing ---------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import flowbound
-from flowbound import __version__, cli, poincare, system_path
+from flowbound import __version__, cli, poincare, polyfield, system_path
 from flowbound.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -442,6 +442,15 @@ class TestLyapunov:
         assert not (out / "convergence.csv").exists()
 
 
+    def test_aligned_tangents_exit_2(self, tmp_path, capsys):
+        code = main(["lyapunov", "--system", LORENZ, "--x0", "1,1,1",
+                     "--transient", "10", "--total", "60", "--interval", "5",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "tangent vector 2 collapsed" in capsys.readouterr().err
+        assert not (tmp_path / "lyapunov.json").exists()
+
+
 class TestStdoutPassthrough:
     @pytest.mark.parametrize("argv, primary, summary", [
         (["section", "--system", CLOSED_ORBIT, "--x0", "1,-0.1,0",
@@ -468,6 +477,50 @@ class TestStdoutPassthrough:
         assert proc.returncode == 0
         assert proc.stdout == (out / primary).read_text()
         assert summary in proc.stderr
+
+
+class TestRepeatedCalls:
+    """`main` reuses one parser and the code generated by earlier calls;
+    neither carries anything from one call into the next."""
+
+    BOUNDS = ["bounds-check", "--system", EQUILIBRIUM, "--x0", "0.5,0.2,-0.3"]
+    SIMULATE = ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "2"]
+
+    def test_repeated_command_generates_no_code(self, tmp_path, monkeypatch):
+        argv = [*self.BOUNDS, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        defined, execs = len(polyfield._DEFINED), []
+        monkeypatch.setattr(polyfield, "exec", lambda src, ns: (
+            execs.append(src), exec(src, ns)), raising=False)
+        assert main(argv) == 0
+        assert len(polyfield._DEFINED) == defined and not execs
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_stdout_after_stdout(self, tmp_path, capsys):
+        assert main([*self.BOUNDS, "--out", str(tmp_path / "a"), "--stdout"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "a" / "bounds.json").read_text()
+        assert main([*self.BOUNDS, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_default_tol_after_another(self, tmp_path):
+        fresh, loose, again = (tmp_path / d / "trajectory.csv"
+                               for d in ("fresh", "loose", "again"))
+        assert run_cli([*self.SIMULATE, "--out", str(fresh.parent)]).returncode == 0
+        assert main([*self.SIMULATE, "--tol", "1e-6", "--out", str(loose.parent)]) == 0
+        assert main([*self.SIMULATE, "--out", str(again.parent)]) == 0
+        assert loose.read_bytes() != fresh.read_bytes()
+        assert again.read_bytes() == fresh.read_bytes()
+
+    def test_usage_error_between_identical_commands(self, tmp_path):
+        refute = ["refute", "--system", CLOSED_ORBIT, "--x0", "1,0,0"]
+        assert main([*refute, "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as info:  # --cap parsed, then the error
+            main([*refute, "--cap", "10", "--out", str(tmp_path / "x"), "--horizon"])
+        assert info.value.code == 1
+        assert main([*refute, "--out", str(tmp_path / "b")]) == 0
+        assert not (tmp_path / "x").exists()
+        assert ((tmp_path / "a" / "refutation.json").read_bytes()
+                == (tmp_path / "b" / "refutation.json").read_bytes())
 
 
 class TestOverflowingStart:

@@ -126,6 +126,19 @@ class TestFailureModes:
                               transient=0.0, total_time=800.0,
                               renorm_interval=800.0, opts=opts)
 
+    def test_aligned_tangents_are_refused(self, lorenz):
+        # over 5 time units the weaker tangent vectors align with the
+        # strongest; projection leaves the third under 1e-14 of its norm,
+        # and its exponent would be round-off (-6.46 instead of -14.5)
+        with pytest.raises(TangentCollapseError, match="tangent vector 2"):
+            lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0], transient=10.0,
+                              total_time=60.0, renorm_interval=5.0)
+
+    def test_interval_one_keeps_the_sum_rule(self, lorenz):
+        result = lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0], transient=10.0,
+                                   total_time=60.0, renorm_interval=1.0)
+        assert abs(sum(result.exponents) + 13.666666666666666) < 1e-6
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             lyapunov_spectrum(DIAG, [1.0, 1.0, 1.0], transient=0.0,

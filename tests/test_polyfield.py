@@ -223,10 +223,12 @@ def _size(field, system):
 
 def _capture_sources(monkeypatch):
     """A list that collects the source of every function generated from
-    now on."""
+    now on, taken at `_define` before its cache lookup, so code that an
+    earlier field already defined is collected too."""
     sources = []
-    monkeypatch.setattr(polyfield, "exec", lambda src, ns: (
-        sources.append(src), exec(src, ns)), raising=False)
+    define = polyfield._define
+    monkeypatch.setattr(polyfield, "_define", lambda src, name: (
+        sources.append(src), define(src, name))[1])
     return sources
 
 
@@ -296,6 +298,34 @@ class TestGeneratedEvaluator:
                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                  and isinstance(node.left, ast.Constant) and node.left.value == 0.0]
         assert zeros and len(terms) == zeros * field.dimension
+
+
+class TestSharedCode:
+    """Generated functions are shared across fields by their source text."""
+
+    LORENZ = flowbound.system_path("lorenz").read_text()
+
+    def _functions(self, field):
+        return ([field.compiled_slope(s) for s in SYSTEMS]
+                + [field.compiled_step(s, t) for s in SYSTEMS[:3]
+                   for t in (integrator._DP54, integrator._RK4)])
+
+    def test_same_text_gives_same_functions(self):
+        a, b = parse_system(self.LORENZ), parse_system(self.LORENZ)
+        assert a is not b
+        assert all(f is g for f, g in zip(self._functions(a), self._functions(b)))
+
+    def test_one_coefficient_apart_gives_other_functions(self):
+        a = parse_system(self.LORENZ)
+        b = parse_system(self.LORENZ.replace("rho = 28", "rho = 28.5"))
+        assert all(f is not g for f, g in zip(self._functions(a), self._functions(b)))
+        state = [1.0, 2.0, 3.0]
+        assert a.compiled_slope("rhs")(state)[1] == 23.0  # x*(rho - z) - y
+        assert b.compiled_slope("rhs")(state)[1] == 23.5
+        f = a.compiled_slope("rhs")(state)
+        steps = [field.compiled_step("rhs", integrator._DP54)(state, f, 0.01, 1e-10)
+                 for field in (a, b)]
+        assert steps[0][0] != steps[1][0]
 
 
 class TestJacobian:

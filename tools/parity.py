@@ -7,21 +7,34 @@ process with that checkout's `src/` on `PYTHONPATH`, in an empty working
 directory, writing its artifacts to `out/` there. Every artifact, stdout,
 stderr and the exit code are compared; each checkout's own path (which
 `--system` carries into every JSON artifact) is first replaced by the
-placeholder `<CHECKOUT>`. Prints one line per differing command and exits 1
-if any command differs, else 0. Runs two commands at a time.
+placeholder `<CHECKOUT>`.
+
+Then each checkout runs the whole matrix again in one interpreter,
+calling `flowbound.cli.main` row after row, each row in an empty working
+directory of its own with stdout and stderr captured and `SystemExit`
+taken as the exit code. Every row must give what its fresh process gave,
+so no state (a reused parser, shared generated code) leaks from one
+command into the next.
+
+Prints one line per differing command and exits 1 if any command differs
+in either pass, else 0. Runs two processes at a time.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 PLACEHOLDER = b"<CHECKOUT>"
+TOOLS = Path(__file__).resolve().parent
 WORKERS = 2
 
 LORENZ_Z27 = "0,0,27/0,0,1/negative"
@@ -107,28 +120,85 @@ def _matrix() -> list[tuple[str, ...]]:
     return rows
 
 
-def _run(checkout: Path, row: tuple[str, ...]) -> dict:
-    """Run one matrix row in `checkout`; returns what it produced, with
-    the checkout path replaced by the placeholder."""
+def _argv(checkout: Path, row: tuple[str, ...]) -> list[str]:
     command, system, *rest = row
     sys_file = checkout / "src" / "flowbound" / "systems" / f"{system}.sys"
-    argv = [sys.executable, "-m", "flowbound.cli", command,
-            "--system", str(sys_file), *rest, "--out", "out"]
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
-    with tempfile.TemporaryDirectory(prefix="parity-") as work:
-        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
-        out = Path(work) / "out"
-        artifacts = sorted(out.iterdir()) if out.is_dir() else []
-        files = {p.name: p.read_bytes() for p in artifacts}
+    return [command, "--system", str(sys_file), *rest, "--out", "out"]
+
+
+def _env(checkout: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+def _outcome(checkout: Path, work: str, code: int, stdout: bytes,
+             stderr: bytes) -> dict:
+    """What one row run in `work` produced, with the checkout path
+    replaced by the placeholder."""
+    out = Path(work) / "out"
+    artifacts = sorted(out.iterdir()) if out.is_dir() else []
     path = str(checkout).encode()
 
     def norm(data: bytes) -> bytes:
         return data.replace(path, PLACEHOLDER)
 
-    return {"exit": proc.returncode, "stdout": norm(proc.stdout),
-            "stderr": norm(proc.stderr),
-            **{f"file {name}": norm(data) for name, data in files.items()}}
+    return {"exit": code, "stdout": norm(stdout), "stderr": norm(stderr),
+            **{f"file {p.name}": norm(p.read_bytes()) for p in artifacts}}
+
+
+def _run(checkout: Path, row: tuple[str, ...]) -> dict:
+    """Run one matrix row in `checkout`, in a fresh process."""
+    with tempfile.TemporaryDirectory(prefix="parity-") as work:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowbound.cli", *_argv(checkout, row)],
+            cwd=work, env=_env(checkout), capture_output=True)
+        return _outcome(checkout, work, proc.returncode, proc.stdout,
+                        proc.stderr)
+
+
+def _run_here(checkout: str, results: str) -> None:
+    """Run every matrix row through this interpreter's `flowbound.cli.main`
+    (from `checkout`'s `src/`) and pickle the outcomes into `results`."""
+    from flowbound.cli import main as cli_main
+
+    checkout = Path(checkout)
+    home, outcomes = os.getcwd(), []
+    for row in _matrix():
+        with tempfile.TemporaryDirectory(prefix="parity-") as work:
+            out, err = io.StringIO(), io.StringIO()
+            os.chdir(work)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli_main(_argv(checkout, row))
+            except SystemExit as exc:
+                code = exc.code or 0
+            finally:
+                os.chdir(home)
+            outcomes.append(_outcome(checkout, work, code, out.getvalue().encode(),
+                                     err.getvalue().encode()))
+    Path(results).write_bytes(pickle.dumps(outcomes))
+
+
+def _run_in_one_process(checkout: Path) -> list[dict]:
+    """Every matrix row of `checkout`, run in one interpreter."""
+    with tempfile.TemporaryDirectory(prefix="parity-") as work:
+        results = Path(work) / "outcomes.pickle"
+        code = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import parity; "
+                f"parity._run_here({str(checkout)!r}, {str(results)!r})")
+        subprocess.run([sys.executable, "-c", code], cwd=work,
+                       env=_env(checkout), check=True)
+        return pickle.loads(results.read_bytes())
+
+
+def _differing(rows, before, after, label: str) -> int:
+    """Print one line per row whose outcomes differ; return their count."""
+    differing = 0
+    for row, a, b in zip(rows, before, after):
+        keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        if keys:
+            differing += 1
+            print(f"DIFF{label} {' '.join(row)}: {', '.join(keys)}")
+    return differing
 
 
 def main(argv: list[str]) -> int:
@@ -141,16 +211,17 @@ def main(argv: list[str]) -> int:
     with ThreadPoolExecutor(WORKERS) as pool:
         before = list(pool.map(lambda r: _run(parent, r), rows))
         after = list(pool.map(lambda r: _run(change, r), rows))
-    differing = 0
-    for row, a, b in zip(rows, before, after):
-        keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-        if keys:
-            differing += 1
-            print(f"DIFF {' '.join(row)}: {', '.join(keys)}")
+        in_one = list(pool.map(_run_in_one_process, (parent, change)))
+    differing = _differing(rows, before, after, "")
     codes = Counter(r["exit"] for r in before)
     print(f"{differing} of {len(rows)} commands differ; parent exit codes: "
           + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
-    return 1 if differing else 0
+    leaking = sum(_differing(rows, fresh, one, f" in one process ({name})")
+                  for name, fresh, one in (("parent", before, in_one[0]),
+                                           ("change", after, in_one[1])))
+    print(f"in one process: {leaking} command runs differ from their "
+          f"fresh-process runs")
+    return 1 if differing or leaking else 0
 
 
 if __name__ == "__main__":
