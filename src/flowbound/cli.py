@@ -461,7 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         field = parse_system(args.system.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _human(f"cannot read system file: {exc}")
         return EXIT_USAGE
     except SystemConfigError as exc:

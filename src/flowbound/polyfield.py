@@ -433,9 +433,10 @@ def _compile_step(system: Callable, tableau) -> Callable:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()/=]))"
+    r"|(?P<op>[-+*^()/=])|(?P<bad>\S))"
 )
 _MAX_DEGREE = 64
+_MAX_NESTING = 64  # parentheses open at once
 _MAX_PRODUCTS = 100_000  # monomial products formed by one multiplication
 
 
@@ -462,52 +463,44 @@ class _Token:
 
 
 def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    hash_pos = text.find("#")
-    if hash_pos >= 0:
-        text = text[:hash_pos]
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise SystemConfigError(f"unexpected character {stripped[0]!r}", lineno, col)
+    for m in _TOKEN_RE.finditer(text.partition("#")[0]):
         kind = m.lastgroup
+        if kind == "bad":
+            raise SystemConfigError(f"unexpected character {m.group(kind)!r}",
+                                    lineno, m.start(kind) + 1)
         tokens.append(_Token(kind, m.group(kind), lineno, m.start(kind) + 1))
-        pos = m.end()
     return tokens
 
 
-class _ExprParser:
-    """Recursive descent over one equation's token list.
+class _Line:
+    """Recursive descent over one line's tokens: a `param` line, or an
+    equation head `d<var>/dt =` whose right-hand side is read later, once
+    every variable and parameter is known.
 
-    Grammar: expr := ['+'|'-'] term (('+'|'-') term)*
+    Grammar: param := 'param' NAME '=' ['+'|'-'] NUMBER
+             head := NAME '/' 'dt' '='   (NAME is d<var>)
+             expr := ['+'|'-'] term (('+'|'-') term)*
              term := factor ('*' factor)*
              factor := base ['^' integer]
              base := NUMBER | NAME | '(' expr ')'
 
     A product or power is refused at its operator, before it is
     expanded, when its total degree would exceed 64 or one of its
-    multiplications would form more than 100,000 monomial products.
+    multiplications would form more than 100,000 monomial products; a
+    '(' is refused when it opens more than 64 levels of nesting.
     """
 
-    def __init__(self, tokens: list[_Token], lineno: int, n: int,
-                 var_index: Mapping[str, int], params: Mapping[str, float]):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.lineno = lineno
-        self.n = n
-        self.var_index = var_index
-        self.params = params
+        self.depth = 0  # parentheses open at the cursor
 
     def _peek(self) -> _Token:
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        col = self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
-        return _Token("end", "", self.lineno, col)
+        last = self.tokens[-1]
+        return _Token("end", "", last.line, last.column + len(last.text))
 
     def _next(self) -> _Token:
         tok = self._peek()
@@ -516,6 +509,24 @@ class _ExprParser:
 
     def _error(self, message: str, tok: _Token):
         raise SystemConfigError(message, tok.line, tok.column)
+
+    def _accept(self, kind: str, *texts: str) -> Optional[_Token]:
+        """The next token, consumed, if it is of `kind` and, when `texts`
+        are given, one of them; else None."""
+        tok = self._peek()
+        if tok.kind != kind or (texts and tok.text not in texts):
+            return None
+        self.pos += 1
+        return tok
+
+    def _expect(self, message: str, kind: str, *texts: str) -> _Token:
+        """Like `_accept`, but refuses any other token with `message`."""
+        return self._accept(kind, *texts) or self._error(message, self._peek())
+
+    def _end(self, after: str):
+        tok = self._peek()
+        if tok.kind != "end":
+            self._error(f"unexpected {tok.text!r} after {after}", tok)
 
     def _check_size(self, op: _Token, degree: int, products: int):
         """Refuse a product or power at `op` before it is expanded."""
@@ -526,65 +537,80 @@ class _ExprParser:
             self._error(f"expansion would form up to {products} monomial "
                         f"products (limit {_MAX_PRODUCTS})", op)
 
-    def parse(self) -> Polynomial:
+    def param(self, params: dict[str, float]):
+        """Read the rest of a `param` line into `params`."""
+        name = self._expect("expected parameter name in param line", "name")
+        self._expect("expected '=' in param line", "op", "=")
+        sign = self._accept("op", "+", "-")
+        tok = self._expect("expected numeric value in param line", "number")
+        self._end("param value")
+        if name.text in params:
+            self._error(f"duplicate param {name.text!r}", name)
+        value = -float(tok.text) if sign and sign.text == "-" else float(tok.text)
+        if not math.isfinite(value):
+            self._error("param value overflows double precision", tok)
+        params[name.text] = value
+
+    def head(self) -> str:
+        """Read an equation head `d<var>/dt =` and return <var>."""
+        head = self._next()
+        if head.kind != "name" or not head.text.startswith("d") or len(head.text) < 2:
+            self._error("expected 'param' or 'd<var>/dt = ...'", head)
+        for kind, text in (("op", "/"), ("name", "dt"), ("op", "=")):
+            if not self._accept(kind, text):
+                self._error("equation must start 'd<var>/dt ='", head)
+        if self._peek().kind == "end":
+            self._error("empty right-hand side", self._peek())
+        return head.text[1:]
+
+    def rhs(self, var_index: Mapping[str, int],
+            params: Mapping[str, float]) -> Polynomial:
+        """Read the right-hand side after the head as a polynomial in the
+        variables of `var_index`."""
+        self.var_index, self.params, self.n = var_index, params, len(var_index)
         poly = self.expr()
-        tok = self._peek()
-        if tok.kind != "end":
-            self._error(f"unexpected {tok.text!r} after expression", tok)
+        self._end("expression")
         return poly
 
     def expr(self) -> Polynomial:
-        tok = self._peek()
-        negate = False
-        if tok.kind == "op" and tok.text in "+-":
-            self._next()
-            negate = tok.text == "-"
+        sign = self._accept("op", "+", "-")
         poly = self.term()
-        if negate:
+        if sign and sign.text == "-":
             poly = -poly
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self._next()
-                rhs = self.term()
-                poly = poly - rhs if tok.text == "-" else poly + rhs
-            else:
-                return poly
+        while tok := self._accept("op", "+", "-"):
+            rhs = self.term()
+            poly = poly - rhs if tok.text == "-" else poly + rhs
+        return poly
 
     def term(self) -> Polynomial:
         poly = self.factor()
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text == "*":
-                self._next()
-                rhs = self.factor()
-                self._check_size(tok, poly.degree + rhs.degree,
-                                 len(poly.terms) * len(rhs.terms))
-                poly = poly * rhs
-            else:
-                return poly
+        while tok := self._accept("op", "*"):
+            rhs = self.factor()
+            self._check_size(tok, poly.degree + rhs.degree,
+                             len(poly.terms) * len(rhs.terms))
+            poly = poly * rhs
+        return poly
 
     def factor(self) -> Polynomial:
         poly = self.base()
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
-            self._next()
-            etok = self._next()
-            if etok.kind != "number" or not re.fullmatch(r"\d+", etok.text):
-                self._error("exponent must be a non-negative integer literal", etok)
-            e = int(etok.text)
-            if e > _MAX_DEGREE:
-                self._error(f"exponent too large (limit {_MAX_DEGREE})", etok)
-            self._check_size(tok, poly.degree * e,
-                             _power_products(poly, e, self.n))
-            poly = poly ** e
-        return poly
+        tok = self._accept("op", "^")
+        if tok is None:
+            return poly
+        etok = self._next()
+        if etok.kind != "number" or not re.fullmatch(r"\d+", etok.text):
+            self._error("exponent must be a non-negative integer literal", etok)
+        e = int(etok.text)
+        if e > _MAX_DEGREE:
+            self._error(f"exponent too large (limit {_MAX_DEGREE})", etok)
+        self._check_size(tok, poly.degree * e, _power_products(poly, e, self.n))
+        # a zeroth power is 1 in all n variables, even of a zero polynomial
+        return poly ** e if e else Polynomial.constant(1.0, self.n)
 
     def base(self) -> Polynomial:
         tok = self._next()
         if tok.kind == "number":
             value = float(tok.text)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 self._error("numeric literal overflows double precision", tok)
             return Polynomial.constant(value, self.n)
         if tok.kind == "name":
@@ -594,10 +620,12 @@ class _ExprParser:
                 return Polynomial.constant(self.params[tok.text], self.n)
             self._error(f"undefined variable or parameter {tok.text!r}", tok)
         if tok.kind == "op" and tok.text == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self._error(f"parentheses nested more than {_MAX_NESTING} deep", tok)
             poly = self.expr()
-            closing = self._next()
-            if closing.kind != "op" or closing.text != ")":
-                self._error("expected ')'", closing)
+            self._expect("expected ')'", "op", ")")
+            self.depth -= 1
             return poly
         if tok.kind == "end":
             self._error("unexpected end of expression", tok)
@@ -612,92 +640,33 @@ def parse_system(text: str) -> PolyField:
     component order; parameters are substituted numerically here.
     """
     params: dict[str, float] = {}
-    equations: list[tuple[str, list[_Token], int, _Token]] = []
+    equations: dict[str, _Line] = {}  # by variable, in equation order
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
         if not tokens:
             continue
-        head = tokens[0]
-        if head.kind == "name" and head.text == "param":
-            _parse_param_line(tokens, lineno, params)
-        else:
-            var, rhs_tokens = _split_equation(tokens, lineno)
-            if any(var == v for v, *_ in equations):
-                raise SystemConfigError(
-                    f"duplicate equation for {var!r}", lineno, head.column)
-            equations.append((var, rhs_tokens, lineno, head))
+        line = _Line(tokens)
+        if line._accept("name", "param"):
+            line.param(params)
+            continue
+        var = line.head()
+        if var in equations:
+            raise SystemConfigError(
+                f"duplicate equation for {var!r}", lineno, tokens[0].column)
+        equations[var] = line
 
     if not equations:
         raise SystemConfigError("no equations found", 1, 1)
 
-    names = [var for var, *_ in equations]
-    clash = set(names) & set(params)
+    clash = set(equations) & set(params)
     if clash:
         name = sorted(clash)[0]
         raise SystemConfigError(
             f"{name!r} is declared both as parameter and state variable", 1, 1)
-    var_index = {v: i for i, v in enumerate(names)}
-    n = len(names)
-
-    components = []
-    for var, rhs_tokens, lineno, _head in equations:
-        parser = _ExprParser(rhs_tokens, lineno, n, var_index, params)
-        components.append(parser.parse())
-
-    return PolyField(components, names, params)
-
-
-def _parse_param_line(tokens: list[_Token], lineno: int, params: dict[str, float]):
-    def expect(i: int, kind: str, text: Optional[str] = None, what: str = "") -> _Token:
-        if i >= len(tokens):
-            last = tokens[-1]
-            raise SystemConfigError(
-                f"expected {what} in param line", lineno, last.column + len(last.text))
-        tok = tokens[i]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise SystemConfigError(f"expected {what} in param line", tok.line, tok.column)
-        return tok
-
-    name_tok = expect(1, "name", what="parameter name")
-    expect(2, "op", "=", what="'='")
-    idx = 3
-    sign = 1.0
-    if idx < len(tokens) and tokens[idx].kind == "op" and tokens[idx].text in "+-":
-        sign = -1.0 if tokens[idx].text == "-" else 1.0
-        idx += 1
-    value_tok = expect(idx, "number", what="numeric value")
-    if idx + 1 < len(tokens):
-        extra = tokens[idx + 1]
-        raise SystemConfigError(
-            f"unexpected {extra.text!r} after param value", extra.line, extra.column)
-    if name_tok.text in params:
-        raise SystemConfigError(
-            f"duplicate param {name_tok.text!r}", lineno, name_tok.column)
-    value = sign * float(value_tok.text)
-    if not np.isfinite(value):
-        raise SystemConfigError(
-            "param value overflows double precision", value_tok.line, value_tok.column)
-    params[name_tok.text] = value
-
-
-def _split_equation(tokens: list[_Token], lineno: int) -> tuple[str, list[_Token]]:
-    head = tokens[0]
-    if head.kind != "name" or not head.text.startswith("d") or len(head.text) < 2:
-        raise SystemConfigError(
-            "expected 'param' or 'd<var>/dt = ...'", head.line, head.column)
-    fail = SystemConfigError("equation must start 'd<var>/dt ='", head.line, head.column)
-    if len(tokens) < 4:
-        raise fail
-    slash, dt, eq = tokens[1], tokens[2], tokens[3]
-    if not (slash.kind == "op" and slash.text == "/"
-            and dt.kind == "name" and dt.text == "dt"
-            and eq.kind == "op" and eq.text == "="):
-        raise fail
-    if len(tokens) == 4:
-        raise SystemConfigError(
-            "empty right-hand side", lineno, eq.column + 1)
-    return head.text[1:], tokens[4:]
+    var_index = {v: i for i, v in enumerate(equations)}
+    components = [line.rhs(var_index, params) for line in equations.values()]
+    return PolyField(components, tuple(equations), params)
 
 
 def certify_lower_bound(poly: Polynomial) -> Optional[float]:

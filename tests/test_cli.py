@@ -153,12 +153,20 @@ class TestUsageErrors:
                      "--x0", "1,0,0", "--t1", "1", "--out", str(tmp_path)])
         assert code == 1
 
-    def test_unparseable_system_file(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"dx/dt = x +\n",
+        b"dx/dt = x \xff\n",  # not UTF-8
+        b"dx/dt = " + b"(" * 300 + b"x" + b")" * 300 + b"\n",
+    ], ids=["syntax", "not-utf8", "deep-nesting"])
+    def test_unparseable_system_file(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.sys"
-        bad.write_text("dx/dt = x +\n")
+        bad.write_bytes(content)
         code = main(["simulate", "--system", str(bad), "--x0", "1",
                      "--t1", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
         assert code == 1
+        assert err.startswith("cannot")
+        assert "Traceback" not in err
 
     def test_wrong_x0_arity(self, tmp_path):
         code = main(["simulate", "--system", EQUILIBRIUM, "--x0", "1,2",

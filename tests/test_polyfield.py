@@ -26,6 +26,25 @@ def coeffs(p):
     return {m.exponents: m.coefficient for m in p.terms}
 
 
+# each row: text, line, column, message; the id keeps (text, line, column)
+MALFORMED_LINES = [
+    ("param", 1, 6, "expected parameter name in param line"),
+    ("param a", 1, 8, "expected '=' in param line"),
+    ("param a =", 1, 10, "expected numeric value in param line"),
+    ("param a = x", 1, 11, "expected numeric value in param line"),
+    ("param a = 1 2", 1, 13, "unexpected '2' after param value"),
+    ("param a = 1\nparam a = 2", 2, 7, "duplicate param 'a'"),
+    ("param a = 1e999", 1, 11, "param value overflows double precision"),
+    ("param 3 = 1", 1, 7, "expected parameter name in param line"),
+    ("dx/dt =", 1, 8, "empty right-hand side"),
+    ("dx/dt", 1, 1, "equation must start 'd<var>/dt ='"),
+    ("d/dt = 1", 1, 1, "expected 'param' or 'd<var>/dt = ...'"),
+    ("dx/dx = 1", 1, 1, "equation must start 'd<var>/dt ='"),
+    ("dx/dt = " + "(" * 65 + "x" + ")" * 65, 1, 73,
+     "parentheses nested more than 64 deep"),
+]
+
+
 class TestParsing:
     def test_parameter_substitution(self):
         field = parse_system(
@@ -91,24 +110,25 @@ class TestParsing:
         with pytest.raises(SystemConfigError):
             parse_system("dx/dt = x^-1")
 
-    @pytest.mark.parametrize("text, line, column", [
-        ("param", 1, 6),
-        ("param a", 1, 8),
-        ("param a =", 1, 10),
-        ("param a = x", 1, 11),
-        ("param a = 1 2", 1, 13),
-        ("param a = 1\nparam a = 2", 2, 7),
-        ("param a = 1e999", 1, 11),
-        ("param 3 = 1", 1, 7),
-        ("dx/dt =", 1, 8),
-        ("dx/dt", 1, 1),
-        ("d/dt = 1", 1, 1),
-        ("dx/dx = 1", 1, 1),
-    ])
-    def test_malformed_line_reports_position(self, text, line, column):
+    @pytest.mark.parametrize("text, line, column, message", MALFORMED_LINES,
+                             ids=[f"{t}-{l}-{c}" for t, l, c, _ in MALFORMED_LINES])
+    def test_malformed_line_reports_position(self, text, line, column, message):
         with pytest.raises(SystemConfigError) as exc_info:
             parse_system(text)
         assert (exc_info.value.line, exc_info.value.column) == (line, column)
+        assert str(exc_info.value) == f"line {line}, column {column}: {message}"
+
+    def test_nesting_up_to_the_limit_parses(self):
+        field = parse_system("dx/dt = " + "(" * 64 + "x" + ")" * 64)
+        assert coeffs(poly(field)) == {(1,): 1.0}
+
+    @pytest.mark.parametrize("rhs, expected", [
+        ("0^0 + x", {(0, 0): 1.0, (1, 0): 1.0}),
+        ("(x-x)^0", {(0, 0): 1.0}),
+    ])
+    def test_zeroth_power_is_one(self, rhs, expected):
+        field = parse_system(f"dx/dt = {rhs}\ndy/dt = 0")
+        assert coeffs(poly(field)) == expected
 
     @pytest.mark.parametrize("rhs, op, message", [
         ("(x^40)^2", "^", "total degree 80"),

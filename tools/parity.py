@@ -5,16 +5,18 @@
 Each command of the matrix runs once per checkout, each in a fresh Python
 process with that checkout's `src/` on `PYTHONPATH`, in an empty working
 directory, writing its artifacts to `out/` there. Every artifact, stdout,
-stderr and the exit code are compared; each checkout's own path (which
-`--system` carries into every JSON artifact) is first replaced by the
-placeholder `<CHECKOUT>`.
+stderr and the exit code are compared; the path of this `tools/`
+directory and each checkout's own path (which `--system` carries into
+every JSON artifact) are first replaced by the placeholders `<TOOLS>` and
+`<CHECKOUT>`.
 
 Then each checkout runs the whole matrix again in one interpreter,
 calling `flowbound.cli.main` row after row, each row in an empty working
-directory of its own with stdout and stderr captured and `SystemExit`
-taken as the exit code. Every row must give what its fresh process gave,
-so no state (a reused parser, shared generated code) leaks from one
-command into the next.
+directory of its own with stdout and stderr captured, `SystemExit`
+taken as the exit code and any other exception as exit 1 with its
+traceback. Every row must give what its fresh process gave, a traceback
+compared by its last line, so no state (a reused parser, shared
+generated code) leaks from one command into the next.
 
 Prints one line per differing command and exits 1 if any command differs
 in either pass, else 0. Runs two processes at a time.
@@ -28,6 +30,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
@@ -35,6 +38,8 @@ from pathlib import Path
 
 PLACEHOLDER = b"<CHECKOUT>"
 TOOLS = Path(__file__).resolve().parent
+TOOLS_PLACEHOLDER = b"<TOOLS>"
+TRACEBACK = b"Traceback (most recent call last):\n"
 WORKERS = 2
 
 LORENZ_Z27 = "0,0,27/0,0,1/negative"
@@ -48,7 +53,9 @@ STARTS = {
 
 
 def _matrix() -> list[tuple[str, ...]]:
-    """(command, system, arguments...) rows; the system is a shipped name."""
+    """(command, system, arguments...) rows; the system is a shipped name,
+    or a `.sys` file under this `tools/` directory, which both checkouts
+    read from the same path."""
     rows = []
     for system, starts in STARTS.items():
         x0 = starts[0]
@@ -117,12 +124,19 @@ def _matrix() -> list[tuple[str, ...]]:
         ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
          "--iterates", "5", "--max-time=inf"),
     ]
+    # the system-file reader's error paths, a zeroth power of zero and a
+    # file that is not UTF-8
+    rows += [("simulate", f"parity-systems/{name}.sys", "--x0", "1,0,0",
+              "--t1", "1", "--stdout")
+             for name in ("param-error", "head-error", "expr-error",
+                          "zero-power", "not-utf8")]
     return rows
 
 
 def _argv(checkout: Path, row: tuple[str, ...]) -> list[str]:
     command, system, *rest = row
-    sys_file = checkout / "src" / "flowbound" / "systems" / f"{system}.sys"
+    sys_file = (TOOLS / system if system.endswith(".sys") else
+                checkout / "src" / "flowbound" / "systems" / f"{system}.sys")
     return [command, "--system", str(sys_file), *rest, "--out", "out"]
 
 
@@ -133,14 +147,14 @@ def _env(checkout: Path) -> dict:
 
 def _outcome(checkout: Path, work: str, code: int, stdout: bytes,
              stderr: bytes) -> dict:
-    """What one row run in `work` produced, with the checkout path
-    replaced by the placeholder."""
+    """What one row run in `work` produced, with the tools and checkout
+    paths replaced by their placeholders."""
     out = Path(work) / "out"
     artifacts = sorted(out.iterdir()) if out.is_dir() else []
-    path = str(checkout).encode()
+    tools, path = str(TOOLS).encode(), str(checkout).encode()
 
     def norm(data: bytes) -> bytes:
-        return data.replace(path, PLACEHOLDER)
+        return data.replace(tools, TOOLS_PLACEHOLDER).replace(path, PLACEHOLDER)
 
     return {"exit": code, "stdout": norm(stdout), "stderr": norm(stderr),
             **{f"file {p.name}": norm(p.read_bytes()) for p in artifacts}}
@@ -172,6 +186,9 @@ def _run_here(checkout: str, results: str) -> None:
                     code = cli_main(_argv(checkout, row))
             except SystemExit as exc:
                 code = exc.code or 0
+            except Exception:  # as a fresh process would: traceback, exit 1
+                traceback.print_exc(file=err)
+                code = 1
             finally:
                 os.chdir(home)
             outcomes.append(_outcome(checkout, work, code, out.getvalue().encode(),
@@ -188,6 +205,14 @@ def _run_in_one_process(checkout: Path) -> list[dict]:
         subprocess.run([sys.executable, "-c", code], cwd=work,
                        env=_env(checkout), check=True)
         return pickle.loads(results.read_bytes())
+
+
+def _exception_only(outcome: dict) -> dict:
+    """`outcome` with a traceback in its stderr cut to its last line, the
+    exception; the frames above it differ between a fresh process and
+    `_run_here`."""
+    head, _, rest = outcome["stderr"].partition(TRACEBACK)
+    return {**outcome, "stderr": head + b"".join(rest.splitlines(True)[-1:])}
 
 
 def _differing(rows, before, after, label: str) -> int:
@@ -216,7 +241,9 @@ def main(argv: list[str]) -> int:
     codes = Counter(r["exit"] for r in before)
     print(f"{differing} of {len(rows)} commands differ; parent exit codes: "
           + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
-    leaking = sum(_differing(rows, fresh, one, f" in one process ({name})")
+    leaking = sum(_differing(rows, map(_exception_only, fresh),
+                             map(_exception_only, one),
+                             f" in one process ({name})")
                   for name, fresh, one in (("parent", before, in_one[0]),
                                            ("change", after, in_one[1])))
     print(f"in one process: {leaking} command runs differ from their "
