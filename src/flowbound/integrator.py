@@ -20,7 +20,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, TextIO
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -159,34 +159,9 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
 
-    @property
-    def is_backward(self) -> bool:
-        return len(self.times) > 1 and self.times[-1] < self.times[0]
-
-    def interpolate(self, t: float) -> np.ndarray:
-        """Cubic Hermite dense output at time t inside the covered span."""
-        ts = self.times
-        if len(ts) < 2:
-            if abs(t - self.t0) <= 1e-12:
-                return self.states[0].copy()
-            raise ValueError(f"single-sample trajectory covers only t={self.t0}")
-        sign = -1.0 if self.is_backward else 1.0
-        s = sign * ts
-        st = sign * t
-        if st < s[0] - 1e-12 or st > s[-1] + 1e-12:
-            raise ValueError(f"t={t} outside trajectory span [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(s, st, side="right")) - 1
-        i = max(0, min(i, len(ts) - 2))
-        return _hermite(ts[i], self.states[i], self.derivs[i],
-                        ts[i + 1], self.states[i + 1], self.derivs[i + 1], t)
-
     def csv_blocks(self) -> Iterator[str]:
         """CSV text in blocks: header t,<var1>,...,<varn>; 17 digits."""
         return _csv_blocks(("t", *self.variable_names), self.times, self.states)
-
-    def write_csv(self, fh: TextIO) -> None:
-        """Write `csv_blocks()` to the text file fh."""
-        fh.writelines(self.csv_blocks())
 
 
 def _csv_blocks(names, *columns) -> Iterator[str]:

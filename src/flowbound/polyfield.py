@@ -69,6 +69,7 @@ class Polynomial:
     terms: tuple[Monomial, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         keys = [m.exponents for m in self.terms]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate exponent tuples; use Polynomial.from_terms")
@@ -130,6 +131,9 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0 or int(exponent) != exponent:
             raise ValueError("polynomial exponent must be a non-negative integer")
+        if not (exponent or self.terms):
+            raise ValueError("a zero polynomial does not know its variable count; "
+                             "write its zeroth power as Polynomial.constant(1.0, n)")
         n = len(self.terms[0].exponents) if self.terms else 0
         result = self if exponent else Polynomial.constant(1.0, n)
         for _ in range(int(exponent) - 1):
@@ -173,12 +177,12 @@ class PolyField:
     """An n-component polynomial vector field f: R^n -> R^n.
 
     Immutable after construction; evaluation, Jacobian and step callables are
-    compiled lazily and cached, so sharing one instance across threads
-    or repeated integrations is cheap. Generated functions are shared
-    process-wide, keyed by their exact source text: two fields with
-    identical generated code (say, parsed from the same text) get the
-    same function objects and exec it once. That module-level dict grows
-    by one entry per distinct generated function in a process.
+    generated lazily and cached, so sharing one instance across threads
+    or repeated integrations is cheap. Generated code reads only the
+    components, so fields with equal components (say, parsed from the
+    same text) share one entry of the module-level `_GENERATED` and its
+    function objects, generated and exec'd once. That dict grows by one
+    entry per distinct component tuple that generated code in a process.
     """
 
     def __init__(
@@ -205,7 +209,7 @@ class PolyField:
                 if len(m.exponents) != self.dimension:
                     raise ValueError("monomial exponent tuple has wrong length")
         self._jac_polys: Optional[tuple] = None
-        self._generated: dict = {}  # compiled callables by name or (system, tableau)
+        self._generated: Optional[dict] = None  # its `_GENERATED` entry, once bound
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyField):
@@ -280,6 +284,8 @@ class PolyField:
 
     def _compiled(self, key):
         """The cached callable for a `_system` name, or for (name, tableau)."""
+        if self._generated is None:
+            self._generated = _GENERATED.setdefault(self.components, {})
         if key not in self._generated:
             self._generated[key] = (
                 _compile_step(lambda v: self._system(key[0], v), key[1])
@@ -328,13 +334,16 @@ def _monomial_expr(m: Monomial, v: str, *factors: str) -> str:
     parts = [f"{v}{i}**{e}" if e > 1 else f"{v}{i}"
              for i, e in enumerate(m.exponents) if e]
     parts += factors
-    return _scaled(m.coefficient, "*".join(parts)) if parts else repr(m.coefficient)
+    if not parts:
+        return repr(float(m.coefficient))
+    return _scaled(m.coefficient, "*".join(parts))
 
 
 def _scaled(c: float, expr: str) -> str:
     """c*expr for a product or power `expr`, without identity arithmetic:
-    1.0*x is x and -1.0*x is -x in floating point, bit for bit."""
-    return expr if c == 1.0 else f"-{expr}" if c == -1.0 else f"{c!r}*{expr}"
+    1.0*x is x and -1.0*x is -x in floating point, bit for bit. `c` is
+    written as a float, so equal coefficients give equal code."""
+    return expr if c == 1.0 else f"-{expr}" if c == -1.0 else f"{float(c)!r}*{expr}"
 
 
 def _poly_expr(p: Polynomial, v: str) -> str:
@@ -347,18 +356,17 @@ def _names(v: str, size: int) -> str:
     return ", ".join(f"{v}{i}" for i in range(size)) + ","
 
 
-_DEFINED: dict[str, Callable] = {}  # generated source text -> its function
+# a field's components -> its generated functions by `_system` name or
+# (name, tableau); equal components generate equal code, so they share
+_GENERATED: dict[tuple, dict] = {}
 
 
 def _define(source: str, name: str) -> Callable:
     """The function `name` that the generated `source` defines; the one
-    exec site. Equal source text gives the same function object, so
-    fields whose generated code is identical share it."""
-    if source not in _DEFINED:
-        ns = {"_sqrt": math.sqrt, "_inf": math.inf}
-        exec(source, ns)
-        _DEFINED[source] = ns[name]
-    return _DEFINED[source]
+    exec site."""
+    ns = {"_sqrt": math.sqrt, "_inf": math.inf}
+    exec(source, ns)
+    return ns[name]
 
 
 def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
@@ -431,7 +439,8 @@ def _compile_step(system: Callable, tableau) -> Callable:
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<number>[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
+    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()/=])|(?P<bad>\S))"
 )

@@ -497,11 +497,13 @@ class TestRepeatedCalls:
     def test_repeated_command_generates_no_code(self, tmp_path, monkeypatch):
         argv = [*self.BOUNDS, "--out", str(tmp_path)]
         assert main(argv) == 0
-        defined, execs = len(polyfield._DEFINED), []
-        monkeypatch.setattr(polyfield, "exec", lambda src, ns: (
-            execs.append(src), exec(src, ns)), raising=False)
+        entries, calls = len(polyfield._GENERATED), []
+        for name, real in (("_compile", polyfield._compile),
+                           ("_compile_step", polyfield._compile_step), ("exec", exec)):
+            monkeypatch.setattr(polyfield, name, lambda *a, name=name, real=real: (
+                calls.append(name), real(*a))[1], raising=False)
         assert main(argv) == 0
-        assert len(polyfield._DEFINED) == defined and not execs
+        assert len(polyfield._GENERATED) == entries and not calls
         assert cli.build_parser() is cli.build_parser()
 
     def test_no_stdout_after_stdout(self, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import tracemalloc
 import warnings
@@ -87,7 +86,6 @@ class TestBackward:
         assert traj.t0 == 0.0
         assert traj.times[0] == 0.0
         assert np.all(np.diff(traj.times) < 0)
-        assert traj.is_backward
 
     def test_backward_full_period(self):
         opts = IntegrationOptions(tol=1e-10)
@@ -132,26 +130,27 @@ class TestLocalErrorControl:
 
 
 class TestDenseOutput:
+    """`integrator._hermite`, the interpolant that section crossings are
+    refined on, at the midpoint of every recorded step of the harmonic
+    oscillator, against its closed form (cos t, -sin t)."""
+
+    @staticmethod
+    def _largest_midpoint_error(t1):
+        traj = integrate(HARMONIC, [1.0, 0.0], 0.0, t1, IntegrationOptions(tol=1e-10))
+        ts, ys, fs = traj.times, traj.states, traj.derivs
+        errors = []
+        for i in range(len(ts) - 1):
+            t = 0.5 * (ts[i] + ts[i + 1])
+            x = integrator._hermite(ts[i], ys[i], fs[i], ts[i + 1], ys[i + 1],
+                                    fs[i + 1], t)
+            errors.append(np.max(np.abs(x - [math.cos(t), -math.sin(t)])))
+        return max(errors)
+
     def test_interpolation_matches_closed_form(self):
-        opts = IntegrationOptions(tol=1e-10)
-        traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 6.0, opts)
-        for t in np.linspace(0.05, 5.95, 37):
-            exact = np.array([math.cos(t), -math.sin(t)])
-            assert np.max(np.abs(traj.interpolate(t) - exact)) < 1e-8
+        assert self._largest_midpoint_error(6.0) < 1e-8
 
     def test_interpolation_backward(self):
-        opts = IntegrationOptions(tol=1e-10)
-        traj = integrate(HARMONIC, [1.0, 0.0], 0.0, -6.0, opts)
-        for t in (-0.5, -3.3, -5.9):
-            exact = np.array([math.cos(t), -math.sin(t)])
-            assert np.max(np.abs(traj.interpolate(t) - exact)) < 1e-8
-
-    def test_outside_span_rejected(self):
-        traj = integrate(DECAY, [1.0], 0.0, 1.0, IntegrationOptions())
-        with pytest.raises(ValueError):
-            traj.interpolate(1.5)
-        with pytest.raises(ValueError):
-            traj.interpolate(-0.1)
+        assert self._largest_midpoint_error(-6.0) < 1e-8
 
 
 class TestTangentFlow:
@@ -500,10 +499,8 @@ class TestCsvWriter:
         opts = IntegrationOptions(method="rk4-fixed", step=0.001)
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 5.0, opts)
         assert len(traj) > _BLOCK
-        buf = io.StringIO()
-        traj.write_csv(buf)
         table = np.column_stack([traj.times, traj.states])
-        assert buf.getvalue() == _per_value_csv(("t", "x", "y"), table)
+        assert "".join(traj.csv_blocks()) == _per_value_csv(("t", "x", "y"), table)
 
 
 class TestRk4Span:
@@ -604,9 +601,7 @@ class TestTrajectoryContainer:
 
     def test_csv_format(self):
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, 1.0, IntegrationOptions())
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = "".join(traj.csv_blocks()).strip().splitlines()
         assert lines[0] == "t,x,y"
         assert len(lines) == len(traj) + 1
         first = lines[1].split(",")

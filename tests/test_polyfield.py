@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flowbound
 from flowbound import integrator, polyfield
@@ -42,7 +43,27 @@ MALFORMED_LINES = [
     ("dx/dx = 1", 1, 1, "equation must start 'd<var>/dt ='"),
     ("dx/dt = " + "(" * 65 + "x" + ")" * 65, 1, 73,
      "parentheses nested more than 64 deep"),
+    ("dx/dt = \u0663*x", 1, 9, "unexpected character '\u0663'"),  # Arabic-Indic 3
 ]
+
+
+_LOWER = "abcdefghijklmnopqrstuvwxyz"
+_NAMES = st.lists(st.builds(str.__add__, st.sampled_from(_LOWER),
+                            st.text(_LOWER + "0123456789_", max_size=3)),
+                  min_size=1, max_size=3, unique=True)
+# up to 5 terms in n variables, exponents 0-3, coefficients small enough
+# that merging like terms stays finite
+_TERMS = {n: st.lists(st.builds(Monomial, st.floats(-1e150, 1e150).filter(bool),
+                                st.tuples(*[st.integers(0, 3)] * n)), max_size=5)
+          for n in (1, 2, 3)}
+
+
+@st.composite
+def small_fields(draw):
+    """Fields of 1-3 variables named like `[a-z][a-z0-9_]{0,3}`."""
+    names = draw(_NAMES)
+    return PolyField([Polynomial.from_terms(draw(_TERMS[len(names)]))
+                      for _ in names], names)
 
 
 class TestParsing:
@@ -153,6 +174,11 @@ class TestParsing:
         for field in (lorenz, stuart_landau, closed_orbit, equilibrium):
             assert parse_system(str(field)) == field
 
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(small_fields())
+    def test_random_fields_round_trip_through_formatting(self, field):
+        assert parse_system(str(field)) == field
+
 
 class TestEvaluation:
     def test_single_polynomial(self):
@@ -243,10 +269,11 @@ def _size(field, system):
 
 def _capture_sources(monkeypatch):
     """A list that collects the source of every function generated from
-    now on, taken at `_define` before its cache lookup, so code that an
-    earlier field already defined is collected too."""
+    now on, taken at `_define`. The test gets an empty `_GENERATED`, so
+    fields whose code an earlier test generated generate it again."""
     sources = []
     define = polyfield._define
+    monkeypatch.setattr(polyfield, "_GENERATED", {})
     monkeypatch.setattr(polyfield, "_define", lambda src, name: (
         sources.append(src), define(src, name))[1])
     return sources
@@ -321,7 +348,7 @@ class TestGeneratedEvaluator:
 
 
 class TestSharedCode:
-    """Generated functions are shared across fields by their source text."""
+    """Generated functions are shared across fields with equal components."""
 
     LORENZ = flowbound.system_path("lorenz").read_text()
 
@@ -346,6 +373,26 @@ class TestSharedCode:
         steps = [field.compiled_step("rhs", integrator._DP54)(state, f, 0.01, 1e-10)
                  for field in (a, b)]
         assert steps[0][0] != steps[1][0]
+
+    def test_field_built_from_components_shares_functions(self):
+        # names and parameters do not enter the generated code
+        a = parse_system(self.LORENZ)
+        b = PolyField(a.components, ("u", "v", "w"))
+        assert all(f is g for f, g in zip(self._functions(a), self._functions(b)))
+
+    def test_list_built_polynomial_compiles(self):
+        field = PolyField([Polynomial([Monomial(-1.0, (1,))])])
+        assert field.compiled_slope("rhs")((2.0,)) == (-2.0,)
+
+    def test_equal_coefficients_of_other_types_share_float_code(self):
+        exact = PolyField([Polynomial((Monomial(Fraction(1, 2), (1, 0)),)),
+                           Polynomial((Monomial(3, (0, 0)),))])
+        field = parse_system("dx/dt = 0.5*x\ndy/dt = 3")
+        assert exact == field
+        slope = exact.compiled_slope("rhs")
+        assert field.compiled_slope("rhs") is slope
+        values = slope((2.0, 0.0))
+        assert values == (1.0, 3.0) and all(type(v) is float for v in values)
 
 
 class TestJacobian:
@@ -497,6 +544,12 @@ class TestCanonicalForm:
         assert (g2.differentiate(0) - four * x * g).is_zero
         assert coeffs(g ** 0) == {(0, 0): 1.0}
         assert isinstance(coeffs(g ** 0)[(0, 0)], float)
+
+    def test_zeroth_power_of_zero_polynomial_is_refused(self):
+        # no term tells how many variables its constant 1 has
+        with pytest.raises(ValueError, match=r"Polynomial\.constant\(1\.0, n\)"):
+            Polynomial.zero() ** 0
+        assert Polynomial.variable(0, 2) ** 0 == Polynomial.constant(1.0, 2)
 
 
 class TestShippedSystems:
