@@ -1,23 +1,23 @@
 """Bidirectional numerical integration of polynomial vector fields.
 
 Two steppers: classical fixed-step RK4 and adaptive Dormand-Prince 5(4)
-(the default), both one loop on Python floats over the step that
-`PolyField.compiled_step` generates from their tableaus; the first slope
-and the initial step come from the field's one float evaluator,
-`PolyField.compiled_slope`. The loop yields accepted points from the
-start on and is the one place that converts a run's start to floats and
-refuses a start state or start time that is not finite. Backward runs
-step with negative time increments. Cubic Hermite interpolation between
-accepted steps gives dense output for event location and mid-sample
-checks. A state-norm cap turns finite-time escape into an error carrying
-the partial trajectory.
+(the default). Each run is one call of a stepping loop that
+`polyfield` generates for the field's system and the stepper's tableau,
+around the same straight-line step text as `PolyField.compiled_step`:
+step-size control, the non-finite retry, the step budget, the blow-up
+cap, the exact landing on t1, recording and a section's bracket test
+all run there, on local floats. Python keeps the run start (`_Run`: the
+start converted to floats and checked, the first slope from
+`PolyField.compiled_slope` and the initial step) and turns the loop's
+exit codes into errors. Backward runs step with negative time
+increments. A state-norm cap turns finite-time escape into an error
+carrying the partial trajectory.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -52,14 +52,11 @@ _DP_A = (
 )
 # difference between 5th- and 4th-order weights, for the error estimate
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# (stage rows, solution weights, their divisor, error weights) for
-# PolyField.compiled_step; DP5(4)'s last row is its 5th-order solution
+# (stage rows, solution weights, their divisor, error weights) for the
+# generated step and loop; DP5(4)'s last row is its 5th-order solution
 _DP54 = (_DP_A[1:6], _DP_A[6], 1.0, _DP_E)
 _RK4 = (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0, None)
 
-_MIN_STEP_FACTOR = 0.2
-_MAX_STEP_FACTOR = 5.0
-_SAFETY = 0.9
 _MAX_STEPS = 10_000_000  # step budget of one integration
 _CSV_BLOCK = 4096  # rows that `_csv_blocks` formats at once
 
@@ -208,7 +205,7 @@ def _initial_step(slope, y0, f0, direction, tol):
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    if not h0 > 0:  # d1 overflowed; the stream's underflow check rejects 0
+    if not h0 > 0:  # d1 overflowed; the loop's underflow check rejects 0
         return 0.0
     f1 = slope([a + h0 * direction * b for a, b in zip(y0, f0)])
     d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
@@ -219,81 +216,76 @@ def _initial_step(slope, y0, f0, direction, tol):
     return min(100 * h0, h1)
 
 
-def _step_stream(field: PolyField, system: str, y0, t0, t1,
-                 opts) -> Iterator[tuple]:
-    """Accepted points (t, y, f) of the field's generated `system` step,
-    the start (t0, y0) first, with y and its slope f as float tuples:
-    ceil(|t1 - t0| / step) equal RK4 steps, or DP5(4) steps with error
-    norm at most 1, retried at a fifth of h after a non-finite stage.
-    A start state or t0 that is not finite, or an RK4 span that is not,
-    raises ValueError."""
-    y, t0 = tuple([float(a) for a in y0]), float(t0)  # not map(): swells the free list
-    if not (all(map(math.isfinite, y)) and math.isfinite(t0)):
-        raise ValueError("start state and t0 must be finite")
-    slope = field.compiled_slope(system)
-    f = slope(y)
-    yield t0, y, f
-    adaptive = opts.method == RK45_ADAPTIVE
-    direction = 1.0 if t1 > t0 else -1.0
-    if adaptive:
-        if not all(map(math.isfinite, f)):
-            raise BlowUpError(f"non-finite field value at t={t0:.6g}",
-                              t0, np.array(y))
-        h = min(_initial_step(slope, y, f, direction, opts.tol), abs(t1 - t0))
-    else:
-        span = abs(t1 - t0)
-        if not math.isfinite(span):
-            raise ValueError(f"{RK4_FIXED} needs a finite time span")
-        if span / opts.step > _MAX_STEPS:
-            raise MaxStepsError(f"{span / opts.step:.3g} fixed steps needed, "
-                                f"step budget {_MAX_STEPS}", t0, np.array(y))
-        n_steps = max(1, math.ceil(span / opts.step))
-        h = span / n_steps
-    step = field.compiled_step(system, _DP54 if adaptive else _RK4)
-    # a squared norm of all of z below this is finite, with z[:n] under the cap
-    cap, n = opts.blow_up_norm, field.dimension
-    limit = cap * cap * (1.0 - 1e-9)
-    t, steps = t0, 0
-    while (direction * (t1 - t) > 0) if adaptive else steps < n_steps:
+class _Run:
+    """One run of the field's generated `system` loop from (t0, y0) to t1.
+
+    Construction is the run start: it converts the start to floats,
+    refuses a start state or t0 that is not finite (ValueError), takes
+    the first slope, passes the start to `rec` and sizes the first step:
+    DP5(4)'s automatic initial step, refusing a start slope that is not
+    finite, or ceil(|t1 - t0| / step) equal RK4 steps, refusing a span
+    that is not finite (ValueError) or exceeds the step budget.
+    """
+
+    def __init__(self, field: PolyField, system: str, y0, t0, t1, opts,
+                 rec=None, plane=None):
+        y, t0 = tuple([float(a) for a in y0]), float(t0)  # not map(): swells the free list
+        if not (all(map(math.isfinite, y)) and math.isfinite(t0)):
+            raise ValueError("start state and t0 must be finite")
+        slope = field.compiled_slope(system)
+        f = slope(y)
+        if rec is not None:
+            for put, value in zip(rec, (t0, y, f)):
+                put(value)
+        adaptive = opts.method == RK45_ADAPTIVE
+        direction = 1.0 if t1 > t0 else -1.0
         if adaptive:
-            if steps >= _MAX_STEPS:
-                raise MaxStepsError(
-                    f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}",
-                    t, np.array(y))
-            remaining = abs(t1 - t)
-            h = min(h, remaining)
-            final_step = h == remaining
-            if h <= 16 * sys.float_info.epsilon * max(abs(t), 1.0):
-                raise StepSizeError(
-                    f"step size underflow (h={h:.3e}) at t={t:.6g}", t, np.array(y))
+            if not all(map(math.isfinite, f)):
+                raise BlowUpError(f"non-finite field value at t={t0:.6g}",
+                                  t0, np.array(y))
+            h = min(_initial_step(slope, y, f, direction, opts.tol), abs(t1 - t0))
+            budget = _MAX_STEPS
         else:
-            final_step = steps == n_steps - 1
-        hs = direction * h
-        steps += 1
-        # land on t1 exactly instead of leaving a 1-ulp sliver behind
-        t_new = t1 if final_step else t + hs if adaptive else t0 + steps * hs
-        try:
-            z, g, err, ss = step(y, f, hs, opts.tol)
-        except OverflowError:  # a stage before z overflowed: z is not finite
-            z, g, err, ss = (math.nan,) * len(y), None, 0.0, math.nan
-        if not ss < limit and not all(map(math.isfinite, z)):
-            if not adaptive:
-                raise BlowUpError(f"non-finite state at t={t_new:.6g}",
-                                  t_new, np.array(z))
-            h *= _MIN_STEP_FACTOR
-            continue
-        if not err <= 1.0:
-            h *= max(_MIN_STEP_FACTOR, _SAFETY * err ** -0.2)
-            continue
-        if not ss < limit and (norm := float(np.linalg.norm(z[:n]))) > cap:
-            raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
-                              f"{cap:.3e} at t={t_new:.6g}", t_new, np.array(z))
-        t, y, f = t_new, z, g
-        yield t, y, f
-        if adaptive:
-            factor = _MAX_STEP_FACTOR if err == 0.0 else min(
-                _MAX_STEP_FACTOR, _SAFETY * err ** -0.2)
-            h *= max(_MIN_STEP_FACTOR, factor)
+            span = abs(t1 - t0)
+            if not math.isfinite(span):
+                raise ValueError(f"{RK4_FIXED} needs a finite time span")
+            if span / opts.step > _MAX_STEPS:
+                raise MaxStepsError(f"{span / opts.step:.3g} fixed steps needed, "
+                                    f"step budget {_MAX_STEPS}", t0, np.array(y))
+            budget = max(1, math.ceil(span / opts.step))
+            h = span / budget
+        self._loop = field._compiled_loop(system, _DP54 if adaptive else _RK4)
+        self._run = (t0, t1, direction, opts.tol, opts.blow_up_norm, budget,
+                     rec, plane)
+        self._n, self._cap = field.dimension, opts.blow_up_norm
+        self.point = (t0, y, f, h, 0)  # t, y, its slope, next h, steps taken
+        self.step = None
+
+    def advance(self) -> bool:
+        """Run the loop on, to t1 (False, `point` is the end) or to the
+        next accepted step that the plane test keeps (True, `step` is its
+        (ta, ya, fa, tb, yb, fb)); the loop's failures raise their
+        IntegrationError."""
+        code, *point, before = self._loop(*self.point, *self._run)
+        self.point = tuple(point)
+        t, y, f, h, _steps = point
+        if code == "crossing":
+            self.step = (*before, t, y, f)
+            return True
+        if code == "done":
+            return False
+        state = np.array(y)
+        if code == "budget":
+            raise MaxStepsError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}",
+                                t, state)
+        if code == "underflow":
+            raise StepSizeError(f"step size underflow (h={h:.3e}) at t={t:.6g}",
+                                t, state)
+        if code == "non-finite":
+            raise BlowUpError(f"non-finite state at t={t:.6g}", t, state)
+        norm = float(np.linalg.norm(y[:self._n]))
+        raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
+                          f"{self._cap:.3e} at t={t:.6g}", t, state)
 
 
 def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
@@ -303,11 +295,10 @@ def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
     the trajectory, also attached to any IntegrationError, is a view of
     them; otherwise it is None.
     """
-    stream = _step_stream(field, system, w0, t0, t1, opts)
     if not record:
-        for _t, w, _f in stream:
-            pass
-        return np.array(w), None
+        run = _Run(field, system, w0, t0, t1, opts)
+        run.advance()
+        return np.array(run.point[1]), None
     times, states, derivs = array("d"), array("d"), array("d")
 
     def trajectory():
@@ -316,14 +307,13 @@ def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
                           field.variable_names)
 
     try:
-        for t, w, f in stream:
-            times.append(t)
-            states.extend(w)
-            derivs.extend(f)
+        run = _Run(field, system, w0, t0, t1, opts,
+                   (times.append, states.extend, derivs.extend))
+        run.advance()
     except IntegrationError as exc:
         exc.trajectory = trajectory()
         raise
-    return np.array(w), trajectory()
+    return np.array(run.point[1]), trajectory()
 
 
 def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:

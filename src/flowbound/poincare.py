@@ -3,10 +3,15 @@
 A section is a plane with a unit normal and a crossing direction
 (sign of d/dt of the signed distance at a counted crossing). Crossing
 detection runs on the integrator's accepted steps: the signed distance
-is linear in the state, so its cubic Hermite interpolant between step
-endpoints is exact relative to the dense output, and sign changes are
-located on cheap scalar sub-samples, then refined by bisection plus a
-Newton polish against the vector field.
+is linear in the state, so on each step it is interpolated by the cubic
+Hermite polynomial of its endpoint values and slopes. The generated
+stepping loop rules out every step whose interpolant cannot change sign
+at the sub-samples; sign changes in the others are located on those
+scalar sub-samples, then refined by bisection plus a Newton polish
+against the vector field. The crossing state comes from the cubic
+Hermite interpolant of the step's endpoint states and slopes. That
+interpolant is not a dense output of DP5(4): its error is O(h^4), not
+the integrator's local error.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .integrator import (
     IntegrationOptions,
     _hermite,
     _hermite_fraction,
-    _step_stream,
+    _Run,
 )
 from .polyfield import PolyField
 
@@ -41,8 +46,12 @@ _ON_PLANE_TOL = 1e-9
 _REFINE_TOL = 1e-10
 _BRACKET_WIDTH = 1e-12
 _REFRACTORY = 1e-6  # a return ignores crossings this soon after departure
-# interior dense-output checkpoints per accepted step, as step fractions
+# interior Hermite sub-samples per accepted step, as step fractions
 _SUB_S = (0.25, 0.5, 0.75)
+# at the fractions _SUB_S, h00 + h01 = 1 and |h10|, |h11| <= 0.140625, so
+# no sample of a step whose ends keep this many |h| (|g'(ta)| + |g'(tb)|)
+# from the plane, on one side, leaves that side
+_SLACK = 0.15
 
 
 class NonReturningOrbitError(RuntimeError):
@@ -196,59 +205,70 @@ def _refine_crossing(step, sa, sb, rising, slope, normal, offset):
     return tau, x, g
 
 
+def _step_crossing(step, plane, slope, t0, min_elapsed):
+    """The first counted plane crossing in one accepted step (ta, ya, fa,
+    tb, yb, fb) that lies at least `min_elapsed` from t0, refined, as
+    (tau, x); None if there is none.
+
+    The signed distance's cubic Hermite interpolant is sampled at the
+    fractions `_SUB_S`, and each bracketed sign change in the plane's
+    direction is refined in time order. Raises CrossingRefinementError
+    when a refinement stalls.
+    """
+    ta, ya, fa, tb, yb, fb = step
+    n0, n1, n2 = plane.normal.tolist()
+    offset = float(np.dot(plane.point, plane.normal))
+    ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
+    gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
+    dga = fa[0] * n0 + fa[1] * n1 + fa[2] * n2
+    dgb = fb[0] * n0 + fb[1] * n1 + fb[2] * n2
+    h = tb - ta
+    samples = [(0.0, ga)]
+    samples += [(s, _hermite_fraction(s, ga, gb, dga, dgb, h)) for s in _SUB_S]
+    samples.append((1.0, gb))
+    step = (ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb)
+    for (sa, gi), (sb, gj) in zip(samples, samples[1:]):
+        if gi < 0.0 <= gj:
+            rising = True
+        elif gi > 0.0 >= gj:
+            rising = False
+        else:
+            continue
+        if plane.direction not in ("both", "positive" if rising else "negative"):
+            continue
+        tau, x, g = _refine_crossing(step, sa, sb, rising, slope,
+                                     plane.normal, offset)
+        if abs(tau - t0) < min_elapsed:
+            continue
+        if not abs(g) <= _REFINE_TOL:  # NaN fails this too
+            raise CrossingRefinementError(
+                f"crossing refinement stalled at |s|={abs(g):.3e} "
+                f"(t={tau:.6g})", tau, x)
+        return tau, x
+    return None
+
+
 def _next_crossing(field, system, plane, state, t0, opts, max_time,
                    min_elapsed):
     """March the field's `system` from (t0, state) to the next counted
     plane crossing.
 
-    Only the first three components decide a crossing; any others (a
-    tangent matrix) ride along and come back in the returned state.
+    The generated loop rules out every step whose signed-distance samples
+    cannot change sign; `_step_crossing` looks into the others. Only the
+    first three components decide a crossing; any others (a tangent
+    matrix) ride along and come back in the returned state.
     """
     if not max_time > 0:
         raise ValueError("max_time must be positive")
     slope = field.compiled_slope("rhs")
-    n0, n1, n2 = plane.normal.tolist()
     offset = float(np.dot(plane.point, plane.normal))
-    count_up = plane.direction in ("positive", "both")
-    count_down = plane.direction in ("negative", "both")
-    points = _step_stream(field, system, state, t0, t0 + max_time, opts)
-    tb, yb, fb = next(points)
-    for point in points:
-        ta, ya, fa = tb, yb, fb
-        tb, yb, fb = point
-        ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
-        gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
-        dga = fa[0] * n0 + fa[1] * n1 + fa[2] * n2
-        dgb = fb[0] * n0 + fb[1] * n1 + fb[2] * n2
-        h = tb - ta
-        # at the fractions _SUB_S, h00 + h01 = 1 and |h10|, |h11| <= 0.140625,
-        # so no sample of a step passing this test leaves the side of ga and gb
-        if ga * gb > 0.0 and (min(abs(ga), abs(gb))
-                              > 0.15 * abs(h) * (abs(dga) + abs(dgb)) + 1e-300):
-            continue
-        samples = [(0.0, ga)]
-        samples += [(s, _hermite_fraction(s, ga, gb, dga, dgb, h))
-                    for s in _SUB_S]
-        samples.append((1.0, gb))
-        step = (ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb)
-        for (sa, gi), (sb, gj) in zip(samples, samples[1:]):
-            if gi < 0.0 <= gj:
-                rising = True
-            elif gi > 0.0 >= gj:
-                rising = False
-            else:
-                continue
-            if not (count_up if rising else count_down):
-                continue
-            tau, x, g = _refine_crossing(step, sa, sb, rising, slope,
-                                         plane.normal, offset)
-            if abs(tau - t0) < min_elapsed:
-                continue
-            if not abs(g) <= _REFINE_TOL:  # NaN fails this too
-                raise CrossingRefinementError(
-                    f"crossing refinement stalled at |s|={abs(g):.3e} "
-                    f"(t={tau:.6g})", tau, x)
-            return tau, x
+    run = _Run(field, system, state, t0, t0 + max_time, opts,
+               plane=(*plane.normal.tolist(), offset, _SLACK))
+    while run.advance():
+        crossing = _step_crossing(run.step, plane, slope, t0, min_elapsed)
+        if crossing is not None:
+            return crossing
+    tb, yb = run.point[:2]
     raise NonReturningOrbitError(
         f"no counted section crossing within {max_time} time units",
         abs(tb - t0), np.array(yb))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -262,7 +263,7 @@ class PolyField:
     def compiled_slope(self, system: str) -> Callable[[Sequence[float]], tuple]:
         """Float evaluator of a `_system`, floats in, tuple out. If a power
         overflows, every component is +inf, whatever its sign or true value."""
-        return self._compiled(system)
+        return self._compiled(system, lambda: _compile(*self._system(system, "x")))
 
     def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
         """f(y) -> ndarray, an adapter over `compiled_slope("rhs")`."""
@@ -274,22 +275,30 @@ class PolyField:
         return self._array("tangent_rhs")
 
     def _array(self, system: str) -> Callable[[np.ndarray], np.ndarray]:
-        slope = self._compiled(system)
+        slope = self.compiled_slope(system)
         return lambda y: np.array(slope(np.asarray(y, dtype=float).tolist()))
 
     def compiled_step(self, system: str, tableau) -> Callable:
         """The generated step of `system` ("rhs", "tangent_rhs" or
-        "liouville_rhs") for a tableau, built on first use."""
-        return self._compiled((system, tableau))
+        "liouville_rhs") for a tableau, built on first use from the same
+        step text as the body of `_compiled_loop`."""
+        return self._compiled((system, tableau), lambda: _compile_step(
+            lambda v: self._system(system, v), tableau))
 
-    def _compiled(self, key):
-        """The cached callable for a `_system` name, or for (name, tableau)."""
+    def _compiled_loop(self, system: str, tableau) -> Callable:
+        """The generated stepping loop of `system` for a tableau (see
+        `_loop_lines`), built on first use."""
+        return self._compiled((system, tableau, "loop"), lambda: _compile_loop(
+            lambda v: self._system(system, v), tableau, self.dimension))
+
+    def _compiled(self, key, build: Callable[[], Callable]) -> Callable:
+        """The generated function cached under `key` (a `_system` name
+        first, alone or with its tableau), built by `build` on first
+        use."""
         if self._generated is None:
             self._generated = _GENERATED.setdefault(self.components, {})
         if key not in self._generated:
-            self._generated[key] = (
-                _compile_step(lambda v: self._system(key[0], v), key[1])
-                if isinstance(key, tuple) else _compile(*self._system(key, "x")))
+            self._generated[key] = build()
         return self._generated[key]
 
     def _system(self, name: str, v: str) -> tuple[int, list[str], list[str]]:
@@ -360,23 +369,30 @@ def _names(v: str, size: int) -> str:
 # (name, tableau); equal components generate equal code, so they share
 _GENERATED: dict[tuple, dict] = {}
 
+# step-size control of the generated adaptive loop
+_MIN_STEP_FACTOR = 0.2
+_MAX_STEP_FACTOR = 5.0
+_SAFETY = 0.9
+_UNDERFLOW = 16 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 1)
 
-def _define(source: str, name: str) -> Callable:
-    """The function `name` that the generated `source` defines; the one
+
+def _define(source: str) -> dict:
+    """The namespace of what the generated `source` defines; the one
     exec site."""
-    ns = {"_sqrt": math.sqrt, "_inf": math.inf}
+    ns = {"_sqrt": math.sqrt, "_inf": math.inf, "_nan": math.nan,
+          "_isfinite": math.isfinite, "_norm": np.linalg.norm}
     exec(source, ns)
-    return ns[name]
+    return ns
 
 
 def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
     """Generate `def _slope(y)`: unpack x0..x{size-1} from the floats y, run
     `body`, return the tuple of the `outputs` expressions, or of infs when
     a power overflows (float `**` raises where arrays would hold inf)."""
-    lines = [f"{_names('x', size)} = y", "try:", *(f"    {x}" for x in body),
+    lines = [f"{_names('x', size)} = y", "try:", *_indent(body),
              f"    return ({', '.join(outputs)},)", "except OverflowError:",
              f"    return ({'_inf, ' * len(outputs)})"]
-    return _define("def _slope(y):\n    " + "\n    ".join(lines), "_slope")
+    return _define("def _slope(y):\n    " + "\n    ".join(lines))["_slope"]
 
 
 def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
@@ -395,17 +411,20 @@ def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
     return functools.reduce(add, terms)
 
 
-def _compile_step(system: Callable, tableau) -> Callable:
-    """Generate `def _step(y, f, hs, tol)`: one explicit Runge-Kutta step of
-    `system(v)` -> (size, body, outputs) as straight-line float code.
+def _step_text(system: Callable, tableau) -> tuple:
+    """(size, step lines, err expression, f and g names) of one explicit
+    Runge-Kutta step of `system(v)` -> (size, body, outputs) as
+    straight-line float code, from y and its slope f, the locals y0,
+    y1, ... and k0_0, k0_1, ..., and the step hs.
 
     `tableau` (A, b, d, e) gives the stage rows A, the new state z = y +
     (hs/d) Σ b_j k_j, whose slope g is the next first stage (FSAL), and
-    the error weights e (None: no estimate). Zero coefficients are
-    skipped and sums run in NumPy's order, so the step equals the same
-    array arithmetic bit for bit. Returns (z, g, err, ss): err is the
-    RMS of hs Σ e_j k_j in units of tol + tol max(|y|, |z|), else 0.0,
-    and ss = Σ z_i². Where arrays would hold inf, an overflowing power
+    the error weights e (None: no estimate, fixed steps). Zero
+    coefficients are skipped and sums run in NumPy's order, so the step
+    equals the same array arithmetic bit for bit. The lines leave z in
+    z0, z1, ..., g in the `g` names and ss = Σ z_i²; err is the RMS of
+    hs Σ e_j k_j in units of tol + tol max(|y|, |z|), or None without
+    error weights. Where arrays would hold inf, an overflowing power
     raises OverflowError, or, evaluating g, makes g inf.
     """
     A, b, d, e = tableau
@@ -415,25 +434,156 @@ def _compile_step(system: Callable, tableau) -> Callable:
     def combo(weights, i):
         return " + ".join(_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c)
 
-    lines = [f"{_names('y', m)} = y", f"{_names(k[0], m)} = f",
-             "hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
+    step = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
-        lines += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]
+        step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]
         _size, body, out = system(v)
         stage = [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
         if s > len(A):
-            stage = ["try:", *(f"    {x}" for x in stage), "except OverflowError:",
+            stage = ["try:", *_indent(stage), "except OverflowError:",
                      f"    {' = '.join(f'{k[s]}{i}' for i in range(m))} = _inf"]
-        lines += stage
-    err = "0.0"
+        step += stage
+    err = None
     if e is not None:
-        lines += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / "
-                  f"(tol + tol*(p if p >= q else q))" for i in range(m)]
+        step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / "
+                 f"(tol + tol*(p if p >= q else q))" for i in range(m)]
         err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
-    ss = " + ".join(f"z{i}*z{i}" for i in range(m))
-    lines.append(f"return ({_names('z', m)}), ({_names(k[-1], m)}), {err}, {ss}")
-    return _define("def _step(y, f, hs, tol):\n    " + "\n    ".join(lines), "_step")
+    step.append("ss = " + " + ".join(f"z{i}*z{i}" for i in range(m)))
+    return m, step, err, k[0], k[-1]
+
+
+def _compile_step(system: Callable, tableau) -> Callable:
+    """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
+    returning (z, g, err, ss), err 0.0 without an estimate."""
+    m, step, err, f, g = _step_text(system, tableau)
+    return _define("\n".join([
+        "def _step(y, f, hs, tol):",
+        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f", *step,
+                  f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
+    ]))["_step"]
+
+
+def _compile_loop(system: Callable, tableau, n: int) -> Callable:
+    """Generate `def _loop(t, y, f, h, steps, t0, t1, direction, tol,
+    cap, budget, rec, plane)`: the stepping loop of a whole run around
+    the step of `_step_text` (see `_loop_lines`); `n` is the field's
+    dimension, the state components that the blow-up cap bounds."""
+    m, step, err, f, g = _step_text(system, tableau)
+    return _define("\n".join([
+        "def _loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane):",
+        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f",
+                  *_loop_lines(step, err, m, n, f, g)])
+    ]))["_loop"]
+
+
+def _indent(lines: Sequence[str]) -> list[str]:
+    return [f"    {x}" for x in lines]
+
+
+def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
+                f: str, g: str) -> list[str]:
+    """Body of the generated `_loop`: the run of accepted steps from (t, y)
+    with slope f, step size h and `steps` steps taken, on to t1.
+
+    The same checks in the same order as Hairer, Nørsett & Wanner's
+    DOPRI5 main loop (Solving ODEs I, §II.4), on local floats. With an error
+    estimate `err` (adaptive): stop at t1, after `budget` steps taken,
+    or once h is below 16 ulp of t; clip h to land on t1 exactly; retry
+    a step whose new state is not finite at a fifth of h, and a step
+    whose error norm exceeds 1 at h·max(0.2, 0.9 err^-0.2); grow h by
+    min(5, 0.9 err^-0.2) after an accepted step. Without one: the
+    `budget` equal steps of size h from t0, the k-th landing at t0 + k
+    hs and the last on t1; a state that is not finite ends the run. A
+    new state whose first n components have a norm above `cap` ends
+    either. `rec`, if not None, is three callables that take each
+    accepted time, state and slope. `plane`, if not None, is (n0, n1,
+    n2, offset, slack): the loop returns at every accepted step of
+    length h where the signed distance g = z0 n0 + z1 n1 + z2 n2 -
+    offset changes sign or comes within slack |h| (|g'(ta)| + |g'(tb)|)
+    of zero at an end, and is resumed by calling it again with the
+    returned point.
+
+    Returns (code, t, y, f, h, steps, before): the point it stopped at
+    and its step size and count, and, for the code "crossing", the
+    step's start (t, y, f). The other codes are "done" (t = t1),
+    "budget", "underflow" (y at t), "non-finite" and "cap" (the
+    refused new state and its time).
+    """
+    ys, fs = f"({_names('y', m)})", f"({_names(f, m)})"
+    zs, gs = f"({_names('z', m)})", f"({_names(g, m)})"
+    finite = " and ".join(f"_isfinite(z{i})" for i in range(m))
+    # a squared norm of all of z below `limit` is finite, with z[:n] under the cap
+    lines = ["limit = cap * cap * (1.0 - 1e-9)",
+             "if rec is not None:", "    rec_t, rec_y, rec_f = rec"]
+    section = m >= 3
+    if section:
+        lines += ["if plane is not None:", "    n0, n1, n2, offset, slack = plane",
+                  "    ga = y0*n0 + y1*n1 + y2*n2 - offset",
+                  f"    dga = {f}0*n0 + {f}1*n1 + {f}2*n2"]
+    if err is not None:
+        lines += [
+            "while direction * (t1 - t) > 0:",
+            "    if steps >= budget:",
+            f"        return 'budget', t, {ys}, {fs}, h, steps, None",
+            "    remaining = abs(t1 - t)",
+            "    if remaining < h:",
+            "        h = remaining",
+            "    final = h == remaining",
+            "    at = abs(t)",
+            f"    if h <= {_UNDERFLOW!r} * (1.0 if 1.0 > at else at):",
+            f"        return 'underflow', t, {ys}, {fs}, h, steps, None",
+            "    hs = direction * h",
+            "    steps += 1",
+            "    tn = t1 if final else t + hs"]
+        refuse = [f"    h *= {_MIN_STEP_FACTOR!r}", "    continue"]
+    else:
+        lines += [
+            "while steps < budget:",
+            "    final = steps == budget - 1",
+            "    hs = direction * h",
+            "    steps += 1",
+            "    tn = t1 if final else t0 + steps * hs"]
+        refuse = [f"    return 'non-finite', tn, {zs}, None, h, steps, None"]
+    lines += [
+        "    try:", *_indent(_indent(step)),
+        "    except OverflowError:  # a stage before z overflowed: z is not finite",
+        f"        {' = '.join(f'z{i}' for i in range(m))} = ss = _nan",
+        f"    if not ss < limit and not ({finite}):", *_indent(refuse)]
+    if err is not None:
+        lines += [
+            f"    err = {err}",
+            "    if not err <= 1.0:",
+            f"        c = {_SAFETY!r} * err ** -0.2",
+            f"        h *= c if c > {_MIN_STEP_FACTOR!r} else {_MIN_STEP_FACTOR!r}",
+            "        continue"]
+    lines += [
+        f"    if not ss < limit and _norm(({_names('z', n)})) > cap:",
+        f"        return 'cap', tn, {zs}, None, h, steps, None"]
+    if err is not None:  # err <= 1 makes the growth factor at least 0.9
+        lines += [
+            "    if err == 0.0:",
+            f"        h *= {_MAX_STEP_FACTOR!r}",
+            "    else:",
+            f"        c = {_SAFETY!r} * err ** -0.2",
+            f"        h *= c if c < {_MAX_STEP_FACTOR!r} else {_MAX_STEP_FACTOR!r}"]
+    lines += ["    if rec is not None:",
+              f"        rec_t(tn); rec_y({zs}); rec_f({gs})"]
+    if section:
+        lines += [
+            "    if plane is not None:",
+            "        gb = z0*n0 + z1*n1 + z2*n2 - offset",
+            f"        dgb = {g}0*n0 + {g}1*n1 + {g}2*n2",
+            "        ma = abs(ga); mb = abs(gb)",
+            "        if not (ga * gb > 0.0 and (mb if mb < ma else ma)",
+            "                > slack * abs(tn - t) * (abs(dga) + abs(dgb)) + 1e-300):",
+            f"            return 'crossing', tn, {zs}, {gs}, h, steps, (t, {ys}, {fs})",
+            "        ga = gb; dga = dgb"]
+    lines += ["    t = tn",
+              f"    {_names('y', m)} = {_names('z', m)}",
+              f"    {_names(f, m)} = {_names(g, m)}",
+              f"return 'done', t, {ys}, {fs}, h, steps, None"]
+    return lines
 
 
 # -- parsing ---------------------------------------------------------------

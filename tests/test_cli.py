@@ -499,7 +499,8 @@ class TestRepeatedCalls:
         assert main(argv) == 0
         entries, calls = len(polyfield._GENERATED), []
         for name, real in (("_compile", polyfield._compile),
-                           ("_compile_step", polyfield._compile_step), ("exec", exec)):
+                           ("_compile_step", polyfield._compile_step),
+                           ("_compile_loop", polyfield._compile_loop), ("exec", exec)):
             monkeypatch.setattr(polyfield, name, lambda *a, name=name, real=real: (
                 calls.append(name), real(*a))[1], raising=False)
         assert main(argv) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -33,6 +34,11 @@ HARMONIC = parse_system("dx/dt = y\ndy/dt = -x")
 ESCAPE = parse_system("dx/dt = x^2")
 
 TIGHT = IntegrationOptions(tol=1e-12)
+# x = 1e154 e^t, whose square overflows once x passes sqrt(max float) at
+# t = 0.293252...: trial stages of the last steps before T1 overflow
+OVERFLOWING = parse_system("dx/dt = x\ndy/dt = 1e-300*x^2")
+OVERFLOWING_X0, OVERFLOWING_T1 = [1e154, 0.0], 0.29325
+HUGE_CAP = IntegrationOptions(blow_up_norm=1e300)
 
 
 class TestEndpoints:
@@ -283,31 +289,195 @@ class TestGeneratedStep:
         assert all(map(math.isfinite, z)) and g == (math.inf,) * 3
 
     @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
-    def test_overflowing_stage_is_not_finite(self, monkeypatch, method):
+    def test_overflowing_stage_is_not_finite(self, method):
         # DP5(4) retries at a fifth of the step; RK4 reports a blow-up
-        calls = []
-        generated = type(DECAY).compiled_step
-
-        def first_overflows(field, system, tableau):
-            step = generated(field, system, tableau)
-
-            def wrapped(y, f, hs, tol):
-                calls.append(hs)
-                if len(calls) == 1:
-                    raise OverflowError("stage overflow")
-                return step(y, f, hs, tol)
-            return wrapped
-
-        monkeypatch.setattr(type(DECAY), "compiled_step", first_overflows)
-        opts = IntegrationOptions(method=method)
         if method == "rk4-fixed":
-            with pytest.raises(BlowUpError, match="non-finite state"):
-                integrate(DECAY, [1.0], 0.0, 1.0, opts)
+            # x = 1.34e154 stays below sqrt(max float); 1.005 x does not
+            opts = IntegrationOptions(method=method, blow_up_norm=1e300)
+            with pytest.raises(BlowUpError, match="^non-finite state at t=0.01$") as info:
+                integrate(OVERFLOWING, [1.34e154, 0.0], 0.0, 1.0, opts)
+            assert np.isnan(info.value.state).all()
             return
-        traj = integrate(DECAY, [1.0], 0.0, 1.0, opts)
-        assert calls[1] == integrator._MIN_STEP_FACTOR * calls[0]
-        assert traj.final_time == 1.0
-        assert abs(traj.final_state[0] - math.exp(-1.0)) < 1e-8
+        attempts = []
+        for _point in _reference_stream(OVERFLOWING, "rhs", OVERFLOWING_X0, 0.0,
+                                         OVERFLOWING_T1, HUGE_CAP, attempts):
+            pass
+        i = next(i for i, a in enumerate(attempts) if a[3] == "non-finite")
+        y, f, hs, _verdict = attempts[i]
+        step = OVERFLOWING.compiled_step("rhs", integrator._DP54)
+        with pytest.raises(OverflowError):
+            step(y, f, hs, HUGE_CAP.tol)
+        z, _g, _err, _ss = step(y, f, 0.2 * hs, HUGE_CAP.tol)
+        assert all(map(math.isfinite, z)) and attempts[i + 1][2] == 0.2 * hs
+        traj = integrate(OVERFLOWING, OVERFLOWING_X0, 0.0, OVERFLOWING_T1, HUGE_CAP)
+        assert traj.final_time == OVERFLOWING_T1
+        exact = 1e154 * math.exp(OVERFLOWING_T1)
+        assert abs(traj.final_state[0] - exact) < 1e-8 * exact
+
+
+def _reference_stream(field, system, y0, t0, t1, opts, attempts=None):
+    """The stepping loop written out in Python over `_reference_step`, the
+    reference for the generated loop: yields accepted points (t, y, f) as
+    float tuples, the start first, and raises the loop's errors with its
+    messages. `attempts`, if a list, receives (y, f, hs, verdict) for
+    every trial step from (y, f), the verdict "non-finite", "rejected"
+    or "accepted"."""
+    rhs = field._array(system)
+    y, t0 = tuple(float(a) for a in y0), float(t0)
+    f = tuple(rhs(np.array(y)).tolist())
+    yield t0, y, f
+    adaptive = opts.method == "rk45-adaptive"
+    direction = 1.0 if t1 > t0 else -1.0
+    if adaptive:
+        if not all(map(math.isfinite, f)):
+            raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, np.array(y))
+        h = min(integrator._initial_step(field.compiled_slope(system), y, f,
+                                         direction, opts.tol), abs(t1 - t0))
+    else:
+        n_steps = max(1, math.ceil(abs(t1 - t0) / opts.step))
+        h = abs(t1 - t0) / n_steps
+    cap, n = opts.blow_up_norm, field.dimension
+    limit = cap * cap * (1.0 - 1e-9)
+    t, steps = t0, 0
+    while (direction * (t1 - t) > 0) if adaptive else steps < n_steps:
+        if adaptive:
+            if steps >= integrator._MAX_STEPS:
+                raise MaxStepsError(f"step budget of {integrator._MAX_STEPS} "
+                                    f"exhausted at t={t:.6g}", t, np.array(y))
+            remaining = abs(t1 - t)
+            h = min(h, remaining)
+            final_step = h == remaining
+            if h <= 16 * sys.float_info.epsilon * max(abs(t), 1.0):
+                raise StepSizeError(f"step size underflow (h={h:.3e}) at t={t:.6g}",
+                                    t, np.array(y))
+        else:
+            final_step = steps == n_steps - 1
+        hs = direction * h
+        steps += 1
+        t_new = t1 if final_step else t + hs if adaptive else t0 + steps * hs
+        with np.errstate(all="ignore"):
+            z, g, err = _reference_step(rhs, np.array(y), np.array(f), hs,
+                                        opts.tol, opts.method)
+        z, g = tuple(z.tolist()), tuple(g.tolist())
+        ss = 0.0
+        for a in z:
+            ss += a * a
+        if not ss < limit and not all(map(math.isfinite, z)):
+            if attempts is not None:
+                attempts.append((y, f, hs, "non-finite"))
+            if not adaptive:
+                raise BlowUpError(f"non-finite state at t={t_new:.6g}",
+                                  t_new, np.array(z))
+            h *= 0.2
+            continue
+        if not err <= 1.0:
+            if attempts is not None:
+                attempts.append((y, f, hs, "rejected"))
+            h *= max(0.2, 0.9 * err ** -0.2)
+            continue
+        if not ss < limit and (norm := float(np.linalg.norm(z[:n]))) > cap:
+            raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
+                              f"{cap:.3e} at t={t_new:.6g}", t_new, np.array(z))
+        if attempts is not None:
+            attempts.append((y, f, hs, "accepted"))
+        t, y, f = t_new, z, g
+        yield t, y, f
+        if adaptive:
+            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+
+
+def _reference_run(field, system, y0, t0, t1, opts, attempts=None):
+    """(times, states, derivs, error) of `_reference_stream`: the accepted
+    points as arrays, and the error that ended the run or None."""
+    points, error = [], None
+    try:
+        points.extend(_reference_stream(field, system, y0, t0, t1, opts, attempts))
+    except IntegrationError as exc:
+        error = exc
+    times, states, derivs = zip(*points)
+    return np.array(times), np.array(states), np.array(derivs), error
+
+
+class TestGeneratedLoop:
+    """The generated stepping loop accepts the same points, bit for bit,
+    and ends the same way as `_reference_stream`."""
+
+    W = parse_system("dx/dt = 10*(y - x)\ndy/dt = x*(28 - z) - y\n"
+                     "dz/dt = x*y - 2.6666666666666665*z\ndw/dt = w^2")
+    RK4 = IntegrationOptions(method="rk4-fixed", step=0.01)
+
+    @staticmethod
+    def _assert_same_run(field, system, w0, t0, t1, opts, attempts=None):
+        times, states, derivs, error = _reference_run(field, system, w0, t0, t1,
+                                                      opts, attempts)
+        try:
+            _w, traj = integrator._drive(field, system, np.array(w0, dtype=float),
+                                         t0, t1, opts, record=True)
+        except IntegrationError as exc:
+            assert type(exc) is type(error) and str(exc) == str(error)
+            assert exc.t == error.t
+            np.testing.assert_array_equal(exc.state, error.state)
+            traj = exc.trajectory
+        else:
+            assert error is None, error
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_array_equal(traj.states, states)
+        np.testing.assert_array_equal(traj.derivs, derivs)
+        return error
+
+    @pytest.mark.parametrize("name, system, w0, t1, rk4", [
+        ("lorenz", "rhs", [1.0, 1.0, 1.0], 5.0, False),
+        ("lorenz", "rhs", [1.0, 1.0, 1.0], -0.3, False),
+        ("lorenz", "rhs", [1.0, 1.0, 1.0], 5.0, True),
+        ("lorenz", "rhs", [1.0, 1.0, 1.0], -0.3, True),
+        ("lorenz", "tangent_rhs", [1.0, 1.0, 1.0, *np.eye(3).ravel()], 2.0, False),
+        ("lorenz", "tangent_rhs", [1.0, 1.0, 1.0, *np.eye(3).ravel()], 2.0, True),
+        ("lorenz", "liouville_rhs", [1.0, 1.0, 1.0, 0.0], 2.0, False),
+        ("closed-orbit", "rhs", [0.3, -1.7, 0.5], 3.0, False),
+    ])
+    def test_completed_runs(self, name, system, w0, t1, rk4):
+        opts = self.RK4 if rk4 else IntegrationOptions()
+        assert self._assert_same_run(load_system(name), system, w0, 0.0, t1,
+                                     opts) is None
+
+    @pytest.mark.parametrize("rk4", [False, True])
+    def test_one_and_four_dimensions(self, rk4):
+        opts = self.RK4 if rk4 else IntegrationOptions()
+        assert self._assert_same_run(DECAY, "rhs", [1.0], 0.0, 3.0, opts) is None
+        # w = 1/(1 - t) escapes at t = 1
+        error = self._assert_same_run(self.W, "rhs", [1.0, 1.0, 1.0, 1.0], 0.0,
+                                      2.0, opts)
+        assert isinstance(error, BlowUpError)
+
+    def test_step_size_underflow(self, closed_orbit):
+        # outside the unit cylinder the backward orbit escapes in finite time
+        error = self._assert_same_run(closed_orbit, "rhs", [2.0, 0.0, 0.0], 0.0,
+                                      -1.0, IntegrationOptions())
+        assert isinstance(error, StepSizeError)
+
+    def test_blow_up_cap(self, equilibrium):
+        error = self._assert_same_run(equilibrium, "rhs", [0.5, 0.0, 0.0], 0.0,
+                                      -100.0, IntegrationOptions())
+        assert isinstance(error, BlowUpError) and "blow-up cap" in str(error)
+
+    def test_rk4_non_finite_state(self, lorenz):
+        w0 = [1.0, 1.0, 1.0, *(1e308 * np.eye(3)).ravel()]
+        error = self._assert_same_run(lorenz, "tangent_rhs", w0, 0.0, 1.0, self.RK4)
+        assert str(error) == "non-finite state at t=0.01"
+
+    def test_step_budget(self, monkeypatch, lorenz):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 50)
+        error = self._assert_same_run(lorenz, "rhs", [1.0, 1.0, 1.0], 0.0, 5.0,
+                                      IntegrationOptions())
+        assert isinstance(error, MaxStepsError)
+
+    def test_non_finite_retry(self):
+        attempts = []
+        assert self._assert_same_run(OVERFLOWING, "rhs", OVERFLOWING_X0, 0.0,
+                                     OVERFLOWING_T1, HUGE_CAP, attempts) is None
+        retries = [(a, b) for a, b in zip(attempts, attempts[1:])
+                   if a[3] == "non-finite"]
+        assert retries and all(b[2] == 0.2 * a[2] for a, b in retries)
 
 
 def _reference_initial_step(rhs, y0, f0, direction, tol):

@@ -191,19 +191,16 @@ class TestFirstReturn:
         assert info.value.t == pytest.approx(TWO_PI, abs=1e-6)
         assert info.value.state.shape == (3,)
 
-    def test_refinement_never_returns_a_crossing_off_the_step(self,
-                                                             monkeypatch):
+    def test_refinement_never_returns_a_crossing_off_the_step(self):
         # z: -1 -> 3 over [0, 1] with endpoint slopes 5000, but a field
         # whose normal slope is 1e-9: Newton steps would leave the step
         ya, yb = np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 3.0])
         fa = fb = np.array([0.0, 0.0, 5000.0])
-        monkeypatch.setattr(poincare, "_step_stream",
-                            lambda *_a: iter([(0.0, ya, fa), (1.0, yb, fb)]))
         plane = SectionPlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "positive")
         creep = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 1e-9")
         try:
-            tau, _x = poincare._next_crossing(
-                creep, "rhs", plane, ya, 0.0, IntegrationOptions(), 1.0, 0.0)
+            tau, _x = poincare._step_crossing((0.0, ya, fa, 1.0, yb, fb), plane,
+                                              creep.compiled_slope("rhs"), 0.0, 0.0)
         except CrossingRefinementError:
             return
         assert math.isfinite(tau) and 0.0 <= tau <= 1.0

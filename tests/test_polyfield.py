@@ -274,8 +274,8 @@ def _capture_sources(monkeypatch):
     sources = []
     define = polyfield._define
     monkeypatch.setattr(polyfield, "_GENERATED", {})
-    monkeypatch.setattr(polyfield, "_define", lambda src, name: (
-        sources.append(src), define(src, name))[1])
+    monkeypatch.setattr(polyfield, "_define", lambda src: (
+        sources.append(src), define(src))[1])
     return sources
 
 
@@ -317,8 +317,9 @@ class TestGeneratedEvaluator:
         assert polyfield._monomial_expr(Monomial(-0.5, (0, 0, 0)), "x") == "-0.5"
 
     def test_no_multiplication_or_division_by_unit(self, monkeypatch):
-        # the four slopes and the DP5(4) and RK4 steps of the three
-        # stepped systems; 21.0*x is no identity, 1.0*x and x/1.0 are
+        # the four slopes and the DP5(4) and RK4 steps and stepping loops
+        # of the three stepped systems; 21.0*x is no identity, 1.0*x and
+        # x/1.0 are
         sources = _capture_sources(monkeypatch)
         for name in SHIPPED:
             field = flowbound.load_system(name)
@@ -327,7 +328,8 @@ class TestGeneratedEvaluator:
             for system in SYSTEMS[:3]:
                 for tableau in (integrator._DP54, integrator._RK4):
                     field.compiled_step(system, tableau)
-        assert len(sources) == 4 * (4 + 3 * 2)
+                    field._compiled_loop(system, tableau)
+        assert len(sources) == 4 * (4 + 3 * 2 * 2)
         for source in sources:
             for node in ast.walk(ast.parse(source)):
                 if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
@@ -353,9 +355,11 @@ class TestSharedCode:
     LORENZ = flowbound.system_path("lorenz").read_text()
 
     def _functions(self, field):
+        """The slopes, and the one-step function and stepping loop of
+        each stepped system and tableau."""
         return ([field.compiled_slope(s) for s in SYSTEMS]
-                + [field.compiled_step(s, t) for s in SYSTEMS[:3]
-                   for t in (integrator._DP54, integrator._RK4)])
+                + [f(s, t) for s in SYSTEMS[:3] for t in (integrator._DP54, integrator._RK4)
+                   for f in (field.compiled_step, field._compiled_loop)])
 
     def test_same_text_gives_same_functions(self):
         a, b = parse_system(self.LORENZ), parse_system(self.LORENZ)

@@ -280,11 +280,11 @@ class TestMonodromy:
 
         compiled = type(stuart_landau)._compiled
 
-        def refuse_tangent(field, key):
-            # key is a system name, or (name, tableau) for a generated step
+        def refuse_tangent(field, key, build):
+            # key is a system name, or a tuple that starts with one
             if (key[0] if isinstance(key, tuple) else key) == "tangent_rhs":
                 raise AssertionError("flow_determinant built the tangent RHS")
-            return compiled(field, key)
+            return compiled(field, key, build)
 
         # Liouville's formula needs the divergence, not the tangent matrix
         monkeypatch.setattr(type(stuart_landau), "_compiled", refuse_tangent)

@@ -119,6 +119,19 @@ def _matrix() -> list[tuple[str, ...]]:
                 ("section", system, x0, "--plane", plane, "--iterates", "3"),
                 ("refute", system, x0, "--horizon", "1"),
             ]
+    # RK4 backward escapes: an overflowing stage, and the cap verdict on
+    # a finite state whose slope overflows; a 4-D field past its escape
+    # time; a 1-D field
+    rows += [
+        ("simulate", "closed-orbit", "--x0", "2,0,0", "--t1", "-1",
+         "--method", "rk4-fixed"),
+        ("simulate", "closed-orbit", "--x0", "2,0,0", "--t1", "-1",
+         "--method", "rk4-fixed", "--step", "0.015"),
+        ("simulate", "parity-systems/lorenz-escape.sys", "--x0", "1,1,1,1",
+         "--t1", "1.5", "--stdout"),
+        ("simulate", "parity-systems/logistic.sys", "--x0", "0.1", "--t1", "10",
+         "--stdout"),
+    ]
     rows += [
         ("simulate", "lorenz", "--x0", "1,1,1"),  # usage error: no --t1
         ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
