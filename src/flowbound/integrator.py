@@ -10,8 +10,11 @@ all run there, on local floats. Python keeps the run start (`_Run`: the
 start converted to floats and checked, the first slope from
 `PolyField.compiled_slope` and the initial step) and turns the loop's
 exit codes into errors. Backward runs step with negative time
-increments. A state-norm cap turns finite-time escape into an error
-carrying the partial trajectory.
+increments. The step's arithmetic (powers as products, no `**`) cannot
+raise: an overflowing stage leaves inf or nan in the new state, which
+the loop's non-finite test catches. A state-norm cap (`math.hypot`, finite
+for a finite state) turns finite-time escape into an error carrying the
+partial trajectory.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ class _Run:
                                 t, state)
         if code == "non-finite":
             raise BlowUpError(f"non-finite state at t={t:.6g}", t, state)
-        norm = float(np.linalg.norm(y[:self._n]))
+        norm = math.hypot(*y[:self._n])
         raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
                           f"{self._cap:.3e} at t={t:.6g}", t, state)
 

@@ -261,8 +261,9 @@ class PolyField:
     # -- compiled callables ------------------------------------------------
 
     def compiled_slope(self, system: str) -> Callable[[Sequence[float]], tuple]:
-        """Float evaluator of a `_system`, floats in, tuple out. If a power
-        overflows, every component is +inf, whatever its sign or true value."""
+        """Float evaluator of a `_system`, floats in, tuple out. An
+        overflow gives inf or nan in each component it reaches, as NumPy
+        arrays would."""
         return self._compiled(system, lambda: _compile(*self._system(system, "x")))
 
     def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -306,22 +307,23 @@ class PolyField:
         function of the variables v0, v1, ...: "rhs" is f, "tangent_rhs"
         (f(x), J(x) V) with V row-major after x, "liouville_rhs"
         (f(x), div f(x)) for Liouville's formula, "jacobian" J(x)
-        row-major."""
+        row-major. The body starts with the powers of `_power_lines`."""
         n = self.dimension
-        out = [_poly_expr(p, v) for p in self.components]
-        if name == "liouville_rhs":
-            return n + 1, [], out + [_poly_expr(self.divergence(), v)]
-        if name == "rhs":
-            return n, [], out
+        polys = list(self.components)
+        if name == "liouville_rhs":  # inputs and outputs: x and div f
+            polys.append(self.divergence())
+        if name in ("rhs", "liouville_rhs"):
+            return len(polys), _power_lines(polys, v), [_poly_expr(p, v) for p in polys]
         jac = self.jacobian_polynomials()
-        grid = [[_poly_expr(p, v) for p in row] for row in jac]
+        entries = [p for row in jac for p in row]
         if name == "jacobian":
-            return n, [], [e for row in grid for e in row]
+            return n, _power_lines(entries, v), [_poly_expr(p, v) for p in entries]
         # constant and single-variable entries are inlined into J V; a
         # zero entry keeps its 0.0*v term, so that no zero changes sign
         inline = [[len(p.terms) <= 1 and p.degree <= 1 for p in row] for row in jac]
-        body = [f"j{i}_{k} = {e}" for i, row in enumerate(grid)
-                for k, e in enumerate(row) if not inline[i][k]]
+        body = _power_lines(polys + entries, v) + [
+            f"j{i}_{k} = {_poly_expr(p, v)}" for i, row in enumerate(jac)
+            for k, p in enumerate(row) if not inline[i][k]]
         zero = Monomial(0.0, (0,) * n)
 
         def product(i, k, c):  # J[i][k] V[k][c]
@@ -330,18 +332,41 @@ class PolyField:
                 return f"j{i}_{k}*{vk}"
             return _monomial_expr((jac[i][k].terms or (zero,))[0], v, vk)
 
-        out += [" + ".join(product(i, k, c) for k in range(n))
-                for i in range(n) for c in range(n)]
-        return n + n * n, body, out
+        return n + n * n, body, [_poly_expr(p, v) for p in polys] + [
+            _signed_sum([product(i, k, c) for k in range(n)])
+            for i in range(n) for c in range(n)]
 
 
 # -- code generation -------------------------------------------------------
 
 
+def _power(i: int, e: int, v: str) -> str:
+    """The name of v_i^e in generated code: v{i} itself, or v{i}_{e}."""
+    return f"{v}{i}" if e == 1 else f"{v}{i}_{e}"
+
+
+def _power_lines(polys: Iterable[Polynomial], v: str) -> list[str]:
+    """Lines that compute every power v_i^e (e > 1) of the terms of
+    `polys` once, by products: v^(2k) = v^k*v^k and v^(2k+1) = v^(2k)*v,
+    the intermediate powers shared. No `**`: a product cannot raise,
+    it overflows to inf, and IEEE 754 rounds it correctly, as libm
+    `pow` need not."""
+    needed = set()
+    for p in polys:
+        for m in p.terms:
+            for i, e in enumerate(m.exponents):
+                while e > 1 and (i, e) not in needed:
+                    needed.add((i, e))
+                    e = e - 1 if e % 2 else e // 2
+    return [f"{_power(i, e, v)} = " + (f"{_power(i, e - 1, v)}*{v}{i}" if e % 2
+                                       else f"{_power(i, e // 2, v)}*{_power(i, e // 2, v)}")
+            for i, e in sorted(needed)]
+
+
 def _monomial_expr(m: Monomial, v: str, *factors: str) -> str:
-    """c*v0**e0*v1**e1*...*factors, or c alone for a constant term."""
-    parts = [f"{v}{i}**{e}" if e > 1 else f"{v}{i}"
-             for i, e in enumerate(m.exponents) if e]
+    """c*v0_e0*v1_e1*...*factors, the powers named by `_power`, or c
+    alone for a constant term."""
+    parts = [_power(i, e, v) for i, e in enumerate(m.exponents) if e]
     parts += factors
     if not parts:
         return repr(float(m.coefficient))
@@ -355,10 +380,21 @@ def _scaled(c: float, expr: str) -> str:
     return expr if c == 1.0 else f"-{expr}" if c == -1.0 else f"{float(c)!r}*{expr}"
 
 
+def _signed_sum(terms: Sequence[str]) -> str:
+    """terms[0] + terms[1] + ... with each negated term -b written as a
+    subtraction - b, and -a + b, a first term negated and a second not,
+    as b - a. Both are exact: a + (-b) is a - b and (-c)*x is -(c*x) in
+    floating point, signed zeros included, and a sum of two commutes."""
+    if len(terms) > 1 and terms[0][0] == "-" and terms[1][0] != "-":
+        terms = [terms[1], terms[0], *terms[2:]]
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}"
+                              for t in terms[1:])
+
+
 def _poly_expr(p: Polynomial, v: str) -> str:
     if not p.terms:
         return "0.0"
-    return " + ".join(_monomial_expr(m, v) for m in p.terms)
+    return _signed_sum([_monomial_expr(m, v) for m in p.terms])
 
 
 def _names(v: str, size: int) -> str:
@@ -379,19 +415,17 @@ _UNDERFLOW = 16 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 
 def _define(source: str) -> dict:
     """The namespace of what the generated `source` defines; the one
     exec site."""
-    ns = {"_sqrt": math.sqrt, "_inf": math.inf, "_nan": math.nan,
-          "_isfinite": math.isfinite, "_norm": np.linalg.norm}
+    ns = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "_hypot": math.hypot}
     exec(source, ns)
     return ns
 
 
 def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
     """Generate `def _slope(y)`: unpack x0..x{size-1} from the floats y, run
-    `body`, return the tuple of the `outputs` expressions, or of infs when
-    a power overflows (float `**` raises where arrays would hold inf)."""
-    lines = [f"{_names('x', size)} = y", "try:", *_indent(body),
-             f"    return ({', '.join(outputs)},)", "except OverflowError:",
-             f"    return ({'_inf, ' * len(outputs)})"]
+    `body`, return the tuple of the `outputs` expressions. Its arithmetic
+    is products and sums, which cannot raise: an overflow leaves inf or
+    nan in the outputs it reaches, as arrays would."""
+    lines = [f"{_names('x', size)} = y", *body, f"return ({', '.join(outputs)},)"]
     return _define("def _slope(y):\n    " + "\n    ".join(lines))["_slope"]
 
 
@@ -420,30 +454,27 @@ def _step_text(system: Callable, tableau) -> tuple:
     `tableau` (A, b, d, e) gives the stage rows A, the new state z = y +
     (hs/d) Σ b_j k_j, whose slope g is the next first stage (FSAL), and
     the error weights e (None: no estimate, fixed steps). Zero
-    coefficients are skipped and sums run in NumPy's order, so the step
-    equals the same array arithmetic bit for bit. The lines leave z in
-    z0, z1, ..., g in the `g` names and ss = Σ z_i²; err is the RMS of
+    coefficients are skipped, negative ones subtract (`_signed_sum`) and
+    sums run in NumPy's order, so the step equals the same array
+    arithmetic bit for bit. The lines leave z in z0, z1, ..., g in the
+    `g` names and ss = Σ z_i²; err is the RMS of
     hs Σ e_j k_j in units of tol + tol max(|y|, |z|), or None without
-    error weights. Where arrays would hold inf, an overflowing power
-    raises OverflowError, or, evaluating g, makes g inf.
+    error weights. The lines cannot raise: a stage that overflows
+    leaves inf or nan in the components it reaches, as arrays would.
     """
     A, b, d, e = tableau
     m = system("y")[0]
     k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
 
     def combo(weights, i):
-        return " + ".join(_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c)
+        return _signed_sum([_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c])
 
     step = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
         step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]
         _size, body, out = system(v)
-        stage = [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
-        if s > len(A):
-            stage = ["try:", *_indent(stage), "except OverflowError:",
-                     f"    {' = '.join(f'{k[s]}{i}' for i in range(m))} = _inf"]
-        step += stage
+        step += [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
     err = None
     if e is not None:
         step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / "
@@ -495,14 +526,16 @@ def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
     min(5, 0.9 err^-0.2) after an accepted step. Without one: the
     `budget` equal steps of size h from t0, the k-th landing at t0 + k
     hs and the last on t1; a state that is not finite ends the run. A
-    new state whose first n components have a norm above `cap` ends
-    either. `rec`, if not None, is three callables that take each
-    accepted time, state and slope. `plane`, if not None, is (n0, n1,
-    n2, offset, slack): the loop returns at every accepted step of
-    length h where the signed distance g = z0 n0 + z1 n1 + z2 n2 -
-    offset changes sign or comes within slack |h| (|g'(ta)| + |g'(tb)|)
-    of zero at an end, and is resumed by calling it again with the
-    returned point.
+    stage that overflows shows only there, as a new state that is not
+    finite: the step's arithmetic cannot raise. A new state whose first
+    n components have a norm (`math.hypot`, finite for finite
+    components) above `cap` ends either. `rec`, if not None, is three
+    callables that take each accepted time, state and slope. `plane`,
+    if not None, is (n0, n1, n2, offset, slack): the loop returns at
+    every accepted step of length h where the signed distance g = z0 n0
+    + z1 n1 + z2 n2 - offset changes sign or comes within slack |h|
+    (|g'(ta)| + |g'(tb)|) of zero at an end, and is resumed by calling
+    it again with the returned point.
 
     Returns (code, t, y, f, h, steps, before): the point it stopped at
     and its step size and count, and, for the code "crossing", the
@@ -546,9 +579,7 @@ def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
             "    tn = t1 if final else t0 + steps * hs"]
         refuse = [f"    return 'non-finite', tn, {zs}, None, h, steps, None"]
     lines += [
-        "    try:", *_indent(_indent(step)),
-        "    except OverflowError:  # a stage before z overflowed: z is not finite",
-        f"        {' = '.join(f'z{i}' for i in range(m))} = ss = _nan",
+        *_indent(step),
         f"    if not ss < limit and not ({finite}):", *_indent(refuse)]
     if err is not None:
         lines += [
@@ -558,7 +589,7 @@ def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
             f"        h *= c if c > {_MIN_STEP_FACTOR!r} else {_MIN_STEP_FACTOR!r}",
             "        continue"]
     lines += [
-        f"    if not ss < limit and _norm(({_names('z', n)})) > cap:",
+        f"    if not ss < limit and _hypot({_names('z', n)}) > cap:",
         f"        return 'cap', tn, {zs}, None, h, steps, None"]
     if err is not None:  # err <= 1 makes the growth factor at least 0.9
         lines += [

@@ -555,8 +555,18 @@ class TestOverflowingStart:
         assert "integration failed" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
-        # generated steps run on floats, whose powers raise OverflowError
         assert "OverflowError" not in proc.stderr
+
+    def test_cap_verdict_names_the_finite_norm(self, tmp_path):
+        # RK4 overshoots to a state whose squared norm overflows: its
+        # norm is still finite, and no NumPy warning reaches stderr
+        proc = run_cli(["simulate", "--system", CLOSED_ORBIT, "--x0", "2,0,0",
+                        "--t1", "-1", "--method", "rk4-fixed", "--step", "0.007",
+                        "--out", str(tmp_path)], timeout=30)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert re.fullmatch(r"integration failed: state norm \d\.\d{3}e\+\d+ exceeded "
+                            r"blow-up cap 1\.000e\+12 at t=-0\.153846\n", proc.stderr)
 
     @pytest.mark.parametrize("x0", ["1e155,0,0", "1e200,0,0"])
     def test_refute_reports_escape(self, tmp_path, x0):

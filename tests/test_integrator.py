@@ -268,17 +268,17 @@ class TestGeneratedStep:
             y, f = z, g
 
     def test_overflowing_power(self, closed_orbit):
-        # a stage before z overflows: the step raises, as no slope exists
+        # a stage before z overflows: as arrays would, z is not finite
         rhs = closed_orbit.compiled_rhs()
         step = closed_orbit.compiled_step("rhs", integrator._DP54)
         y = (1e80, 0.0, 0.0)
-        with pytest.raises(OverflowError):
-            step(y, tuple(rhs(np.array(y)).tolist()), 1e-100, 1e-10)
+        z, _g, _err, _ss = step(y, tuple(rhs(np.array(y)).tolist()), 1e-100, 1e-10)
+        assert not all(map(math.isfinite, z))
 
     def test_overflow_at_the_new_state_keeps_the_cap_verdict(self,
                                                              closed_orbit):
         # backward RK4 overshoots: z is finite but its slope overflows,
-        # so the slope is inf and the cap, checked first, reports z
+        # so the slope is not finite and the cap, checked first, reports z
         opts = IntegrationOptions(method="rk4-fixed")
         with pytest.raises(BlowUpError, match="exceeded blow-up cap") as info:
             integrate(closed_orbit, [1.0, 1.0, 1.0], 0.0, -0.5, opts)
@@ -286,7 +286,7 @@ class TestGeneratedStep:
         step = closed_orbit.compiled_step("rhs", integrator._RK4)
         z, g, _err, _ss = step(tuple(traj.states[-1].tolist()),
                                tuple(traj.derivs[-1].tolist()), -0.01, 1e-10)
-        assert all(map(math.isfinite, z)) and g == (math.inf,) * 3
+        assert all(map(math.isfinite, z)) and not all(map(math.isfinite, g))
 
     @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
     def test_overflowing_stage_is_not_finite(self, method):
@@ -296,7 +296,7 @@ class TestGeneratedStep:
             opts = IntegrationOptions(method=method, blow_up_norm=1e300)
             with pytest.raises(BlowUpError, match="^non-finite state at t=0.01$") as info:
                 integrate(OVERFLOWING, [1.34e154, 0.0], 0.0, 1.0, opts)
-            assert np.isnan(info.value.state).all()
+            assert not np.isfinite(info.value.state).all()
             return
         attempts = []
         for _point in _reference_stream(OVERFLOWING, "rhs", OVERFLOWING_X0, 0.0,
@@ -305,8 +305,8 @@ class TestGeneratedStep:
         i = next(i for i, a in enumerate(attempts) if a[3] == "non-finite")
         y, f, hs, _verdict = attempts[i]
         step = OVERFLOWING.compiled_step("rhs", integrator._DP54)
-        with pytest.raises(OverflowError):
-            step(y, f, hs, HUGE_CAP.tol)
+        z, _g, _err, _ss = step(y, f, hs, HUGE_CAP.tol)
+        assert not all(map(math.isfinite, z))
         z, _g, _err, _ss = step(y, f, 0.2 * hs, HUGE_CAP.tol)
         assert all(map(math.isfinite, z)) and attempts[i + 1][2] == 0.2 * hs
         traj = integrate(OVERFLOWING, OVERFLOWING_X0, 0.0, OVERFLOWING_T1, HUGE_CAP)
@@ -375,7 +375,7 @@ def _reference_stream(field, system, y0, t0, t1, opts, attempts=None):
                 attempts.append((y, f, hs, "rejected"))
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
-        if not ss < limit and (norm := float(np.linalg.norm(z[:n]))) > cap:
+        if not ss < limit and (norm := math.hypot(*z[:n])) > cap:
             raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
                               f"{cap:.3e} at t={t_new:.6g}", t_new, np.array(z))
         if attempts is not None:
@@ -504,7 +504,7 @@ def _reference_initial_step(rhs, y0, f0, direction, tol):
 
 _V = [1.5, 0.9, -0.6, 0.5, 1.7, -1.9, -1.4, 1.6, 1.3]
 _INITIAL_STEP_CASES = [
-    (system, w, direction, None)
+    ("lorenz", system, w, direction, 1e-10, None)
     for system, starts in [
         ("rhs", [[1.0, 1.0, 1.0], [-3.0, 2.0, 30.0]]),
         ("liouville_rhs", [[1.0, 1.0, 1.0, 0.0], [-3.0, 2.0, 30.0, 0.5]]),
@@ -513,12 +513,23 @@ _INITIAL_STEP_CASES = [
     for w in starts for direction in (1.0, -1.0)
 ] + [
     # |f0| / scale squares past the largest float: d1 is inf
-    ("rhs", [1e154, -1e154, 28.0], 1.0, "d1"),
-    ("liouville_rhs", [1e154, -1e154, 28.0, 0.0], -1.0, "d1"),
+    ("lorenz", "rhs", [1e154, -1e154, 28.0], 1.0, 1e-10, "d1"),
+    ("lorenz", "liouville_rhs", [1e154, -1e154, 28.0, 0.0], -1.0, 1e-10, "d1"),
     # f0 is finite, but J V overflows at the backward trial point
-    ("tangent_rhs", [-3.0, 2.0, 30.0, *(9.45e306 * v for v in _V)], -1.0, "f1"),
-    ("tangent_rhs", [-3.0, 2.0, 30.0, *(9.45e306 * v for v in _V)], 1.0, None),
+    ("lorenz", "tangent_rhs", [-3.0, 2.0, 30.0, *(9.45e306 * v for v in _V)], -1.0,
+     1e-10, "f1"),
+    ("lorenz", "tangent_rhs", [-3.0, 2.0, 30.0, *(9.45e306 * v for v in _V)], 1.0,
+     1e-10, None),
+    # x^3 is finite at the start, but not at the trial point x - 1e-6 x^3,
+    # nor is x^2 in J, so J V adds inf and -inf: f1 holds nan. At tol
+    # 1e-10, d1 of such a start would overflow first, hence tol 1e90
+    ("closed-orbit", "tangent_rhs", [5.6e102, 0.0, 0.0, *_V], 1.0, 1e90, "nan"),
 ]
+# system-w<row>-direction-overflow, led by the field's name where it is
+# not Lorenz; the tolerance is 1e-10 where the id does not lead with one
+_INITIAL_STEP_IDS = [
+    f"{'' if name == 'lorenz' else name + '-'}{system}-w{i}-{direction}-{overflow}"
+    for i, (name, system, _w, direction, _tol, overflow) in enumerate(_INITIAL_STEP_CASES)]
 
 
 class TestInitialStep:
@@ -526,22 +537,24 @@ class TestInitialStep:
     formula in `_reference_initial_step` bit for bit, also where d1 or f1
     overflows. The 12-variable tangent system sums in NumPy's eight lanes."""
 
-    @pytest.mark.parametrize("system, w, direction, overflow",
-                             _INITIAL_STEP_CASES)
-    def test_matches_numpy_formula(self, lorenz, system, w, direction,
+    @pytest.mark.parametrize("name, system, w, direction, tol, overflow",
+                             _INITIAL_STEP_CASES, ids=_INITIAL_STEP_IDS)
+    def test_matches_numpy_formula(self, name, system, w, direction, tol,
                                    overflow):
-        slope = lorenz.compiled_slope(system)
+        field = load_system(name)
+        slope = field.compiled_slope(system)
         y0 = tuple(map(float, w))
         f0 = slope(y0)
         assert all(map(math.isfinite, f0))
         with np.errstate(over="ignore", invalid="ignore"):
             h_ref, f1 = _reference_initial_step(
-                lorenz._array(system), np.array(y0), np.array(f0),
-                direction, 1e-10)
-        h = integrator._initial_step(slope, y0, f0, direction, 1e-10)
+                field._array(system), np.array(y0), np.array(f0),
+                direction, tol)
+        h = integrator._initial_step(slope, y0, f0, direction, tol)
         assert h == h_ref
         assert (f1 is None) == (overflow == "d1")
-        assert (f1 is not None and not np.all(np.isfinite(f1))) == (overflow == "f1")
+        assert (f1 is not None and not np.all(np.isfinite(f1))) == (overflow in ("f1", "nan"))
+        assert (f1 is not None and np.isnan(f1).any()) == (overflow == "nan")
 
     def test_random_tangent_starts(self, lorenz):
         # summation order changes h on only a few of these; a plain
@@ -731,6 +744,14 @@ class TestFailureModes:
         with pytest.raises(BlowUpError, match=r"^non-finite state at t=0.01$"):
             integrate_with_tangent(lorenz, [1.0, 1.0, 1.0], 1e308 * np.eye(3),
                                    0.0, 1.0, IntegrationOptions(method="rk4-fixed"))
+
+    def test_cap_norm_does_not_overflow(self):
+        # x = 1e154 e^t: x*x overflows from t = 0.2933 on, but the state
+        # norm that the cap tests stays finite, far under 1e300
+        traj = integrate(parse_system("dx/dt = x"), [1e154], 0.0, 1.0, HUGE_CAP)
+        exact = 1e154 * math.e
+        assert traj.final_time == 1.0
+        assert abs(traj.final_state[0] - exact) < 1e-8 * exact
 
     def test_step_underflow_near_singularity(self):
         opts = IntegrationOptions(blow_up_norm=1e300)

@@ -221,7 +221,22 @@ class TestGeneratedSums:
 
 
 SHIPPED = ("lorenz", "stuart-landau", "closed-orbit", "equilibrium")
+# the shipped systems go up to cubes; these powers, odd and even up to
+# 13, take every branch of the powering rule
+POWERS = parse_system("dx/dt = x^5 - x^2*y^3 + y^7\n"
+                      "dy/dt = x^13 - 2*x^4*y - z^6\n"
+                      "dz/dt = y^8 - x^3*z^2")
 SYSTEMS = ("rhs", "tangent_rhs", "liouville_rhs", "jacobian")
+
+
+def _power(x, e):
+    """x^e by the generator's rule: x^(2k) = x^k x^k, x^(2k+1) = x^(2k) x."""
+    if e == 1:
+        return x
+    if e % 2:
+        return _power(x, e - 1) * x
+    half = _power(x, e // 2)
+    return half * half
 
 
 def _term_value(m, w):
@@ -229,7 +244,7 @@ def _term_value(m, w):
     v = m.coefficient
     for x, e in zip(w, m.exponents):
         if e:
-            v = v * x ** e
+            v = v * _power(x, e)
     return v
 
 
@@ -291,10 +306,10 @@ class TestGeneratedEvaluator:
     Polynomial terms, bit for bit and sign of zero included, and the
     generated sources free of identity arithmetic."""
 
-    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("name", [*SHIPPED, "powers"])
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_matches_polynomial_terms_bit_for_bit(self, name, system):
-        field = flowbound.load_system(name)
+        field = POWERS if name == "powers" else flowbound.load_system(name)
         slope = field.compiled_slope(system)
         size = _size(field, system)
         rng = np.random.default_rng(sum(map(ord, name + system)))
@@ -307,19 +322,41 @@ class TestGeneratedEvaluator:
             assert ([float.hex(v) for v in slope(w)]
                     == [float.hex(v) for v in _reference_slope(field, system, w)])
 
+    @pytest.mark.parametrize("e", range(2, polyfield._MAX_DEGREE + 1))
+    def test_power_within_product_error_bound(self, e):
+        # x^e is a tree of e - 1 multiplications, each rounding once: its
+        # relative error is at most gamma(e - 1) = (e - 1)u / (1 - (e - 1)u),
+        # u = 2^-53 (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., 2002, §3.1)
+        slope = PolyField([Polynomial((Monomial(1.0, (e,)),))]).compiled_slope("rhs")
+        ku = Fraction(e - 1, 2 ** 53)
+        rng = np.random.default_rng(e)
+        for x in rng.normal(size=200).tolist():
+            exact = Fraction(x) ** e
+            (value,) = slope((x,))
+            assert abs(value) >= np.finfo(float).tiny  # no underflow
+            assert abs(Fraction(value) - exact) <= ku / (1 - ku) * abs(exact)
+
     def test_monomial_expressions(self):
-        assert polyfield._monomial_expr(Monomial(1.0, (1, 0, 2)), "x") == "x0*x2**2"
+        assert polyfield._monomial_expr(Monomial(1.0, (1, 0, 2)), "x") == "x0*x2_2"
         assert polyfield._monomial_expr(Monomial(-1.0, (0, 1, 0)), "x") == "-x1"
-        assert polyfield._monomial_expr(Monomial(-1.0, (2, 1, 0)), "v") == "-v0**2*v1"
+        assert polyfield._monomial_expr(Monomial(-1.0, (2, 1, 0)), "v") == "-v0_2*v1"
         assert polyfield._monomial_expr(Monomial(2.5, (0, 0, 1)), "x") == "2.5*x2"
         assert polyfield._monomial_expr(Monomial(1.0, (0, 0, 0)), "x") == "1.0"
         assert polyfield._monomial_expr(Monomial(-1.0, (0, 0, 0)), "x") == "-1.0"
         assert polyfield._monomial_expr(Monomial(-0.5, (0, 0, 0)), "x") == "-0.5"
+        p = poly(parse_system("dx/dt = x - y - x*y^2\ndy/dt = -y^7 - 2*x"))
+        assert polyfield._poly_expr(p, "x") == "x0 - x1 - x0*x1_2"
+        q = poly(parse_system("dx/dt = -y^7 - 2*x\ndy/dt = 0"))
+        assert polyfield._poly_expr(q, "x") == "-x1_7 - 2.0*x0"
+        assert polyfield._power_lines([p, q], "x") == [
+            "x1_2 = x1*x1", "x1_3 = x1_2*x1", "x1_6 = x1_3*x1_3", "x1_7 = x1_6*x1"]
 
     def test_no_multiplication_or_division_by_unit(self, monkeypatch):
         # the four slopes and the DP5(4) and RK4 steps and stepping loops
         # of the three stepped systems; 21.0*x is no identity, 1.0*x and
-        # x/1.0 are
+        # x/1.0 are. Powers are products and nothing is caught: the one
+        # `**` is the step controller's err ** -0.2
         sources = _capture_sources(monkeypatch)
         for name in SHIPPED:
             field = flowbound.load_system(name)
@@ -335,6 +372,9 @@ class TestGeneratedEvaluator:
                 if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
                     assert not (_is_unit(node.left) or _is_unit(node.right)), \
                         ast.unparse(node)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                    assert ast.unparse(node) == "err ** (-0.2)"
+                assert not isinstance(node, ast.ExceptHandler), ast.unparse(node)
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_zero_jacobian_entries_keep_their_term(self, monkeypatch, name):

@@ -132,6 +132,14 @@ def _matrix() -> list[tuple[str, ...]]:
         ("simulate", "parity-systems/logistic.sys", "--x0", "0.1", "--t1", "10",
          "--stdout"),
     ]
+    # powers up to the seventh, computed as shared products
+    quintic = ("parity-systems/quintic.sys", "--x0", "0.9,0.4,0.3")
+    rows += [
+        ("simulate", *quintic, "--t1", "10", "--stdout"),
+        ("simulate", *quintic, "--t1", "-0.5", "--method", "rk4-fixed"),
+        ("lyapunov", *quintic, "--transient", "1", "--total", "20",
+         "--interval", "0.5", "--history"),
+    ]
     rows += [
         ("simulate", "lorenz", "--x0", "1,1,1"),  # usage error: no --t1
         ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
