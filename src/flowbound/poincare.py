@@ -7,11 +7,18 @@ is linear in the state, so on each step it is interpolated by the cubic
 Hermite polynomial of its endpoint values and slopes. The generated
 stepping loop rules out every step whose interpolant cannot change sign
 at the sub-samples; sign changes in the others are located on those
-scalar sub-samples, then refined by bisection plus a Newton polish
-against the vector field. The crossing state comes from the cubic
-Hermite interpolant of the step's endpoint states and slopes. That
-interpolant is not a dense output of DP5(4): its error is O(h^4), not
-the integrator's local error.
+scalar sub-samples and bracketed by bisection on the interpolant.
+
+How the bracketed crossing is refined depends on the run's tableau.
+DP5(4) and RK4 runs polish it by Newton against the vector field along
+the cubic Hermite interpolant of the step's endpoint states and slopes,
+which also gives the crossing state. That interpolant is not a dense
+output of DP5(4): its error is O(h^4), not the integrator's local error.
+DOP853 runs, whose steps are too long for that interpolant, land
+exactly (Hénon, Physica D 5, 1982): Newton on the crossing time, each
+iterate one generated DOP853 step from the step's start, its slope the
+step's FSAL slope, so the crossing state (and a tangent matrix riding
+along) carries the integrator's own accuracy.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .integrator import (
+    _DOP853,
+    DOP853_ADAPTIVE,
     IntegrationError,
     IntegrationOptions,
     _hermite,
@@ -165,17 +174,17 @@ def _require_3d(field: PolyField) -> None:
             f"section machinery needs a 3D field, got n={field.dimension}")
 
 
-def _refine_crossing(step, sa, sb, rising, slope, normal, offset):
+def _refine_crossing(step, sa, sb, rising, slope, normal, offset, land):
     """Refine a bracketed sign change of the signed distance.
 
     Bisection on the scalar Hermite interpolant of the signed distance
-    down to a bracket width of 1e-12 in time, then up to five Newton
-    steps using the true slope s'(t) = ⟨slope(x), normal⟩ of the 3-D
-    field until |s| < 1e-10, stopping before an iterate that leaves
-    [ta, tb]. Returns (crossing time, interpolated state, residual).
+    down to a bracket width of 1e-12 in time. Then, with `land` (a DOP853
+    run), `_land`; without, up to five Newton steps along the
+    interpolant using the true slope s'(t) = ⟨slope(x), normal⟩ of the
+    3-D field until |s| < 1e-10, stopping before an iterate that leaves
+    [ta, tb]. Returns (crossing time, state, residual).
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
-    ya, fa, yb, fb = (np.asarray(v, dtype=float) for v in (ya, fa, yb, fb))
     h = tb - ta
     while (sb - sa) * abs(h) > _BRACKET_WIDTH:
         sm = 0.5 * (sa + sb)
@@ -187,7 +196,10 @@ def _refine_crossing(step, sa, sb, rising, slope, normal, offset):
             sa = sm
         else:
             sb = sm
+    if land is not None:
+        return _land(land, ta, ya, fa, h, 0.5 * (sa + sb) * h, normal, offset)
     tau = ta + 0.5 * (sa + sb) * h
+    ya, fa, yb, fb = (np.asarray(v, dtype=float) for v in (ya, fa, yb, fb))
     x = _hermite(ta, ya, fa, tb, yb, fb, tau)
     g = float(np.dot(x[:3], normal)) - offset
     for _ in range(5):
@@ -205,9 +217,37 @@ def _refine_crossing(step, sa, sb, rising, slope, normal, offset):
     return tau, x, g
 
 
-def _step_crossing(step, plane, slope, t0, min_elapsed):
+def _land(land, ta, ya, fa, h, s, normal, offset):
+    """Newton on the crossing's offset s from the step's start ta, from
+    the given s, along exact steps: the state at ta + s is one step
+    `land(ya, fa, s)` -> (x, f(x)) from the accepted step's start, and
+    the signed distance's slope is ⟨f(x), normal⟩ there. Iterating on s,
+    not on ta + s, keeps the state's resolution that of s. Stops after
+    an update below 1e-8 of the step h, at most five updates, or before
+    an iterate that leaves the step. Returns (crossing time, state,
+    residual)."""
+    n0, n1, n2 = normal.tolist()
+    x, fx = land(ya, fa, s)
+    g = x[0] * n0 + x[1] * n1 + x[2] * n2 - offset
+    for _ in range(5):
+        ds = fx[0] * n0 + fx[1] * n1 + fx[2] * n2
+        if ds == 0.0:
+            break
+        step = g / ds
+        if not min(0.0, h) <= s - step <= max(0.0, h):
+            break
+        s -= step
+        x, fx = land(ya, fa, s)
+        g = x[0] * n0 + x[1] * n1 + x[2] * n2 - offset
+        if abs(step) <= 1e-8 * abs(h):
+            break
+    return ta + s, np.array(x), g
+
+
+def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
     """The first counted plane crossing in one accepted step (ta, ya, fa,
-    tb, yb, fb) that lies at least `min_elapsed` from t0, refined, as
+    tb, yb, fb) that lies at least `min_elapsed` from t0, refined
+    (`_refine_crossing`, with `land` None or the run's exact step), as
     (tau, x); None if there is none.
 
     The signed distance's cubic Hermite interpolant is sampled at the
@@ -237,7 +277,7 @@ def _step_crossing(step, plane, slope, t0, min_elapsed):
         if plane.direction not in ("both", "positive" if rising else "negative"):
             continue
         tau, x, g = _refine_crossing(step, sa, sb, rising, slope,
-                                     plane.normal, offset)
+                                     plane.normal, offset, land)
         if abs(tau - t0) < min_elapsed:
             continue
         if not abs(g) <= _REFINE_TOL:  # NaN fails this too
@@ -254,9 +294,10 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     plane crossing.
 
     The generated loop rules out every step whose signed-distance samples
-    cannot change sign; `_step_crossing` looks into the others. Only the
-    first three components decide a crossing; any others (a tangent
-    matrix) ride along and come back in the returned state.
+    cannot change sign; `_step_crossing` looks into the others, and lands
+    a DOP853 run's crossings by its exact step. Only the first three
+    components decide a crossing; any others (a tangent matrix) ride
+    along and come back in the returned state.
     """
     if not max_time > 0:
         raise ValueError("max_time must be positive")
@@ -264,8 +305,14 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     offset = float(np.dot(plane.point, plane.normal))
     run = _Run(field, system, state, t0, t0 + max_time, opts,
                plane=(*plane.normal.tolist(), offset, _SLACK))
+    land = None
+    if opts.method == DOP853_ADAPTIVE:
+        exact, tol = field.compiled_step(system, _DOP853), opts.tol
+
+        def land(y, f, hs):
+            return exact(y, f, hs, tol)[:2]
     while run.advance():
-        crossing = _step_crossing(run.step, plane, slope, t0, min_elapsed)
+        crossing = _step_crossing(run.step, plane, slope, t0, min_elapsed, land)
         if crossing is not None:
             return crossing
     tb, yb = run.point[:2]

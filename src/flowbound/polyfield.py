@@ -2,8 +2,9 @@
 
 Provides the canonical representation (monomials with sorted exponent
 tuples, like terms merged, zero terms dropped), a parser for the
-system-config text format, exact evaluation, symbolic differentiation,
-and a sound-but-incomplete syntactic lower-bound certifier.
+system-config text format, float evaluation equal to the generated code
+bit for bit, symbolic differentiation, and a sound-but-incomplete
+syntactic lower-bound certifier.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,10 +57,12 @@ class Monomial:
         return sum(self.exponents)
 
     def evaluate(self, state: Sequence[float]) -> float:
-        v = self.coefficient
+        """c*x0^e0*x1^e1*... in floats, in the generated code's order and
+        with its powers (`_power_lines`), so equal bit for bit."""
+        v = float(self.coefficient)
         for x, e in zip(state, self.exponents):
             if e:
-                v *= x ** e
+                v *= _int_power(x, e)
         return v
 
 
@@ -110,7 +113,14 @@ class Polynomial:
         return max((m.degree for m in self.terms), default=0)
 
     def evaluate(self, state: Sequence[float]) -> float:
-        return sum(m.evaluate(state) for m in self.terms)
+        """The float value at `state`, summed from the first term in
+        order, which equals `PolyField.compiled_slope` bit for bit."""
+        if not self.terms:
+            return 0.0
+        v = self.terms[0].evaluate(state)
+        for m in self.terms[1:]:
+            v += m.evaluate(state)
+        return v
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_terms(self.terms + other.terms)
@@ -279,14 +289,14 @@ class PolyField:
         slope = self.compiled_slope(system)
         return lambda y: np.array(slope(np.asarray(y, dtype=float).tolist()))
 
-    def compiled_step(self, system: str, tableau) -> Callable:
+    def compiled_step(self, system: str, tableau: _Tableau) -> Callable:
         """The generated step of `system` ("rhs", "tangent_rhs" or
         "liouville_rhs") for a tableau, built on first use from the same
         step text as the body of `_compiled_loop`."""
         return self._compiled((system, tableau), lambda: _compile_step(
             lambda v: self._system(system, v), tableau))
 
-    def _compiled_loop(self, system: str, tableau) -> Callable:
+    def _compiled_loop(self, system: str, tableau: _Tableau) -> Callable:
         """The generated stepping loop of `system` for a tableau (see
         `_loop_lines`), built on first use."""
         return self._compiled((system, tableau, "loop"), lambda: _compile_loop(
@@ -361,6 +371,16 @@ def _power_lines(polys: Iterable[Polynomial], v: str) -> list[str]:
     return [f"{_power(i, e, v)} = " + (f"{_power(i, e - 1, v)}*{v}{i}" if e % 2
                                        else f"{_power(i, e // 2, v)}*{_power(i, e // 2, v)}")
             for i, e in sorted(needed)]
+
+
+def _int_power(x: float, e: int) -> float:
+    """x^e (e >= 1) by the products of `_power_lines`."""
+    if e == 1:
+        return x
+    if e % 2:
+        return _int_power(x, e - 1) * x
+    half = _int_power(x, e // 2)
+    return half * half
 
 
 def _monomial_expr(m: Monomial, v: str, *factors: str) -> str:
@@ -445,24 +465,44 @@ def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
     return functools.reduce(add, terms)
 
 
-def _step_text(system: Callable, tableau) -> tuple:
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta tableau of the generated step.
+
+    Stage rows `A`; the new state z = y + (hs/d) Σ b_j k_j, whose slope g
+    is the next first stage (FSAL); error weights `e` (None: no
+    estimate, fixed steps); `e3`, for DOP853's combined error norm, the
+    weights of its 3rd-order estimate (None: the RMS norm of e alone);
+    and the controller exponent 1/(q+1), q the order of the error
+    estimate, which also sizes the initial step.
+    """
+
+    A: tuple
+    b: tuple
+    d: float = 1.0
+    e: Optional[tuple] = None
+    e3: Optional[tuple] = None
+    exponent: float = 0.2
+
+
+def _step_text(system: Callable, tableau: _Tableau) -> tuple:
     """(size, step lines, err expression, f and g names) of one explicit
     Runge-Kutta step of `system(v)` -> (size, body, outputs) as
     straight-line float code, from y and its slope f, the locals y0,
     y1, ... and k0_0, k0_1, ..., and the step hs.
 
-    `tableau` (A, b, d, e) gives the stage rows A, the new state z = y +
-    (hs/d) Σ b_j k_j, whose slope g is the next first stage (FSAL), and
-    the error weights e (None: no estimate, fixed steps). Zero
-    coefficients are skipped, negative ones subtract (`_signed_sum`) and
-    sums run in NumPy's order, so the step equals the same array
-    arithmetic bit for bit. The lines leave z in z0, z1, ..., g in the
-    `g` names and ss = Σ z_i²; err is the RMS of
-    hs Σ e_j k_j in units of tol + tol max(|y|, |z|), or None without
-    error weights. The lines cannot raise: a stage that overflows
-    leaves inf or nan in the components it reaches, as arrays would.
+    Zero coefficients are skipped, negative ones subtract (`_signed_sum`)
+    and sums run in NumPy's order, so the step equals the same array
+    arithmetic bit for bit. A trial stage assigns only the state
+    components its slope reads. The lines leave z in z0, z1, ..., g in
+    the `g` names and ss = Σ z_i²; err is None without error weights,
+    else, with the scale tol + tol max(|y|, |z|), the RMS of hs Σ e_j
+    k_j in units of it, or with `e3` DOP853's |hs| ‖e5‖² / √((‖e5‖² +
+    0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its units
+    (0 when both vanish). The lines cannot raise: a stage that
+    overflows leaves inf or nan in the components it reaches, as arrays
+    would.
     """
-    A, b, d, e = tableau
+    A, b, d, e, e3, _exponent = tableau
     m = system("y")[0]
     k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
 
@@ -472,19 +512,29 @@ def _step_text(system: Callable, tableau) -> tuple:
     step = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
-        step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)]
         _size, body, out = system(v)
+        reads = set(re.findall(rf"\b{v}(\d+)\b", "\n".join([*body, *out])))
+        step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)
+                 if v == "z" or str(i) in reads]
         step += [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
     err = None
-    if e is not None:
-        step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / "
-                 f"(tol + tol*(p if p >= q else q))" for i in range(m)]
+    scale = "(tol + tol*(p if p >= q else q))"
+    if e is not None and e3 is None:
+        step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / {scale}"
+                 for i in range(m)]
         err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
+    elif e is not None:
+        step += [f"p = abs(y{i}); q = abs(z{i}); sc = {scale}; "
+                 f"u{i} = ({combo(e, i)}) / sc; w{i} = ({combo(e3, i)}) / sc"
+                 for i in range(m)]
+        step += [f"eu = {_numpy_sum([f'u{i}*u{i}' for i in range(m)])}",
+                 f"ed = eu + 0.01*{_numpy_sum([f'w{i}*w{i}' for i in range(m)])}"]
+        err = f"(abs(hs)*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
     step.append("ss = " + " + ".join(f"z{i}*z{i}" for i in range(m)))
     return m, step, err, k[0], k[-1]
 
 
-def _compile_step(system: Callable, tableau) -> Callable:
+def _compile_step(system: Callable, tableau: _Tableau) -> Callable:
     """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
     returning (z, g, err, ss), err 0.0 without an estimate."""
     m, step, err, f, g = _step_text(system, tableau)
@@ -495,7 +545,7 @@ def _compile_step(system: Callable, tableau) -> Callable:
     ]))["_step"]
 
 
-def _compile_loop(system: Callable, tableau, n: int) -> Callable:
+def _compile_loop(system: Callable, tableau: _Tableau, n: int) -> Callable:
     """Generate `def _loop(t, y, f, h, steps, t0, t1, direction, tol,
     cap, budget, rec, plane)`: the stepping loop of a whole run around
     the step of `_step_text` (see `_loop_lines`); `n` is the field's
@@ -504,7 +554,7 @@ def _compile_loop(system: Callable, tableau, n: int) -> Callable:
     return _define("\n".join([
         "def _loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane):",
         *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f",
-                  *_loop_lines(step, err, m, n, f, g)])
+                  *_loop_lines(step, err, tableau.exponent, m, n, f, g)])
     ]))["_loop"]
 
 
@@ -512,8 +562,8 @@ def _indent(lines: Sequence[str]) -> list[str]:
     return [f"    {x}" for x in lines]
 
 
-def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
-                f: str, g: str) -> list[str]:
+def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
+                n: int, f: str, g: str) -> list[str]:
     """Body of the generated `_loop`: the run of accepted steps from (t, y)
     with slope f, step size h and `steps` steps taken, on to t1.
 
@@ -522,8 +572,9 @@ def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
     estimate `err` (adaptive): stop at t1, after `budget` steps taken,
     or once h is below 16 ulp of t; clip h to land on t1 exactly; retry
     a step whose new state is not finite at a fifth of h, and a step
-    whose error norm exceeds 1 at h·max(0.2, 0.9 err^-0.2); grow h by
-    min(5, 0.9 err^-0.2) after an accepted step. Without one: the
+    whose error norm exceeds 1 at h·max(0.2, 0.9 err^-x); grow h by
+    min(5, 0.9 err^-x) after an accepted step, x the tableau's
+    `exponent` (1/5 for DP5(4), 1/8 for DOP853). Without one: the
     `budget` equal steps of size h from t0, the k-th landing at t0 + k
     hs and the last on t1; a state that is not finite ends the run. A
     stage that overflows shows only there, as a new state that is not
@@ -585,7 +636,7 @@ def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
         lines += [
             f"    err = {err}",
             "    if not err <= 1.0:",
-            f"        c = {_SAFETY!r} * err ** -0.2",
+            f"        c = {_SAFETY!r} * err ** -{exponent!r}",
             f"        h *= c if c > {_MIN_STEP_FACTOR!r} else {_MIN_STEP_FACTOR!r}",
             "        continue"]
     lines += [
@@ -596,7 +647,7 @@ def _loop_lines(step: list[str], err: Optional[str], m: int, n: int,
             "    if err == 0.0:",
             f"        h *= {_MAX_STEP_FACTOR!r}",
             "    else:",
-            f"        c = {_SAFETY!r} * err ** -0.2",
+            f"        c = {_SAFETY!r} * err ** -{exponent!r}",
             f"        h *= c if c < {_MAX_STEP_FACTOR!r} else {_MAX_STEP_FACTOR!r}"]
     lines += ["    if rec is not None:",
               f"        rec_t(tn); rec_y({zs}); rec_f({gs})"]

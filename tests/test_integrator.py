@@ -34,6 +34,7 @@ HARMONIC = parse_system("dx/dt = y\ndy/dt = -x")
 ESCAPE = parse_system("dx/dt = x^2")
 
 TIGHT = IntegrationOptions(tol=1e-12)
+DOP853 = IntegrationOptions(method="dop853-adaptive", tol=1e-12)
 # x = 1e154 e^t, whose square overflows once x passes sqrt(max float) at
 # t = 0.293252...: trial stages of the last steps before T1 overflow
 OVERFLOWING = parse_system("dx/dt = x\ndy/dt = 1e-300*x^2")
@@ -61,6 +62,35 @@ class TestEndpoints:
         ref = solve_ivp(lorenz_scipy_rhs, (0.0, 2.0), x0, method="DOP853",
                         rtol=1e-12, atol=1e-12).y[:, -1]
         assert np.max(np.abs(mine - ref)) < 1e-7
+
+
+class TestDOP853:
+    """The DOP853 tableau at tolerance 1e-12, the tolerance of `upo`."""
+
+    @pytest.mark.parametrize("t1, bound", [(10.0, 1e-9), (20.0, 2e-7)])
+    def test_lorenz_against_scipy(self, lorenz, lorenz_scipy_rhs, t1, bound):
+        # Lorenz's largest exponent, 0.9, amplifies errors by e^18 over
+        # [0, 20]: SciPy's own DOP853 at 1e-12 ends 9.3e-8 from its run at
+        # 1e-13 there (2.6e-11 at t1 = 10), and DP5(4) at 1e-12 2.4e-6
+        mine = integrate(lorenz, [1.0, 1.0, 1.0], 0.0, t1, DOP853).final_state
+        ref = solve_ivp(lorenz_scipy_rhs, (0.0, t1), [1.0, 1.0, 1.0],
+                        method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+        assert np.max(np.abs(mine - ref)) < bound
+
+    def test_a_third_of_the_slope_evaluations(self, lorenz):
+        evaluations = {}
+        for method in ("rk45-adaptive", "dop853-adaptive"):
+            opts = IntegrationOptions(method=method, tol=1e-12)
+            run = integrator._Run(lorenz, "rhs", [1.0, 1.0, 1.0], 0.0, 20.0, opts)
+            run.advance()
+            stages = len(integrator._TABLEAUS[method].A) + 1  # FSAL: k0 is reused
+            evaluations[method] = run.point[4] * stages
+        assert evaluations["rk45-adaptive"] >= 3 * evaluations["dop853-adaptive"]
+
+    def test_options(self):
+        assert DOP853.tolerance == 1e-12
+        with pytest.raises(ValueError, match="step applies to rk4-fixed only"):
+            IntegrationOptions(method="dop853-adaptive", step=0.1)
 
 
 class TestFixedStepRK4:
@@ -206,16 +236,38 @@ class TestTangentFlow:
             assert abs(np.linalg.det(M) - expected) / abs(expected) < 1e-4
 
 
+def _weighted(weights, k):
+    """Σ w_j k_j over the nonzero weights, summed in order."""
+    terms = [w * kj for w, kj in zip(weights, k) if w]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
 def _reference_step(rhs, y, f, hs, tol, method):
     """One step on NumPy arrays, written out from the tableau: DP5(4)
     stage sums in `_DP_A` order and its error in `_DP_E` order, zero
-    coefficients skipped; classical RK4 with its usual weights."""
+    coefficients skipped; DOP853 the same way from `_DOP853`, with its
+    combined error norm; classical RK4 with its usual weights."""
     if method == "rk4-fixed":
         k2 = rhs(y + 0.5 * hs * f)
         k3 = rhs(y + 0.5 * hs * k2)
         k4 = rhs(y + hs * k3)
         z = y + (hs / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
         return z, rhs(z), 0.0
+    if method == "dop853-adaptive":
+        dop = integrator._DOP853
+        k = [f]
+        for row in (*dop.A, dop.b):
+            z = y + hs * _weighted(row, k)
+            k.append(rhs(z))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(z))
+        e5 = np.sum((_weighted(dop.e, k) / scale) ** 2)
+        e3 = np.sum((_weighted(dop.e3, k) / scale) ** 2)
+        den = e5 + 0.01 * e3
+        err = float(abs(hs) * e5 / np.sqrt(den * len(y))) if den != 0.0 else 0.0
+        return z, k[-1], err
     k = [f]
     for row in integrator._DP_A[1:]:
         acc = row[0] * k[0]
@@ -246,6 +298,12 @@ class TestGeneratedStep:
         ("lorenz", "rhs", "rk4-fixed", [1.0, 1.0, 1.0], -0.001),
         ("lorenz", "tangent_rhs", "rk4-fixed", [1.0, 1.0, 1.0], 0.01),
         ("closed-orbit", "rhs", "rk45-adaptive", [0.3, -1.7, 0.5], 0.02),
+        ("lorenz", "rhs", "dop853-adaptive", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "rhs", "dop853-adaptive", [1.0, 1.0, 1.0], -0.001),
+        ("lorenz", "tangent_rhs", "dop853-adaptive", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "tangent_rhs", "dop853-adaptive", [-3.0, 2.0, 30.0], -0.001),
+        ("lorenz", "liouville_rhs", "dop853-adaptive", [1.0, 1.0, 1.0], 0.01),
+        ("closed-orbit", "rhs", "dop853-adaptive", [0.3, -1.7, 0.5], 0.02),
     ])
     def test_matches_array_arithmetic(self, name, system, method, x0, hs):
         field = load_system(name)
@@ -255,8 +313,7 @@ class TestGeneratedStep:
             w = np.concatenate([w, np.eye(3).ravel()])
         elif system == "liouville_rhs":
             w = np.append(w, 0.0)
-        tableau = integrator._RK4 if method == "rk4-fixed" else integrator._DP54
-        step = field.compiled_step(system, tableau)
+        step = field.compiled_step(system, integrator._TABLEAUS[method])
         y, f = tuple(w.tolist()), tuple(rhs(w).tolist())
         for _ in range(200):
             z, g, err, _ss = step(y, f, hs, 1e-10)
@@ -326,13 +383,14 @@ def _reference_stream(field, system, y0, t0, t1, opts, attempts=None):
     y, t0 = tuple(float(a) for a in y0), float(t0)
     f = tuple(rhs(np.array(y)).tolist())
     yield t0, y, f
-    adaptive = opts.method == "rk45-adaptive"
+    adaptive = opts.method != "rk4-fixed"
+    exponent = 0.125 if opts.method == "dop853-adaptive" else 0.2
     direction = 1.0 if t1 > t0 else -1.0
     if adaptive:
         if not all(map(math.isfinite, f)):
             raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, np.array(y))
         h = min(integrator._initial_step(field.compiled_slope(system), y, f,
-                                         direction, opts.tol), abs(t1 - t0))
+                                         direction, opts.tol, exponent), abs(t1 - t0))
     else:
         n_steps = max(1, math.ceil(abs(t1 - t0) / opts.step))
         h = abs(t1 - t0) / n_steps
@@ -373,7 +431,7 @@ def _reference_stream(field, system, y0, t0, t1, opts, attempts=None):
         if not err <= 1.0:
             if attempts is not None:
                 attempts.append((y, f, hs, "rejected"))
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.2, 0.9 * err ** -exponent)
             continue
         if not ss < limit and (norm := math.hypot(*z[:n])) > cap:
             raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
@@ -383,7 +441,7 @@ def _reference_stream(field, system, y0, t0, t1, opts, attempts=None):
         t, y, f = t_new, z, g
         yield t, y, f
         if adaptive:
-            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -exponent)
 
 
 def _reference_run(field, system, y0, t0, t1, opts, attempts=None):
@@ -439,6 +497,28 @@ class TestGeneratedLoop:
         opts = self.RK4 if rk4 else IntegrationOptions()
         assert self._assert_same_run(load_system(name), system, w0, 0.0, t1,
                                      opts) is None
+
+    @pytest.mark.parametrize("system, w0, t1", [
+        ("rhs", [1.0, 1.0, 1.0], 5.0),
+        ("rhs", [1.0, 1.0, 1.0], -0.3),
+        ("tangent_rhs", [1.0, 1.0, 1.0, *np.eye(3).ravel()], 2.0),
+        ("liouville_rhs", [1.0, 1.0, 1.0, 0.0], 2.0),
+    ])
+    def test_dop853_runs(self, lorenz, system, w0, t1):
+        assert self._assert_same_run(lorenz, system, w0, 0.0, t1, DOP853) is None
+
+    def test_dop853_retries_until_underflow(self):
+        # past t = 0.293252... every step overflows a stage: the run
+        # retries at a fifth of h until h underflows
+        attempts = []
+        opts = dataclasses.replace(HUGE_CAP, method="dop853-adaptive")
+        error = self._assert_same_run(OVERFLOWING, "rhs", OVERFLOWING_X0, 0.0,
+                                      0.2933, opts, attempts)
+        assert isinstance(error, StepSizeError)
+        retries = [(a, b) for a, b in zip(attempts, attempts[1:])
+                   if a[3] == "non-finite"]
+        assert len(retries) > 10
+        assert all(b[0] == a[0] and b[2] == 0.2 * a[2] for a, b in retries)
 
     @pytest.mark.parametrize("rk4", [False, True])
     def test_one_and_four_dimensions(self, rk4):

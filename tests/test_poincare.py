@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from flowbound import (
     CrossingRefinementError,
@@ -20,10 +21,12 @@ from flowbound import (
     SectionPoint,
     first_crossing,
     first_return,
+    integrate,
     parse_system,
     return_map_iterates,
 )
 from flowbound import poincare
+from flowbound.upo import SHOOT_INTEGRATION
 
 from conftest import assert_close
 
@@ -210,6 +213,45 @@ class TestFirstReturn:
         start = plane.section_point([1.0, 0.0, 0.0], time=5.0)
         pt, rt = first_return(closed_orbit, plane, start)
         assert pt.time == pytest.approx(5.0 + rt)
+
+
+def _lorenz_variational(_t, u):
+    x, y, z = u[:3]
+    J = np.array([[-10.0, 10.0, 0.0], [28.0 - z, -1.0, -x],
+                  [y, x, -2.6666666666666665]])
+    return np.concatenate([[10.0 * (y - x), x * (28.0 - z) - y,
+                            x * y - 2.6666666666666665 * z],
+                           (J @ u[3:].reshape(3, 3)).ravel()])
+
+
+class TestExactLanding:
+    """A DOP853 run (a shoot leg) lands its crossings by exact steps."""
+
+    def test_tangent_crossings_against_scipy(self, lorenz):
+        # 30 successive legs on z = 27, each from the last crossing with
+        # V = I, against SciPy DOP853 at 1e-13 with an event on the plane
+        plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "negative")
+        x0 = integrate(lorenz, [1.0, 1.0, 1.0], 0.0, 10.0).final_state
+        start, _ = first_crossing(lorenz, plane, x0)
+
+        def event(_t, u):
+            return u[2] - 27.0
+        event.direction = -1
+
+        w, t = np.concatenate([start.state3, np.eye(3).ravel()]), 0.0
+        for _ in range(30):
+            tn, wn = poincare._next_crossing(lorenz, "tangent_rhs", plane, w, t,
+                                             SHOOT_INTEGRATION, 50.0,
+                                             poincare._REFRACTORY)
+            ref = solve_ivp(_lorenz_variational, (0.0, 1.5), w, method="DOP853",
+                            rtol=1e-13, atol=1e-13, events=event)
+            later = ref.t_events[0] > poincare._REFRACTORY
+            t_ref, w_ref = ref.t_events[0][later][0], ref.y_events[0][later][0]
+            assert abs((tn - t) - t_ref) < 1e-10
+            assert np.max(np.abs(wn[:3] - w_ref[:3])) < 1e-10
+            assert np.max(np.abs(wn[3:] - w_ref[3:])) < 1e-10 * np.max(np.abs(w_ref[3:]))
+            assert abs(wn[2] - 27.0) < 1e-13
+            w, t = np.concatenate([wn[:3], np.eye(3).ravel()]), tn
 
 
 class TestFirstCrossing:

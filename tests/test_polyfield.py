@@ -1,5 +1,6 @@
 import ast
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,6 +211,29 @@ class TestEvaluation:
                                    rtol=1e-15)
 
 
+class TestFloatEvaluation:
+    """`Polynomial.evaluate` powers and sums as the generated code does."""
+
+    @pytest.mark.parametrize("name", ["lorenz", "stuart-landau", "closed-orbit",
+                                      "equilibrium"])
+    def test_equals_generated_slope_bit_for_bit(self, name):
+        field = flowbound.load_system(name)
+        slope = field.compiled_slope("rhs")
+        divergence = field.divergence()
+        liouville = field.compiled_slope("liouville_rhs")
+        rng = np.random.default_rng(20_000)
+        for x in rng.uniform(-3.0, 3.0, size=(20_000, 3)).tolist():
+            assert ([float.hex(p.evaluate(x)) for p in field.components]
+                    == [float.hex(v) for v in slope(x)])
+            assert divergence.evaluate(x) == liouville(x + [0.0])[-1]
+
+    def test_zero_polynomial_and_fraction_coefficients(self):
+        assert Polynomial.zero().evaluate([2.0]) == 0.0
+        p = Polynomial((Monomial(Fraction(1, 3), (2,)),))
+        assert type(p.evaluate([3.0])) is float
+        assert p.evaluate([3.0]) == float(Fraction(1, 3)) * 9.0
+
+
 class TestGeneratedSums:
     @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
     def test_sum_follows_numpy_reduction_order(self, n):
@@ -353,28 +377,48 @@ class TestGeneratedEvaluator:
             "x1_2 = x1*x1", "x1_3 = x1_2*x1", "x1_6 = x1_3*x1_3", "x1_7 = x1_6*x1"]
 
     def test_no_multiplication_or_division_by_unit(self, monkeypatch):
-        # the four slopes and the DP5(4) and RK4 steps and stepping loops
-        # of the three stepped systems; 21.0*x is no identity, 1.0*x and
-        # x/1.0 are. Powers are products and nothing is caught: the one
-        # `**` is the step controller's err ** -0.2
+        # the four slopes and the DP5(4), DOP853 and RK4 steps and
+        # stepping loops of the three stepped systems; 21.0*x is no
+        # identity, 1.0*x and x/1.0 are. Powers are products and nothing
+        # is caught: the one `**` is the step controller's err ** -0.2,
+        # or err ** -0.125 for DOP853
         sources = _capture_sources(monkeypatch)
         for name in SHIPPED:
             field = flowbound.load_system(name)
             for system in SYSTEMS:
                 field.compiled_slope(system)
             for system in SYSTEMS[:3]:
-                for tableau in (integrator._DP54, integrator._RK4):
+                for tableau in (integrator._DP54, integrator._DOP853, integrator._RK4):
                     field.compiled_step(system, tableau)
                     field._compiled_loop(system, tableau)
-        assert len(sources) == 4 * (4 + 3 * 2 * 2)
+        assert len(sources) == 4 * (4 + 3 * 2 * 3)
         for source in sources:
             for node in ast.walk(ast.parse(source)):
                 if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
                     assert not (_is_unit(node.left) or _is_unit(node.right)), \
                         ast.unparse(node)
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-                    assert ast.unparse(node) == "err ** (-0.2)"
+                    assert ast.unparse(node) in ("err ** (-0.2)", "err ** (-0.125)")
                 assert not isinstance(node, ast.ExceptHandler), ast.unparse(node)
+
+    @pytest.mark.parametrize("name, system, unread", [
+        ("closed-orbit", "rhs", {2}),   # no slope reads z
+        ("equilibrium", "rhs", {2}),
+        ("lorenz", "rhs", set()),
+        ("lorenz", "liouville_rhs", {3}),  # nor the divergence integral
+    ])
+    @pytest.mark.parametrize("tableau", ["_DP54", "_DOP853", "_RK4"])
+    def test_trial_stages_assign_only_what_slopes_read(self, monkeypatch, name,
+                                                       system, unread, tableau):
+        tableau = getattr(integrator, tableau)
+        sources = _capture_sources(monkeypatch)
+        field = flowbound.load_system(name)
+        field.compiled_step(system, tableau)
+        size = _size(field, system)
+        assigned = Counter(line.split(" = ")[0] for line in sources[0].splitlines()
+                           if re.match(r"\s+a\d+ = ", line))
+        assert assigned == {f"    a{i}": len(tableau.A) for i in range(size)
+                            if i not in unread}
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_zero_jacobian_entries_keep_their_term(self, monkeypatch, name):
