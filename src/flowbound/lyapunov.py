@@ -5,6 +5,12 @@ orthonormalize them every fixed interval by modified Gram-Schmidt, and
 accumulate the logs of the diagonal stretching factors. The time
 averages of those logs are the Lyapunov exponents; a positive leading
 exponent is the operational chaos certificate.
+
+Each interval is one run of the field's generated tangent loop. Between
+runs the state and the frame stay Python floats, and the renormalization
+is plain IEEE double arithmetic, every sum taken left to right: the
+spectrum does not depend on a BLAS kernel or on whether the CPU fuses
+multiply and add.
 """
 
 from __future__ import annotations
@@ -13,9 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .integrator import IntegrationOptions, _drive, integrate_with_tangent
+from .integrator import IntegrationOptions, _drive, _Run
 from .polyfield import PolyField
 
 __all__ = [
@@ -61,9 +65,13 @@ class LyapunovResult:
         }
 
 
-def _mgs_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt QR with positive diagonal of R.
+def _mgs_qr(columns) -> tuple[list[list[float]], list[float]]:
+    """Modified Gram-Schmidt QR of the matrix with the given float
+    `columns`; returns the columns of Q and R's positive diagonal.
 
+    Every dot product and norm is a left-to-right sum of rounded
+    products in Python floats, so the result is the same on any CPU and
+    with any BLAS kernel (a fused multiply-add would round otherwise).
     Refuses a column that projection leaves with less than 1e-12 of its
     norm: its direction, and so its exponent, is then round-off. The
     column's squared norm before projection is R[j,j]² plus `above`,
@@ -71,25 +79,27 @@ def _mgs_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     R[j,j] < 1e-12 sqrt(above) is, to double precision, R[j,j] < 1e-12
     of that norm.
     """
-    n = A.shape[1]
-    Q = np.array(A, dtype=float)
-    R = np.zeros((n, n))
-    for j in range(n):
+    q, diag = [], []
+    for j, v in enumerate(columns):
         above = 0.0
-        for i in range(j):
-            R[i, j] = r = float(np.dot(Q[:, i], Q[:, j]))
+        for u in q:
+            r = 0.0
+            for a, b in zip(u, v):
+                r += a * b
             above += r * r
-            Q[:, j] -= R[i, j] * Q[:, i]
-        diag = float(np.linalg.norm(Q[:, j]))
-        if (not math.isfinite(diag) or diag <= 0.0
-                or diag < _COLLAPSE * math.sqrt(above)):
+            v = [b - r * a for a, b in zip(u, v)]
+        square = 0.0
+        for b in v:
+            square += b * b
+        d = math.sqrt(square)
+        if not math.isfinite(d) or d <= 0.0 or d < _COLLAPSE * math.sqrt(above):
             raise TangentCollapseError(
                 f"tangent vector {j} collapsed during renormalization "
-                f"(column norm {diag:.3g} of {math.hypot(diag, math.sqrt(above)):.3g} "
+                f"(column norm {d:.3g} of {math.hypot(d, math.sqrt(above)):.3g} "
                 f"before projection); shrink renorm_interval")
-        R[j, j] = diag
-        Q[:, j] /= diag
-    return Q, R
+        q.append([b / d for b in v])
+        diag.append(d)
+    return q, diag
 
 
 def lyapunov_spectrum(field: PolyField, x0, transient: float,
@@ -115,21 +125,27 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     x = field._check_state(x0)
     if transient > 0:
         x, _ = _drive(field, "rhs", x, 0.0, transient, opts)
-    Q = np.eye(n)
-    logs = np.zeros(n)
+    x = x.tolist()
+    q = [[float(i == j) for i in range(n)] for j in range(n)]
+    logs = [0.0] * n
     n_chunks = max(1, math.ceil(total_time / renorm_interval - 1e-9))
     history = []
     elapsed = 0.0
     for i in range(n_chunks):
         dt = min(renorm_interval, total_time - i * renorm_interval)
-        x, V = integrate_with_tangent(field, x, Q, 0.0, dt, opts)
-        Q, R = _mgs_qr(V)
-        logs += np.log(np.diag(R))
+        # the tangent system's state is x, then the frame row by row
+        run = _Run(field, "tangent_rhs", x + [c[k] for k in range(n) for c in q],
+                   0.0, dt, opts)
+        run.advance()
+        w = run.point[1]
+        x = list(w[:n])
+        q, diag = _mgs_qr([w[n + j::n] for j in range(n)])
+        logs = [a + math.log(d) for a, d in zip(logs, diag)]
         elapsed += dt
         if (i + 1) % _HISTORY_EVERY == 0:
-            history.append((elapsed,
-                            tuple(sorted(logs / elapsed, reverse=True))))
-    exponents = tuple(sorted(logs / elapsed, reverse=True))
+            history.append((elapsed, tuple(sorted(
+                [a / elapsed for a in logs], reverse=True))))
+    exponents = tuple(sorted([a / elapsed for a in logs], reverse=True))
     return LyapunovResult(
         exponents=exponents,
         transient_skipped=float(transient),

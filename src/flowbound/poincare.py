@@ -174,19 +174,23 @@ def _require_3d(field: PolyField) -> None:
             f"section machinery needs a 3D field, got n={field.dimension}")
 
 
-def _refine_crossing(step, sa, sb, rising, slope, normal, offset, land):
+def _refine_crossing(step, sa, sb, rising, slope, normal, offset, land, near):
     """Refine a bracketed sign change of the signed distance.
 
     Bisection on the scalar Hermite interpolant of the signed distance
-    down to a bracket width of 1e-12 in time. Then, with `land` (a DOP853
-    run), `_land`; without, up to five Newton steps along the
-    interpolant using the true slope s'(t) = ⟨slope(x), normal⟩ of the
-    3-D field until |s| < 1e-10, stopping before an iterate that leaves
-    [ta, tb]. Returns (crossing time, state, residual).
+    down to a bracket width of 1e-12 in time; None as soon as the
+    bracket's far end lies below the step fraction `near`. Then, with
+    `land` (a DOP853 run), `_land`; without, up to five Newton steps
+    along the interpolant using the true slope s'(t) = ⟨slope(x),
+    normal⟩ of the 3-D field until |s| < 1e-10, stopping before an
+    iterate that leaves [ta, tb]. Returns (crossing time, state,
+    residual).
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
     h = tb - ta
     while (sb - sa) * abs(h) > _BRACKET_WIDTH:
+        if sb < near:
+            return None
         sm = 0.5 * (sa + sb)
         gm = _hermite_fraction(sm, ga, gb, dga, dgb, h)
         if gm == 0.0:
@@ -244,20 +248,23 @@ def _land(land, ta, ya, fa, h, s, normal, offset):
     return ta + s, np.array(x), g
 
 
-def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
+def _step_crossing(step, plane, normal, offset, slope, t0, min_elapsed,
+                   land=None):
     """The first counted plane crossing in one accepted step (ta, ya, fa,
     tb, yb, fb) that lies at least `min_elapsed` from t0, refined
     (`_refine_crossing`, with `land` None or the run's exact step), as
-    (tau, x); None if there is none.
+    (tau, x); None if there is none. `normal` holds the plane's unit
+    normal as floats and `offset` is ⟨point, normal⟩.
 
     The signed distance's cubic Hermite interpolant is sampled at the
     fractions `_SUB_S`, and each bracketed sign change in the plane's
-    direction is refined in time order. Raises CrossingRefinementError
-    when a refinement stalls.
+    direction is refined in time order. A bracket at the start of a
+    run's first step is dropped, unrefined, once bisection puts it within
+    min_elapsed / 2 of t0: that is the departure crossing. Raises
+    CrossingRefinementError when a refinement stalls.
     """
     ta, ya, fa, tb, yb, fb = step
-    n0, n1, n2 = plane.normal.tolist()
-    offset = float(np.dot(plane.point, plane.normal))
+    n0, n1, n2 = normal
     ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
     gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
     dga = fa[0] * n0 + fa[1] * n1 + fa[2] * n2
@@ -276,8 +283,12 @@ def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
             continue
         if plane.direction not in ("both", "positive" if rising else "negative"):
             continue
-        tau, x, g = _refine_crossing(step, sa, sb, rising, slope,
-                                     plane.normal, offset, land)
+        near = 0.5 * min_elapsed / abs(h) if ta == t0 and sa == 0.0 else 0.0
+        crossing = _refine_crossing(step, sa, sb, rising, slope, plane.normal,
+                                    offset, land, near)
+        if crossing is None:
+            continue
+        tau, x, g = crossing
         if abs(tau - t0) < min_elapsed:
             continue
         if not abs(g) <= _REFINE_TOL:  # NaN fails this too
@@ -302,9 +313,10 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     if not max_time > 0:
         raise ValueError("max_time must be positive")
     slope = field.compiled_slope("rhs")
+    normal = plane.normal.tolist()
     offset = float(np.dot(plane.point, plane.normal))
     run = _Run(field, system, state, t0, t0 + max_time, opts,
-               plane=(*plane.normal.tolist(), offset, _SLACK))
+               plane=(*normal, offset, _SLACK))
     land = None
     if opts.method == DOP853_ADAPTIVE:
         exact, tol = field.compiled_step(system, _DOP853), opts.tol
@@ -312,7 +324,8 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
         def land(y, f, hs):
             return exact(y, f, hs, tol)[:2]
     while run.advance():
-        crossing = _step_crossing(run.step, plane, slope, t0, min_elapsed, land)
+        crossing = _step_crossing(run.step, plane, normal, offset, slope, t0,
+                                  min_elapsed, land)
         if crossing is not None:
             return crossing
     tb, yb = run.point[:2]

@@ -17,9 +17,11 @@ import pytest
 from flowbound import (
     IntegrationOptions,
     TangentCollapseError,
+    integrate_with_tangent,
     lyapunov_spectrum,
     parse_system,
 )
+from flowbound.lyapunov import _mgs_qr
 
 from conftest import assert_close
 
@@ -126,17 +128,19 @@ class TestFailureModes:
                               transient=0.0, total_time=800.0,
                               renorm_interval=800.0, opts=opts)
 
-    def test_aligned_tangents_are_refused(self, lorenz):
-        # over 5 time units the weaker tangent vectors align with the
+    @pytest.mark.parametrize("interval", [2.0, 5.0])
+    def test_aligned_tangents_are_refused(self, lorenz, interval):
+        # over 2 or 5 time units the weaker tangent vectors align with the
         # strongest; projection leaves the third under 1e-14 of its norm,
-        # and its exponent would be round-off (-6.46 instead of -14.5)
+        # and its exponent would be round-off (-6.46 instead of -14.5 at 5)
         with pytest.raises(TangentCollapseError, match="tangent vector 2"):
             lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0], transient=10.0,
-                              total_time=60.0, renorm_interval=5.0)
+                              total_time=60.0, renorm_interval=interval)
 
-    def test_interval_one_keeps_the_sum_rule(self, lorenz):
+    @pytest.mark.parametrize("interval", [0.5, 1.0])
+    def test_short_intervals_keep_the_sum_rule(self, lorenz, interval):
         result = lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0], transient=10.0,
-                                   total_time=60.0, renorm_interval=1.0)
+                                   total_time=60.0, renorm_interval=interval)
         assert abs(sum(result.exponents) + 13.666666666666666) < 1e-6
 
     def test_argument_validation(self):
@@ -149,3 +153,75 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             lyapunov_spectrum(DIAG, [1.0, 1.0, 1.0], transient=-1.0,
                               total_time=10.0, renorm_interval=0.5)
+
+
+def _float_gram_schmidt(columns):
+    """Modified Gram-Schmidt in Python floats, sums taken left to right:
+    the columns of Q and R's diagonal."""
+    q, diag = [], []
+    for v in columns:
+        for u in q:
+            r = 0.0
+            for k in range(len(v)):
+                r = r + u[k] * v[k]
+            v = [v[k] - r * u[k] for k in range(len(v))]
+        square = 0.0
+        for k in range(len(v)):
+            square = square + v[k] * v[k]
+        d = math.sqrt(square)
+        q.append([a / d for a in v])
+        diag.append(d)
+    return q, diag
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_numpy_qr(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            A = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+            q, diag = _mgs_qr(A.T.tolist())
+            Q, R = np.linalg.qr(A)
+            signs = np.sign(np.diag(R))
+            assert_close(np.array(q).T, Q * signs, 1e-13, "Q")
+            assert_close(diag, np.abs(np.diag(R)), 1e-13 * np.abs(R).max(), "diag R")
+            assert all(isinstance(d, float) and d > 0.0 for d in diag)
+
+    def test_zero_column_is_refused(self):
+        with pytest.raises(TangentCollapseError, match="tangent vector 1 "):
+            _mgs_qr([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("share, refused", [(1e-13, True), (1e-11, False)])
+    def test_aligned_column_is_refused(self, share, refused):
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0])
+        off = np.cross(a, b)
+        c = a + share * np.linalg.norm(a) * off / np.linalg.norm(off)
+        columns = [a.tolist(), b.tolist(), c.tolist()]
+        if refused:
+            with pytest.raises(TangentCollapseError, match="tangent vector 2 "):
+                _mgs_qr(columns)
+        else:
+            _q, diag = _mgs_qr(columns)
+            assert diag[2] == pytest.approx(share * np.linalg.norm(a), rel=1e-3)
+
+
+class TestPortableRenormalization:
+    def test_matches_float_reference(self, lorenz):
+        """A 10-unit RK4 window equals, bit for bit, integrate_with_tangent
+        legs renormalized by the left-to-right float Gram-Schmidt above:
+        no dot product runs through BLAS, whose kernels may fuse
+        multiply and add."""
+        opts = IntegrationOptions(method="rk4-fixed", step=0.015)
+        x0 = [-5.0, 3.0, 20.0]
+        result = lyapunov_spectrum(lorenz, x0, transient=0.0, total_time=10.0,
+                                   renorm_interval=0.5, opts=opts)
+        x, Q = np.array(x0), np.eye(3)
+        logs, elapsed = [0.0, 0.0, 0.0], 0.0
+        for _ in range(20):
+            x, V = integrate_with_tangent(lorenz, x, Q, 0.0, 0.5, opts)
+            q, diag = _float_gram_schmidt(V.T.tolist())
+            logs = [a + math.log(d) for a, d in zip(logs, diag)]
+            Q = np.array(q).T
+            elapsed += 0.5
+        expected = sorted([a / elapsed for a in logs], reverse=True)
+        assert [e.hex() for e in result.exponents] == [e.hex() for e in expected]

@@ -203,6 +203,7 @@ class TestFirstReturn:
         creep = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 1e-9")
         try:
             tau, _x = poincare._step_crossing((0.0, ya, fa, 1.0, yb, fb), plane,
+                                              (0.0, 0.0, 1.0), 0.0,
                                               creep.compiled_slope("rhs"), 0.0, 0.0)
         except CrossingRefinementError:
             return

@@ -107,6 +107,9 @@ def _matrix() -> list[tuple[str, ...]]:
          "--total", "100", "--interval", "0.5", "--history",
          "--method", "rk4-fixed", "--step", "0.01"),
     ]
+    # the collapse test's verdicts: interval 2 refused (exit 2), 1 kept
+    rows += [("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
+              "--total", "60", "--interval", interval) for interval in ("2", "1")]
     # starts whose field value is huge or overflows
     for system, plane in (("closed-orbit", Y0_PLANE), ("lorenz", LORENZ_Z27)):
         for big in ("1e20", "1e80", "1e150", "1e155", "1e200"):
