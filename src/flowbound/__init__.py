@@ -14,6 +14,7 @@ from pathlib import Path
 from .boundlaw import (
     VERDICT_FALSIFIED,
     VERDICT_NO_COUNTEREXAMPLE,
+    VERDICT_PROVED_UNBOUNDED,
     BoundCertificate,
     BoundReport,
     RefutationReport,
@@ -91,6 +92,7 @@ __all__ = [
     "Trajectory",
     "VERDICT_FALSIFIED",
     "VERDICT_NO_COUNTEREXAMPLE",
+    "VERDICT_PROVED_UNBOUNDED",
     "bound_line",
     "census",
     "certified_components",

@@ -44,10 +44,13 @@ __all__ = [
     "find_equilibrium",
     "VERDICT_FALSIFIED",
     "VERDICT_NO_COUNTEREXAMPLE",
+    "VERDICT_PROVED_UNBOUNDED",
 ]
 
 VERDICT_FALSIFIED = "bounded backward orbit found — original Theorem 1 claim falsified"
 VERDICT_NO_COUNTEREXAMPLE = "orbit escaped backward — no counterexample from this seed"
+VERDICT_PROVED_UNBOUNDED = ("every backward orbit is unbounded — a certified "
+                            "component has alpha > 0, so no counterexample exists")
 
 CERTIFIED = "certified"
 USER_ASSERTED = "user-asserted"
@@ -237,6 +240,9 @@ class RefutationReport:
     Evidence-based: "bounded" means the computed orbit stayed below the
     norm cap over the requested horizon, not a proof about t -> -inf.
     `bound_report` checks the equilibrium, the backward run or its escape.
+    `proof` names the argument behind a verdict that needs no run:
+    "bound-line" when the certificate's alpha > 0 (see
+    `refute_nonexistence`), else None.
     """
 
     verdict: str
@@ -247,6 +253,7 @@ class RefutationReport:
     bound_report: BoundReport
     equilibrium_state: Optional[np.ndarray] = None
     equilibrium_residual: Optional[float] = None
+    proof: Optional[str] = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -260,6 +267,8 @@ class RefutationReport:
         if self.equilibrium:
             doc["equilibrium_state"] = [float(v) for v in self.equilibrium_state]
             doc["equilibrium_residual"] = self.equilibrium_residual
+        if self.proof is not None:
+            doc["proof"] = self.proof
         return doc
 
 
@@ -275,10 +284,26 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     1e-12); otherwise integrates backward over the horizon. A finite-time
     escape (blow-up or step-size underflow) is a valid non-counterexample
     outcome, reported with the escape verdict.
+
+    A certified (not user-asserted) component with alpha > 0 settles the
+    question with no run: the backward bound line x_j(t) <= alpha*t +
+    x_j(0) for t < 0 sends x_j to -inf, so every backward orbit is
+    unbounded and no equilibrium or closed orbit exists. The report then
+    says so (`proof` "bound-line", horizon 0: nothing was integrated),
+    its bound report checks the one sample (0, x0) and its witnessed
+    bound is |x0|.
     """
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     opts = opts or IntegrationOptions()
+    if cert.alpha > 0 and cert.source == CERTIFIED:
+        y0 = field._check_state(x0)
+        traj = Trajectory([0.0], y0[None], field.evaluate(y0)[None],
+                          opts.tolerance, field.variable_names)
+        return RefutationReport(
+            verdict=VERDICT_PROVED_UNBOUNDED, bounded=False, equilibrium=False,
+            witnessed_bound=math.hypot(*y0), horizon=0.0,
+            bound_report=verify_bounds(traj, cert), proof="bound-line")
 
     x_star, residual = find_equilibrium(field, x0) or (None, None)
     bounded, reached = True, horizon

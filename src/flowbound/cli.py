@@ -208,6 +208,8 @@ def _leg(field, x0, t_end, opts):
 
 def cmd_bounds_check(field: PolyField, x0: np.ndarray, args) -> int:
     check_bound_tol(args.bound_tol)  # also when no component is certified
+    if not all(0 <= t < math.inf for t in (args.t_fwd, args.t_back)):
+        raise ValueError("--t-fwd and --t-back must be finite and nonnegative")
     opts = _integration_options(args)
     if args.j is not None:
         certs = [BoundCertificate.certified(field, args.j)]
@@ -254,7 +256,8 @@ def cmd_refute(field: PolyField, x0: np.ndarray, args) -> int:
     if not certs:
         _human("refutation needs a component with a certifiable lower bound")
         return EXIT_USAGE
-    cert = certs[0]
+    # alpha > 0 proves every backward orbit unbounded: prefer that component
+    cert = next((c for c in certs if c.alpha > 0), certs[0])
     opts = _integration_options(args, blow_up_norm=args.cap)
     report = refute_nonexistence(field, cert, x0, args.horizon, opts)
     doc = {

@@ -227,10 +227,13 @@ def _hermite_basis(s):
 
 
 def _hermite(ta, ya, fa, tb, yb, fb, t):
-    """Cubic Hermite interpolant on [ta, tb] matching values and slopes."""
+    """Cubic Hermite interpolant on [ta, tb] matching values and slopes,
+    as a list of floats."""
     h = tb - ta
     h00, h10, h01, h11 = _hermite_basis((t - ta) / h)
-    return h00 * ya + (h10 * h) * fa + h01 * yb + (h11 * h) * fb
+    h10, h11 = h10 * h, h11 * h
+    return [h00 * a + h10 * b + h01 * c + h11 * d
+            for a, b, c, d in zip(ya, fa, yb, fb)]
 
 
 def _hermite_fraction(s, ga, gb, dga, dgb, h):
@@ -316,13 +319,15 @@ class _Run:
     def advance(self) -> bool:
         """Run the loop on, to t1 (False, `point` is the end) or to the
         next accepted step that the plane test keeps (True, `step` is its
-        (ta, ya, fa, tb, yb, fb)); the loop's failures raise their
+        (ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb), the last four the
+        plane's signed distance and its rate at the step's ends, as the
+        test computed them); the loop's failures raise their
         IntegrationError."""
-        code, *point, before = self._loop(*self.point, *self._run)
+        code, *point, step = self._loop(*self.point, *self._run)
         self.point = tuple(point)
         t, y, f, h, _steps = point
         if code == "crossing":
-            self.step = (*before, t, y, f)
+            self.step = step
             return True
         if code == "done":
             return False

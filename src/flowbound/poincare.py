@@ -81,12 +81,15 @@ class SectionPlane:
     """Oriented plane: base point, unit normal, counted crossing direction.
 
     `direction` is "positive", "negative", or "both": the required sign
-    of d/dt ⟨x(t) − point, normal⟩ at a counted crossing. The normal is
-    normalized at construction.
+    of d/dt ⟨x(t), normal⟩ at a counted crossing. The point and normal
+    may be any 3-sequences; the plane stores them, and its chart frame,
+    as float tuples, the normal normalized, and `offset` = ⟨point,
+    normal⟩. The plane owns its arithmetic: every signed distance and
+    rate, and the chart, is a float sum taken left to right.
     """
 
-    point: np.ndarray
-    normal: np.ndarray
+    point: tuple[float, float, float]
+    normal: tuple[float, float, float]
     direction: str = "both"
 
     def __post_init__(self):
@@ -107,14 +110,14 @@ class SectionPlane:
         e1[k] += 1.0
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(normal, e1)
-        e1.flags.writeable = e2.flags.writeable = False
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "_basis", (e1, e2))
+        object.__setattr__(self, "point", tuple(point.tolist()))
+        object.__setattr__(self, "normal", tuple(normal.tolist()))
+        object.__setattr__(self, "offset", self.rate(self.point))
+        object.__setattr__(self, "_basis", (tuple(e1.tolist()), tuple(e2.tolist())))
 
-    def chart_basis(self) -> tuple[np.ndarray, np.ndarray]:
+    def chart_basis(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Deterministic orthonormal in-plane basis (e1, e2), computed
-        once at construction and read-only.
+        once at construction.
 
         e1 is the Gram-Schmidt projection of the coordinate axis least
         aligned with the normal (ties break toward the lowest index);
@@ -123,22 +126,26 @@ class SectionPlane:
         """
         return self._basis
 
+    def rate(self, v) -> float:
+        """⟨v[:3], normal⟩: the signed distance's rate along a slope v."""
+        n0, n1, n2 = self.normal
+        return v[0] * n0 + v[1] * n1 + v[2] * n2
+
     def signed_distance(self, state) -> float:
-        """⟨state − point, normal⟩: zero on the plane, sign by side."""
-        rel = np.asarray(state, dtype=float) - self.point
-        return float(np.dot(rel, self.normal))
+        """⟨state[:3], normal⟩ − offset: zero on the plane, sign by side."""
+        return self.rate(state) - self.offset
 
     def to_chart(self, state) -> np.ndarray:
         """In-plane chart coordinates (u, v) of a state's projection."""
-        e1, e2 = self.chart_basis()
-        rel = np.asarray(state, dtype=float) - self.point
-        return np.array([np.dot(rel, e1), np.dot(rel, e2)])
+        r0, r1, r2 = (a - p for a, p in zip(state, self.point))
+        return np.array([r0 * a0 + r1 * a1 + r2 * a2
+                         for a0, a1, a2 in self._basis])
 
     def from_chart(self, coords2) -> np.ndarray:
         """3D state on the plane with the given chart coordinates."""
         u, v = (float(c) for c in coords2)
-        e1, e2 = self.chart_basis()
-        return self.point + u * e1 + v * e2
+        return np.array([p + u * a + v * b
+                         for p, a, b in zip(self.point, *self._basis)])
 
     def section_point(self, state, time: float) -> "SectionPoint":
         """Build a SectionPoint, enforcing the on-plane invariant."""
@@ -174,42 +181,42 @@ def _require_3d(field: PolyField) -> None:
             f"section machinery needs a 3D field, got n={field.dimension}")
 
 
-def _refine_crossing(step, sa, sb, rising, slope, normal, offset, land, near):
-    """Refine a bracketed sign change of the signed distance.
+def _refine_crossing(step, below, above, plane, slope, land, near):
+    """Refine a bracketed sign change of the signed distance, negative at
+    the step fraction `below` and not at `above`.
 
     Bisection on the scalar Hermite interpolant of the signed distance
     down to a bracket width of 1e-12 in time; None as soon as the
     bracket's far end lies below the step fraction `near`. Then, with
     `land` (a DOP853 run), `_land`; without, up to five Newton steps
-    along the interpolant using the true slope s'(t) = ⟨slope(x),
-    normal⟩ of the 3-D field until |s| < 1e-10, stopping before an
-    iterate that leaves [ta, tb]. Returns (crossing time, state,
-    residual).
+    along the interpolant using the true slope s'(t) = `plane.rate` of
+    the 3-D field's `slope` until |s| < 1e-10, stopping before an iterate
+    that leaves [ta, tb]. Returns (crossing time, state, residual).
     """
     ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
     h = tb - ta
-    while (sb - sa) * abs(h) > _BRACKET_WIDTH:
-        if sb < near:
+    while abs(above - below) * abs(h) > _BRACKET_WIDTH:
+        if max(below, above) < near:
             return None
-        sm = 0.5 * (sa + sb)
+        sm = 0.5 * (below + above)
         gm = _hermite_fraction(sm, ga, gb, dga, dgb, h)
         if gm == 0.0:
-            sa = sb = sm
+            below = above = sm
             break
-        if (gm < 0.0) == rising:
-            sa = sm
+        if gm < 0.0:
+            below = sm
         else:
-            sb = sm
+            above = sm
+    s = 0.5 * (below + above)
     if land is not None:
-        return _land(land, ta, ya, fa, h, 0.5 * (sa + sb) * h, normal, offset)
-    tau = ta + 0.5 * (sa + sb) * h
-    ya, fa, yb, fb = (np.asarray(v, dtype=float) for v in (ya, fa, yb, fb))
+        return _land(land, plane, ta, ya, fa, h, s * h)
+    tau = ta + s * h
     x = _hermite(ta, ya, fa, tb, yb, fb, tau)
-    g = float(np.dot(x[:3], normal)) - offset
+    g = plane.signed_distance(x)
     for _ in range(5):
         if abs(g) <= _REFINE_TOL:
             break
-        ds = float(np.dot(slope(x[:3].tolist()), normal))
+        ds = plane.rate(slope(x[:3]))
         if ds == 0.0:
             break
         tau_next = tau - g / ds
@@ -217,24 +224,23 @@ def _refine_crossing(step, sa, sb, rising, slope, normal, offset, land, near):
             break
         tau = tau_next
         x = _hermite(ta, ya, fa, tb, yb, fb, tau)
-        g = float(np.dot(x[:3], normal)) - offset
+        g = plane.signed_distance(x)
     return tau, x, g
 
 
-def _land(land, ta, ya, fa, h, s, normal, offset):
+def _land(land, plane, ta, ya, fa, h, s):
     """Newton on the crossing's offset s from the step's start ta, from
     the given s, along exact steps: the state at ta + s is one step
     `land(ya, fa, s)` -> (x, f(x)) from the accepted step's start, and
-    the signed distance's slope is ⟨f(x), normal⟩ there. Iterating on s,
-    not on ta + s, keeps the state's resolution that of s. Stops after
+    the signed distance's slope is `plane.rate(f(x))` there. Iterating on
+    s, not on ta + s, keeps the state's resolution that of s. Stops after
     an update below 1e-8 of the step h, at most five updates, or before
     an iterate that leaves the step. Returns (crossing time, state,
     residual)."""
-    n0, n1, n2 = normal.tolist()
     x, fx = land(ya, fa, s)
-    g = x[0] * n0 + x[1] * n1 + x[2] * n2 - offset
+    g = plane.signed_distance(x)
     for _ in range(5):
-        ds = fx[0] * n0 + fx[1] * n1 + fx[2] * n2
+        ds = plane.rate(fx)
         if ds == 0.0:
             break
         step = g / ds
@@ -242,19 +248,18 @@ def _land(land, ta, ya, fa, h, s, normal, offset):
             break
         s -= step
         x, fx = land(ya, fa, s)
-        g = x[0] * n0 + x[1] * n1 + x[2] * n2 - offset
+        g = plane.signed_distance(x)
         if abs(step) <= 1e-8 * abs(h):
             break
-    return ta + s, np.array(x), g
+    return ta + s, x, g
 
 
-def _step_crossing(step, plane, normal, offset, slope, t0, min_elapsed,
-                   land=None):
+def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
     """The first counted plane crossing in one accepted step (ta, ya, fa,
-    tb, yb, fb) that lies at least `min_elapsed` from t0, refined
-    (`_refine_crossing`, with `land` None or the run's exact step), as
-    (tau, x); None if there is none. `normal` holds the plane's unit
-    normal as floats and `offset` is ⟨point, normal⟩.
+    tb, yb, fb, ga, gb, dga, dgb), ga and gb the plane's signed distance
+    and dga, dgb its rate at the ends, that lies at least `min_elapsed`
+    from t0, refined (`_refine_crossing`, with `land` None or the run's
+    exact step), as (tau, x); None if there is none.
 
     The signed distance's cubic Hermite interpolant is sampled at the
     fractions `_SUB_S`, and each bracketed sign change in the plane's
@@ -263,29 +268,22 @@ def _step_crossing(step, plane, normal, offset, slope, t0, min_elapsed,
     min_elapsed / 2 of t0: that is the departure crossing. Raises
     CrossingRefinementError when a refinement stalls.
     """
-    ta, ya, fa, tb, yb, fb = step
-    n0, n1, n2 = normal
-    ga = ya[0] * n0 + ya[1] * n1 + ya[2] * n2 - offset
-    gb = yb[0] * n0 + yb[1] * n1 + yb[2] * n2 - offset
-    dga = fa[0] * n0 + fa[1] * n1 + fa[2] * n2
-    dgb = fb[0] * n0 + fb[1] * n1 + fb[2] * n2
+    ta, tb, (ga, gb, dga, dgb) = step[0], step[3], step[6:]
     h = tb - ta
     samples = [(0.0, ga)]
     samples += [(s, _hermite_fraction(s, ga, gb, dga, dgb, h)) for s in _SUB_S]
     samples.append((1.0, gb))
-    step = (ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb)
     for (sa, gi), (sb, gj) in zip(samples, samples[1:]):
         if gi < 0.0 <= gj:
-            rising = True
+            side, below, above = "positive", sa, sb
         elif gi > 0.0 >= gj:
-            rising = False
+            side, below, above = "negative", sb, sa
         else:
             continue
-        if plane.direction not in ("both", "positive" if rising else "negative"):
+        if plane.direction not in ("both", side):
             continue
         near = 0.5 * min_elapsed / abs(h) if ta == t0 and sa == 0.0 else 0.0
-        crossing = _refine_crossing(step, sa, sb, rising, slope, plane.normal,
-                                    offset, land, near)
+        crossing = _refine_crossing(step, below, above, plane, slope, land, near)
         if crossing is None:
             continue
         tau, x, g = crossing
@@ -294,8 +292,8 @@ def _step_crossing(step, plane, normal, offset, slope, t0, min_elapsed,
         if not abs(g) <= _REFINE_TOL:  # NaN fails this too
             raise CrossingRefinementError(
                 f"crossing refinement stalled at |s|={abs(g):.3e} "
-                f"(t={tau:.6g})", tau, x)
-        return tau, x
+                f"(t={tau:.6g})", tau, np.array(x))
+        return tau, np.array(x)
     return None
 
 
@@ -313,10 +311,8 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     if not max_time > 0:
         raise ValueError("max_time must be positive")
     slope = field.compiled_slope("rhs")
-    normal = plane.normal.tolist()
-    offset = float(np.dot(plane.point, plane.normal))
     run = _Run(field, system, state, t0, t0 + max_time, opts,
-               plane=(*normal, offset, _SLACK))
+               plane=(*plane.normal, plane.offset, _SLACK))
     land = None
     if opts.method == DOP853_ADAPTIVE:
         exact, tol = field.compiled_step(system, _DOP853), opts.tol
@@ -324,8 +320,7 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
         def land(y, f, hs):
             return exact(y, f, hs, tol)[:2]
     while run.advance():
-        crossing = _step_crossing(run.step, plane, normal, offset, slope, t0,
-                                  min_elapsed, land)
+        crossing = _step_crossing(run.step, plane, slope, t0, min_elapsed, land)
         if crossing is not None:
             return crossing
     tb, yb = run.point[:2]

@@ -588,11 +588,12 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     (|g'(ta)| + |g'(tb)|) of zero at an end, and is resumed by calling
     it again with the returned point.
 
-    Returns (code, t, y, f, h, steps, before): the point it stopped at
-    and its step size and count, and, for the code "crossing", the
-    step's start (t, y, f). The other codes are "done" (t = t1),
-    "budget", "underflow" (y at t), "non-finite" and "cap" (the
-    refused new state and its time).
+    Returns (code, t, y, f, h, steps, step): the point it stopped at
+    and its step size and count, and, for the code "crossing", the step
+    (t, y, f, tn, z, g, ga, gb, dga, dgb): its two ends with their
+    slopes, and the signed distance and its rate at both ends. The other
+    codes are "done" (t = t1), "budget", "underflow" (y at t),
+    "non-finite" and "cap" (the refused new state and its time).
     """
     ys, fs = f"({_names('y', m)})", f"({_names(f, m)})"
     zs, gs = f"({_names('z', m)})", f"({_names(g, m)})"
@@ -659,7 +660,8 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
             "        ma = abs(ga); mb = abs(gb)",
             "        if not (ga * gb > 0.0 and (mb if mb < ma else ma)",
             "                > slack * abs(tn - t) * (abs(dga) + abs(dgb)) + 1e-300):",
-            f"            return 'crossing', tn, {zs}, {gs}, h, steps, (t, {ys}, {fs})",
+            f"            return 'crossing', tn, {zs}, {gs}, h, steps,"
+            f" (t, {ys}, {fs}, tn, {zs}, {gs}, ga, gb, dga, dgb)",
             "        ga = gb; dga = dgb"]
     lines += ["    t = tn",
               f"    {_names('y', m)} = {_names('z', m)}",

@@ -292,8 +292,7 @@ def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
     """
     E = np.column_stack(plane.chart_basis())
     f = field.evaluate(end)
-    n = plane.normal
-    P = np.eye(3) - np.outer(f, n) / float(np.dot(n, f))
+    P = np.eye(3) - np.outer(f, plane.normal) / plane.rate(f)
     return E.T @ P @ M @ E - np.eye(2)
 
 

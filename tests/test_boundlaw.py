@@ -6,6 +6,7 @@ import pytest
 from flowbound import (
     VERDICT_FALSIFIED,
     VERDICT_NO_COUNTEREXAMPLE,
+    VERDICT_PROVED_UNBOUNDED,
     BoundCertificate,
     IntegrationOptions,
     bound_line,
@@ -278,6 +279,26 @@ class TestRefuteNonexistence:
         traj = integrate(CUBIC_ESCAPE, [0.0, 0.0, 5.0], 0.0, -10.0,
                          IntegrationOptions(tol=1e-12))
         assert abs(traj.final_state[2] - (5.0 - 1000.0 / 3.0)) < 1e-8
+
+    def test_positive_alpha_proves_escape(self):
+        # dx/dt = 1: x(t) <= t + x(0) backward, so no run is needed
+        cert = BoundCertificate.certified(CUBIC_ESCAPE, 1)
+        report = refute_nonexistence(CUBIC_ESCAPE, cert, [3.0, 0.0, 4.0], 100.0)
+        assert report.verdict == VERDICT_PROVED_UNBOUNDED
+        assert not report.bounded and not report.equilibrium
+        assert report.proof == "bound-line"
+        assert (report.horizon, report.witnessed_bound) == (0.0, 5.0)
+        assert report.bound_report.samples_checked == 1
+        assert report.bound_report.forward_margin == 0.0
+        doc = report.to_json_dict()
+        assert list(doc) == REFUTATION_KEYS + ["proof"]
+
+    def test_user_asserted_alpha_is_not_a_proof(self, equilibrium):
+        # an unchecked claim gathers evidence: here, the equilibrium
+        report = refute_nonexistence(equilibrium, BoundCertificate(3, 1.0),
+                                     [0.0, 0.0, 0.0], 100.0)
+        assert report.proof is None and report.equilibrium
+        assert_one_outcome(report)
 
     def test_positive_horizon_required(self, equilibrium):
         cert = BoundCertificate.certified(equilibrium, 3)

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -214,6 +215,10 @@ class TestUsageErrors:
         ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
          "--t-fwd=nan"],
         ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
+         "--t-fwd=-1"],
+        ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
+         "--t-back=-1"],
+        ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
          "--bound-tol=nan"],
         ["bounds-check", "--system", LORENZ, "--x0", "1,1,1",
          "--bound-tol=nan"],
@@ -336,15 +341,48 @@ class TestRefute:
         assert doc["bounded"] and not doc["equilibrium"]
         assert doc["witnessed_bound"] < 1e3
 
-    def test_escape_is_no_counterexample(self, tmp_path, escape_system):
+    def test_escape_is_no_counterexample(self, tmp_path):
+        # escape.sys's run from (0, 0, 5), x = t, with no equilibrium, but
+        # dx/dt = 1 - y + y^2 is not certified: the components that are
+        # have alpha = 0, and the backward run decides
+        system = tmp_path / "escape-zero-alpha.sys"
+        system.write_text("dx/dt = 1 - y + y^2\ndy/dt = 0\ndz/dt = x^2\n")
         out = tmp_path / "run"
-        code = main(["refute", "--system", escape_system, "--x0", "0,0,5",
+        code = main(["refute", "--system", str(system), "--x0", "0,0,5",
                      "--cap", "1e4", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "refutation.json").read_text())
         assert "escaped backward" in doc["verdict"]
-        assert not doc["bounded"]
+        assert not doc["bounded"] and "proof" not in doc
         assert 0.0 < doc["horizon"] <= 100.0
+
+    def test_positive_alpha_proves_escape_without_a_run(self, tmp_path):
+        # Lorenz plus dw/dt = 1 + x^2: the backward run never ends in
+        # practice, while alpha = 1 on w settles it
+        system = tmp_path / "lorenz-w.sys"
+        system.write_text(Path(LORENZ).read_text() + "dw/dt = 1 + x^2\n")
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        code = main(["refute", "--system", str(system), "--x0", "1,1,1,0",
+                     "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        doc = json.loads((out / "refutation.json").read_text())
+        assert doc["verdict"] == flowbound.VERDICT_PROVED_UNBOUNDED
+        assert (doc["component"], doc["alpha"]) == (4, 1.0)
+        assert not doc["bounded"] and not doc["equilibrium"]
+        assert doc["proof"] == "bound-line"
+        assert doc["horizon"] == 0.0 and doc["bound_report"]["samples_checked"] == 1
+
+    def test_prefers_the_positive_alpha_component(self, tmp_path):
+        system = tmp_path / "second.sys"
+        system.write_text("dx/dt = y^2\ndy/dt = 2 + x^2\ndz/dt = -z\n")
+        out = tmp_path / "run"
+        assert main(["refute", "--system", str(system), "--x0", "1,1,1",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "refutation.json").read_text())
+        assert (doc["component"], doc["alpha"]) == (2, 2.0)
+        assert doc["proof"] == "bound-line"
 
     def test_needs_certificate(self, tmp_path):
         out = tmp_path / "run"

@@ -179,7 +179,7 @@ class TestDenseOutput:
             t = 0.5 * (ts[i] + ts[i + 1])
             x = integrator._hermite(ts[i], ys[i], fs[i], ts[i + 1], ys[i + 1],
                                     fs[i + 1], t)
-            errors.append(np.max(np.abs(x - [math.cos(t), -math.sin(t)])))
+            errors.append(max(abs(x[0] - math.cos(t)), abs(x[1] + math.sin(t))))
         return max(errors)
 
     def test_interpolation_matches_closed_form(self):

@@ -68,18 +68,21 @@ class TestPlaneGeometry:
     @pytest.mark.parametrize("normal", [[3.0, 1.0, -2.0], [1.0, 1.0, 1.0],
                                         [0.0, 0.0, 1.0], [-0.2, 5.0, 0.1]])
     def test_chart_basis_is_built_once_and_read_only(self, normal):
+        # the frame is built with NumPy and stored as float tuples
         plane = SectionPlane([1.0, -2.0, 0.5], normal, "both")
-        n = plane.normal
+        n = np.asarray(normal) / np.linalg.norm(normal)
         k = int(np.argmin(np.abs(n)))
         e1 = -n[k] * n
         e1[k] += 1.0
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(n, e1)
         b1, b2 = plane.chart_basis()
-        assert b1.tobytes() == e1.tobytes() and b2.tobytes() == e2.tobytes()
+        for got, want in ((plane.normal, n), (b1, e1), (b2, e2)):
+            assert isinstance(got, tuple)
+            assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
         assert plane.chart_basis()[0] is b1
         for e in (b1, b2):
-            with pytest.raises(ValueError, match="read-only"):
+            with pytest.raises(TypeError):
                 e[0] = 0.0
 
     def test_canonical_charts(self):
@@ -197,14 +200,15 @@ class TestFirstReturn:
     def test_refinement_never_returns_a_crossing_off_the_step(self):
         # z: -1 -> 3 over [0, 1] with endpoint slopes 5000, but a field
         # whose normal slope is 1e-9: Newton steps would leave the step
-        ya, yb = np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 3.0])
-        fa = fb = np.array([0.0, 0.0, 5000.0])
+        ya, yb = (0.0, 0.0, -1.0), (0.0, 0.0, 3.0)
+        fa = fb = (0.0, 0.0, 5000.0)
         plane = SectionPlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "positive")
         creep = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 1e-9")
+        step = (0.0, ya, fa, 1.0, yb, fb, plane.signed_distance(ya),
+                plane.signed_distance(yb), plane.rate(fa), plane.rate(fb))
         try:
-            tau, _x = poincare._step_crossing((0.0, ya, fa, 1.0, yb, fb), plane,
-                                              (0.0, 0.0, 1.0), 0.0,
-                                              creep.compiled_slope("rhs"), 0.0, 0.0)
+            tau, _x = poincare._step_crossing(step, plane, creep.compiled_slope("rhs"),
+                                              0.0, 0.0)
         except CrossingRefinementError:
             return
         assert math.isfinite(tau) and 0.0 <= tau <= 1.0
@@ -339,3 +343,38 @@ class TestLorenzSection:
         # both wings of the attractor get visited
         xs = np.array([pt.state3[0] for pt in points])
         assert np.any(xs > 1.0) and np.any(xs < -1.0)
+
+
+def _float_dot(a, b):
+    """⟨a, b⟩ on 3-vectors as a plain float sum, left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+class TestPortableCharts:
+    def test_matches_float_reference(self, lorenz):
+        """Section points on an oblique plane carry chart coordinates and
+        signed distances equal, bit for bit, to left-to-right float sums
+        over the plane's own tuples: no dot product runs through BLAS,
+        whose kernels may fuse multiply and add."""
+        plane = SectionPlane([0.0, 0.0, 20.0], [1.0, 1.0, 1.0], "both")
+        start, _ = first_crossing(lorenz, plane, [1.0, 1.0, 1.0])
+        e1, e2 = plane.chart_basis()
+        for pt in return_map_iterates(lorenz, plane, start, 50):
+            x = pt.state3.tolist()
+            rel = [a - p for a, p in zip(x, plane.point)]
+            want = [_float_dot(rel, e1), _float_dot(rel, e2)]
+            assert [c.hex() for c in pt.coords2.tolist()] == [c.hex() for c in want]
+            distance = _float_dot(x, plane.normal) - plane.offset
+            assert plane.signed_distance(x).hex() == distance.hex()
+
+    def test_loop_reads_the_plane_tuple(self, lorenz, monkeypatch):
+        plane = SectionPlane([1.0, 2.0, 25.0], [0.3, -0.2, 1.0], "positive")
+        assert plane.offset.hex() == _float_dot(plane.point, plane.normal).hex()
+        handed, real_run = [], poincare._Run
+
+        def run(*args, plane):
+            handed.append(plane)
+            return real_run(*args, plane=plane)
+        monkeypatch.setattr(poincare, "_Run", run)
+        first_crossing(lorenz, plane, [1.0, 1.0, 1.0])
+        assert handed == [(*plane.normal, plane.offset, poincare._SLACK)]

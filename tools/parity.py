@@ -95,6 +95,9 @@ def _matrix() -> list[tuple[str, ...]]:
          "--method", "rk4-fixed", "--step", "0.005", "--stdout"),
         ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
          "--iterates", "300", "--stdout"),
+        # crossings that the DP5(4) Hermite Newton polish moves
+        ("section", "lorenz", "--x0", "1,1,1", "--plane", "0,0,27/0,0,1/both",
+         "--iterates", "300", "--tol", "1e-9", "--stdout"),
     ]
     rows += [
         ("upo", "stuart-landau", "--x0", "1.3,-0.2,0", "--plane", Y0_PLANE,
