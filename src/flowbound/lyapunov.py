@@ -7,20 +7,23 @@ averages of those logs are the Lyapunov exponents; a positive leading
 exponent is the operational chaos certificate.
 
 Each interval is one run of the field's generated tangent loop. Between
-runs the state and the frame stay Python floats, and the renormalization
-is plain IEEE double arithmetic, every sum taken left to right: the
-spectrum does not depend on a BLAS kernel or on whether the CPU fuses
-multiply and add.
+runs the state and the frame stay one flat tuple of Python floats, and
+the renormalization is one generated straight-line function per
+dimension, built on first use, in plain IEEE double arithmetic with
+every sum taken left to right: the spectrum does not depend on a BLAS
+kernel or on whether the CPU fuses multiply and add. A run asking for
+more intervals than the step budget is refused before its first step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .integrator import IntegrationOptions, _drive, _Run
-from .polyfield import PolyField
+from .integrator import _MAX_STEPS, IntegrationOptions, MaxStepsError, _drive, _Run
+from .polyfield import PolyField, _define, _names
 
 __all__ = [
     "LyapunovResult",
@@ -65,41 +68,44 @@ class LyapunovResult:
         }
 
 
-def _mgs_qr(columns) -> tuple[list[list[float]], list[float]]:
-    """Modified Gram-Schmidt QR of the matrix with the given float
-    `columns`; returns the columns of Q and R's positive diagonal.
+@functools.cache
+def _renormalizer(n: int) -> Callable:
+    """The generated renormalization of an n-dimensional tangent state,
+    built on first use: `_renorm(w)` takes an interval's final state w,
+    x followed by the frame V row by row, and returns the next
+    interval's start, x followed by Q row by row, and R's positive
+    diagonal, for V = QR by modified Gram-Schmidt.
 
-    Every dot product and norm is a left-to-right sum of rounded
-    products in Python floats, so the result is the same on any CPU and
-    with any BLAS kernel (a fused multiply-add would round otherwise).
-    Refuses a column that projection leaves with less than 1e-12 of its
-    norm: its direction, and so its exponent, is then round-off. The
-    column's squared norm before projection is R[j,j]² plus `above`,
-    the sum of its squared projections R[i,j]², so the test
-    R[j,j] < 1e-12 sqrt(above) is, to double precision, R[j,j] < 1e-12
-    of that norm.
+    Straight-line code in plain IEEE double arithmetic: every dot
+    product and norm is a left-to-right sum from 0.0, the projection
+    v - r q and the division v / d, so the result is the same on any
+    CPU and with any BLAS kernel (a fused multiply-add would round
+    otherwise). A column that projection leaves with less than 1e-12 of
+    its norm is refused: its direction, and so its exponent, is then
+    round-off. The column's squared norm before projection is R[j,j]²
+    plus `above`, the sum of its squared projections R[i,j]², so the
+    test R[j,j] < 1e-12 sqrt(above) is, to double precision, R[j,j] <
+    1e-12 of that norm. A refused column j returns ((j, R[j,j], its
+    norm before projection), None).
     """
-    q, diag = [], []
-    for j, v in enumerate(columns):
-        above = 0.0
-        for u in q:
-            r = 0.0
-            for a, b in zip(u, v):
-                r += a * b
-            above += r * r
-            v = [b - r * a for a, b in zip(u, v)]
-        square = 0.0
-        for b in v:
-            square += b * b
-        d = math.sqrt(square)
-        if not math.isfinite(d) or d <= 0.0 or d < _COLLAPSE * math.sqrt(above):
-            raise TangentCollapseError(
-                f"tangent vector {j} collapsed during renormalization "
-                f"(column norm {d:.3g} of {math.hypot(d, math.sqrt(above)):.3g} "
-                f"before projection); shrink renorm_interval")
-        q.append([b / d for b in v])
-        diag.append(d)
-    return q, diag
+    frame = ", ".join(f"v{i}_{j}" for i in range(n) for j in range(n))  # V[i][j]
+    lines = [f"{_names('x', n)} {frame}, = w"]
+    for j in range(n):
+        for i in range(j):  # project column j off column i of Q
+            lines.append(f"r{i} = 0.0 + " + " + ".join(
+                f"q{k}_{i}*v{k}_{j}" for k in range(n)))
+            lines += [f"v{k}_{j} = v{k}_{j} - r{i}*q{k}_{i}" for k in range(n)]
+        d = f"d{j}"
+        lines += [f"{d} = _sqrt(0.0 + " + " + ".join(
+                      f"v{k}_{j}*v{k}_{j}" for k in range(n)) + ")",
+                  "above = 0.0" + "".join(f" + r{i}*r{i}" for i in range(j)),
+                  f"if not {d} > 0.0 or not _isfinite({d}) "
+                  f"or {d} < {_COLLAPSE!r}*_sqrt(above):",
+                  f"    return ({j}, {d}, _hypot({d}, _sqrt(above))), None",
+                  *(f"q{k}_{j} = v{k}_{j} / {d}" for k in range(n))]
+    q = ", ".join(f"q{i}_{j}" for i in range(n) for j in range(n))  # Q[i][j]
+    lines.append(f"return ({_names('x', n)} {q},), ({_names('d', n)})")
+    return _define("def _renorm(w):\n    " + "\n    ".join(lines))["_renorm"]
 
 
 def lyapunov_spectrum(field: PolyField, x0, transient: float,
@@ -112,7 +118,9 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     accumulates stretching statistics over `total_time` with QR
     renormalization every `renorm_interval`. Integrator errors
     propagate (blow-up for escaping orbits); TangentCollapseError
-    signals a renormalization interval too large for the dynamics.
+    signals a renormalization interval too large for the dynamics, and
+    MaxStepsError, before any integration, more intervals than the
+    step budget (each takes at least one step).
     """
     if not renorm_interval > 0:
         raise ValueError("renorm_interval must be positive")
@@ -123,23 +131,30 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     opts = opts or IntegrationOptions()
     n = field.dimension
     x = field._check_state(x0)
+    count = total_time / renorm_interval
+    if count > _MAX_STEPS:  # each interval's run takes at least one step
+        raise MaxStepsError(f"{count:.3g} renormalization intervals needed, "
+                            f"step budget {_MAX_STEPS}", 0.0, x)
     if transient > 0:
         x, _ = _drive(field, "rhs", x, 0.0, transient, opts)
-    x = x.tolist()
-    q = [[float(i == j) for i in range(n)] for j in range(n)]
+    renorm = _renormalizer(n)
+    # the tangent system's state is x, then the frame row by row
+    w = x.tolist() + [float(i == j) for i in range(n) for j in range(n)]
     logs = [0.0] * n
-    n_chunks = max(1, math.ceil(total_time / renorm_interval - 1e-9))
+    n_chunks = max(1, math.ceil(count - 1e-9))
     history = []
     elapsed = 0.0
     for i in range(n_chunks):
         dt = min(renorm_interval, total_time - i * renorm_interval)
-        # the tangent system's state is x, then the frame row by row
-        run = _Run(field, "tangent_rhs", x + [c[k] for k in range(n) for c in q],
-                   0.0, dt, opts)
+        run = _Run(field, "tangent_rhs", w, 0.0, dt, opts)
         run.advance()
-        w = run.point[1]
-        x = list(w[:n])
-        q, diag = _mgs_qr([w[n + j::n] for j in range(n)])
+        w, diag = renorm(run.point[1])
+        if diag is None:
+            j, d, norm = w
+            raise TangentCollapseError(
+                f"tangent vector {j} collapsed during renormalization "
+                f"(column norm {d:.3g} of {norm:.3g} before projection); "
+                f"shrink renorm_interval")
         logs = [a + math.log(d) for a, d in zip(logs, diag)]
         elapsed += dt
         if (i + 1) % _HISTORY_EVERY == 0:

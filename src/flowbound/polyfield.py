@@ -663,9 +663,8 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
             f"            return 'crossing', tn, {zs}, {gs}, h, steps,"
             f" (t, {ys}, {fs}, tn, {zs}, {gs}, ga, gb, dga, dgb)",
             "        ga = gb; dga = dgb"]
-    lines += ["    t = tn",
-              f"    {_names('y', m)} = {_names('z', m)}",
-              f"    {_names(f, m)} = {_names(g, m)}",
+    lines += ["    t = tn",  # one assignment per component: no tuple built
+              *(f"    y{i} = z{i}; {f}{i} = {g}{i}" for i in range(m)),
               f"return 'done', t, {ys}, {fs}, h, steps, None"]
     return lines
 

@@ -10,18 +10,27 @@ the flow divergence.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowbound
 from flowbound import (
     IntegrationOptions,
+    MaxStepsError,
     TangentCollapseError,
     integrate_with_tangent,
+    lyapunov,
     lyapunov_spectrum,
     parse_system,
+    polyfield,
 )
-from flowbound.lyapunov import _mgs_qr
+from flowbound.cli import main
+from flowbound.integrator import _MAX_STEPS
 
 from conftest import assert_close
 
@@ -34,6 +43,15 @@ STRONG_DECAY = parse_system(
     "dx/dt = -3*x\n"
     "dy/dt = -3*y\n"
     "dz/dt = -3*z\n")
+
+LOGISTIC = parse_system("dx/dt = x - x^3\n")
+
+# Lorenz plus dw/dt = w^2: from w = 0, w stays 0
+LORENZ_W = parse_system(
+    "dx/dt = 10*(y - x)\n"
+    "dy/dt = x*(28 - z) - y\n"
+    "dz/dt = x*y - 2.6666666666666665*z\n"
+    "dw/dt = w^2\n")
 
 
 class TestKnownSpectra:
@@ -143,6 +161,38 @@ class TestFailureModes:
                                    total_time=60.0, renorm_interval=interval)
         assert abs(sum(result.exponents) + 13.666666666666666) < 1e-6
 
+    @pytest.mark.parametrize("interval, total", [(5e-324, 1.0), (1e-9, 1000.0)])
+    def test_interval_count_over_the_step_budget_is_refused(self, interval, total):
+        # 1 / 5e-324 overflows to inf; 1000 / 1e-9 would take 1e12 runs.
+        # Both are refused before the transient, which alone would run
+        # for a long time.
+        with pytest.raises(MaxStepsError, match="renormalization intervals"):
+            lyapunov_spectrum(DIAG, [1.0, 1.0, 1.0], transient=1e9,
+                              total_time=total, renorm_interval=interval)
+
+    def test_interval_count_at_the_step_budget_is_kept(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_MAX_STEPS", 4)
+        result = lyapunov_spectrum(DIAG, [1.0, 1.0, 1.0], transient=0.0,
+                                   total_time=2.0, renorm_interval=0.5)
+        assert result.total_time == 2.0
+        with pytest.raises(MaxStepsError):
+            lyapunov_spectrum(DIAG, [1.0, 1.0, 1.0], transient=0.0,
+                              total_time=2.5, renorm_interval=0.5)
+
+    @pytest.mark.parametrize("interval, total", [("5e-324", "1"), ("1e-9", "1000")])
+    def test_cli_refuses_interval_count_in_one_line(self, tmp_path, capsys,
+                                                    interval, total):
+        lorenz_sys = str(flowbound.system_path("lorenz"))
+        code = main(["lyapunov", "--system", lorenz_sys, "--x0", "1,1,1",
+                     "--transient", "0", "--total", total, "--interval", interval,
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("integration failed: ")
+        assert f"step budget {_MAX_STEPS}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "lyapunov.json").exists()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             lyapunov_spectrum(DIAG, [1.0, 1.0, 1.0], transient=0.0,
@@ -174,13 +224,26 @@ def _float_gram_schmidt(columns):
     return q, diag
 
 
+def _renormalize(columns):
+    """Q's columns and R's diagonal of the matrix with the given float
+    `columns`, by the generated renormalizer of their dimension, or the
+    index of the column it refuses."""
+    n = len(columns)
+    w = [0.0] * n + [c[i] for i in range(n) for c in columns]
+    start, diag = lyapunov._renormalizer(n)(w)
+    if diag is None:
+        return start[0]
+    assert start[:n] == tuple(w[:n])
+    return [list(start[n + j::n]) for j in range(n)], list(diag)
+
+
 class TestGramSchmidt:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_numpy_qr(self, n):
         rng = np.random.default_rng(n)
         for _ in range(50):
             A = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-            q, diag = _mgs_qr(A.T.tolist())
+            q, diag = _renormalize(A.T.tolist())
             Q, R = np.linalg.qr(A)
             signs = np.sign(np.diag(R))
             assert_close(np.array(q).T, Q * signs, 1e-13, "Q")
@@ -188,8 +251,8 @@ class TestGramSchmidt:
             assert all(isinstance(d, float) and d > 0.0 for d in diag)
 
     def test_zero_column_is_refused(self):
-        with pytest.raises(TangentCollapseError, match="tangent vector 1 "):
-            _mgs_qr([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert _renormalize([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 1.0]]) == 1
 
     @pytest.mark.parametrize("share, refused", [(1e-13, True), (1e-11, False)])
     def test_aligned_column_is_refused(self, share, refused):
@@ -198,30 +261,75 @@ class TestGramSchmidt:
         c = a + share * np.linalg.norm(a) * off / np.linalg.norm(off)
         columns = [a.tolist(), b.tolist(), c.tolist()]
         if refused:
-            with pytest.raises(TangentCollapseError, match="tangent vector 2 "):
-                _mgs_qr(columns)
+            assert _renormalize(columns) == 2
         else:
-            _q, diag = _mgs_qr(columns)
+            _q, diag = _renormalize(columns)
             assert diag[2] == pytest.approx(share * np.linalg.norm(a), rel=1e-3)
+
+    def test_refusal_reports_the_column_and_its_norms(self):
+        start, diag = lyapunov._renormalizer(2)([0.0, 0.0, 3.0, 6.0, 4.0, 8.0])
+        assert diag is None
+        assert start == (1, 0.0, 10.0)
+
+    def test_built_on_first_use_once_per_dimension(self, monkeypatch):
+        assert lyapunov._define is polyfield._define
+        sources = []
+
+        def define(source):
+            sources.append(source)
+            return polyfield._define(source)
+
+        monkeypatch.setattr(lyapunov, "_define", define)
+        lyapunov._renormalizer.cache_clear()
+        for field in (DIAG, DIAG, LOGISTIC, DIAG, LOGISTIC):
+            lyapunov_spectrum(field, [1.0] * field.dimension, transient=0.0,
+                              total_time=1.0, renorm_interval=0.5)
+        assert len(sources) == 2
+        assert all(src.startswith("def _renorm(w):") for src in sources)
+        assert lyapunov._renormalizer.cache_info().currsize == 2
+
+    def test_not_built_at_import(self):
+        src = str(Path(flowbound.__file__).resolve().parents[1])
+        code = ("import flowbound, flowbound.cli, flowbound.lyapunov as L; "
+                "print(L._renormalizer.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out == "0\n"
+
+
+def _reference_spectrum(field, x0, opts, legs, interval):
+    """The spectrum of `legs` integrate_with_tangent legs renormalized by
+    the left-to-right float Gram-Schmidt above."""
+    n = field.dimension
+    x, Q = np.array(x0), np.eye(n)
+    logs, elapsed = [0.0] * n, 0.0
+    for _ in range(legs):
+        x, V = integrate_with_tangent(field, x, Q, 0.0, interval, opts)
+        q, diag = _float_gram_schmidt(V.T.tolist())
+        logs = [a + math.log(d) for a, d in zip(logs, diag)]
+        Q = np.array(q).T
+        elapsed += interval
+    return sorted([a / elapsed for a in logs], reverse=True)
+
+
+RK4 = IntegrationOptions(method="rk4-fixed", step=0.015)
 
 
 class TestPortableRenormalization:
-    def test_matches_float_reference(self, lorenz):
-        """A 10-unit RK4 window equals, bit for bit, integrate_with_tangent
+    @pytest.mark.parametrize("field, x0, opts", [
+        ("lorenz", [-5.0, 3.0, 20.0], RK4),
+        ("lorenz", [-5.0, 3.0, 20.0], IntegrationOptions()),
+        (LOGISTIC, [0.1], IntegrationOptions()),
+        (LORENZ_W, [-5.0, 3.0, 20.0, 0.0], RK4),
+    ], ids=["rk4", "dp5", "1-d", "4-d"])
+    def test_matches_float_reference(self, lorenz, field, x0, opts):
+        """A 10-unit window equals, bit for bit, integrate_with_tangent
         legs renormalized by the left-to-right float Gram-Schmidt above:
         no dot product runs through BLAS, whose kernels may fuse
         multiply and add."""
-        opts = IntegrationOptions(method="rk4-fixed", step=0.015)
-        x0 = [-5.0, 3.0, 20.0]
-        result = lyapunov_spectrum(lorenz, x0, transient=0.0, total_time=10.0,
+        field = lorenz if field == "lorenz" else field
+        result = lyapunov_spectrum(field, x0, transient=0.0, total_time=10.0,
                                    renorm_interval=0.5, opts=opts)
-        x, Q = np.array(x0), np.eye(3)
-        logs, elapsed = [0.0, 0.0, 0.0], 0.0
-        for _ in range(20):
-            x, V = integrate_with_tangent(lorenz, x, Q, 0.0, 0.5, opts)
-            q, diag = _float_gram_schmidt(V.T.tolist())
-            logs = [a + math.log(d) for a, d in zip(logs, diag)]
-            Q = np.array(q).T
-            elapsed += 0.5
-        expected = sorted([a / elapsed for a in logs], reverse=True)
+        expected = _reference_spectrum(field, x0, opts, 20, 0.5)
         assert [e.hex() for e in result.exponents] == [e.hex() for e in expected]

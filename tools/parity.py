@@ -113,6 +113,16 @@ def _matrix() -> list[tuple[str, ...]]:
     # the collapse test's verdicts: interval 2 refused (exit 2), 1 kept
     rows += [("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
               "--total", "60", "--interval", interval) for interval in ("2", "1")]
+    # renormalizations of one and four tangent vectors, and an interval
+    # count past the step budget
+    rows += [
+        ("lyapunov", "parity-systems/logistic.sys", "--x0", "0.1",
+         "--transient", "1", "--total", "60", "--interval", "0.5", "--history"),
+        ("lyapunov", "parity-systems/lorenz-escape.sys", "--x0", "1,1,1,0",
+         "--transient", "10", "--total", "100", "--interval", "0.5", "--history"),
+        ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "0",
+         "--total", "1", "--interval", "5e-324"),
+    ]
     # starts whose field value is huge or overflows
     for system, plane in (("closed-orbit", Y0_PLANE), ("lorenz", LORENZ_Z27)):
         for big in ("1e20", "1e80", "1e150", "1e155", "1e200"):
