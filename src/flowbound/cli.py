@@ -173,7 +173,9 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
 
 
 def _integration_options(args, **overrides) -> IntegrationOptions:
-    return IntegrationOptions(tol=args.tol, **overrides)
+    """`--tol`, and `--method` and `--step` where `_add_stepper` added them."""
+    stepper = {k: v for k, v in vars(args).items() if k in ("method", "step")}
+    return IntegrationOptions(tol=args.tol, **stepper, **overrides)
 
 
 def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
@@ -182,7 +184,7 @@ def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
     if pair and (len(pair) != 2 or any(p not in names for p in pair)):
         raise ValueError(
             f"--project needs two of {','.join(names)} (got {args.project!r})")
-    opts = _integration_options(args, method=args.method, step=args.step)
+    opts = _integration_options(args)
     traj = integrate(field, x0, args.t0, args.t1, opts)
     path = _emit(args, "trajectory.csv", traj.csv_blocks())
     _human(f"wrote {path} ({len(traj)} samples, "
@@ -333,7 +335,7 @@ def cmd_upo(field: PolyField, x0: np.ndarray, args) -> int:
 
 
 def cmd_lyapunov(field: PolyField, x0: np.ndarray, args) -> int:
-    opts = _integration_options(args, method=args.method, step=args.step)
+    opts = _integration_options(args)
     result = lyapunov_spectrum(field, x0, args.transient, args.total,
                                args.interval, opts)
     doc = {**_header(args, x0), **result.to_json_dict()}
@@ -376,6 +378,13 @@ def _add_common(sp) -> None:
                     help="also stream the primary machine output to stdout")
 
 
+def _add_stepper(sp) -> None:
+    sp.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
+                    default=RK45_ADAPTIVE)
+    sp.add_argument("--step", type=float, default=None,
+                    help="fixed step of rk4-fixed only (default 0.01)")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags by default; 2 means integration
     failure here, so route usage problems to the usage exit code."""
@@ -406,10 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
-                    default=RK45_ADAPTIVE)
-    sp.add_argument("--step", type=float, default=None,
-                    help="fixed step of rk4-fixed only (default 0.01)")
+    _add_stepper(sp)
     sp.add_argument("--project", default=None, metavar="VAR,VAR",
                     help="also write an SVG projection of two variables")
 
@@ -450,10 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--transient", type=float, default=100.0)
     sp.add_argument("--total", type=float, default=1000.0)
     sp.add_argument("--interval", type=float, default=0.5)
-    sp.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
-                    default=RK45_ADAPTIVE)
-    sp.add_argument("--step", type=float, default=None,
-                    help="fixed step of rk4-fixed only (default 0.01)")
+    _add_stepper(sp)
     sp.add_argument("--history", action="store_true",
                     help="also write the convergence history CSV")
 

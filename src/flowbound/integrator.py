@@ -4,12 +4,12 @@ Three tableaus: classical fixed-step RK4, adaptive Dormand-Prince 5(4)
 (the default), and adaptive DOP853 (Dormand-Prince 8(5,3), Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.10), which the tolerance-1e-12
 runs of `upo` use: at that tolerance it takes about a quarter of
-DP5(4)'s slope evaluations. Each run is one call of a stepping loop that
-`polyfield` generates for the field's system and the stepper's tableau,
-around the same straight-line step text as `PolyField.compiled_step`:
-step-size control, the non-finite retry, the step budget, the blow-up
-cap, the exact landing on t1, recording and a section's bracket test
-all run there, on local floats. Python keeps the run start (`_Run`: the
+DP5(4)'s slope evaluations. Each run is one call of a stepping loop
+generated here for the field's system and the stepper's tableau, around
+the same straight-line step text as `_compiled_step`: step-size control,
+the non-finite retry, the step budget, the blow-up cap, the exact landing
+on t1, recording and a section's bracket test all run there, on local
+floats. Python keeps the run start (`_Run`: the
 start converted to floats and checked, the first slope from
 `PolyField.compiled_slope` and the initial step) and turns the loop's
 exit codes into errors. Backward runs step with negative time
@@ -22,15 +22,18 @@ partial trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import re
+import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .polyfield import PolyField, _numpy_sum, _Tableau
+from .polyfield import PolyField, _define, _names, _scaled, _signed_sum
 
 __all__ = [
     "IntegrationOptions",
@@ -46,6 +49,26 @@ __all__ = [
 RK4_FIXED = "rk4-fixed"
 RK45_ADAPTIVE = "rk45-adaptive"
 DOP853_ADAPTIVE = "dop853-adaptive"
+
+
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta tableau of the generated step.
+
+    Stage rows `A`; the new state z = y + (hs/d) Σ b_j k_j, whose slope g
+    is the next first stage (FSAL); error weights `e` (None: no
+    estimate, fixed steps); `e3`, for DOP853's combined error norm, the
+    weights of its 3rd-order estimate (None: the RMS norm of e alone);
+    and the controller exponent 1/(q+1), q the order of the error
+    estimate, which also sizes the initial step.
+    """
+
+    A: tuple
+    b: tuple
+    d: float = 1.0
+    e: Optional[tuple] = None
+    e3: Optional[tuple] = None
+    exponent: float = 0.2
+
 
 # Dormand-Prince 5(4) tableau
 _DP_A = (
@@ -105,6 +128,11 @@ _TABLEAUS = {RK4_FIXED: _RK4, RK45_ADAPTIVE: _DP54, DOP853_ADAPTIVE: _DOP853}
 
 _MAX_STEPS = 10_000_000  # step budget of one integration
 _CSV_BLOCK = 4096  # rows that `_csv_blocks` formats at once
+# step-size control of the generated adaptive loop
+_MIN_STEP_FACTOR = 0.2
+_MAX_STEP_FACTOR = 5.0
+_SAFETY = 0.9
+_UNDERFLOW = 16 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 1)
 
 
 class IntegrationError(RuntimeError):
@@ -242,6 +270,22 @@ def _hermite_fraction(s, ga, gb, dga, dgb, h):
     return h00 * ga + h01 * gb + h * (h10 * dga + h11 * dgb)
 
 
+def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
+    """Sum of `terms` in the order of NumPy's pairwise `add.reduce`;
+    `add` joins two partial sums: code strings by default, or floats
+    with `operator.add`."""
+    n, rest = len(terms), len(terms) - len(terms) % 8
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return add(_numpy_sum(terms[:half], add), _numpy_sum(terms[half:], add))
+    if n >= 8:  # eight running sums, added pairwise, then the rest in turn
+        r = [functools.reduce(add, terms[j:rest:8]) for j in range(8)]
+        while len(r) > 1:
+            r = [add(a, b) for a, b in zip(r[::2], r[1::2])]
+        terms = r + terms[rest:]
+    return functools.reduce(add, terms)
+
+
 def _rms(v, scale) -> float:
     """Root mean square of v in units of scale, rounded as np.mean of
     the squared ratios rounds."""
@@ -267,6 +311,203 @@ def _initial_step(slope, y0, f0, direction, tol, exponent=0.2):
     else:
         h1 = (0.01 / max(d1, d2)) ** exponent
     return min(100 * h0, h1)
+
+
+def _compiled_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
+    """The generated step of the field's `system` ("rhs", "tangent_rhs"
+    or "liouville_rhs") for a tableau, built on first use."""
+    return field._compiled((system, tableau), lambda: _compile_step(field, system, tableau))
+
+
+def _compiled_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
+    """The generated stepping loop of the field's `system` for a tableau,
+    built on first use around the same step text."""
+    return field._compiled((system, tableau, "loop"),
+                           lambda: _compile_loop(field, system, tableau))
+
+
+def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
+    """(size, step lines, err expression, f and g names) of one explicit
+    Runge-Kutta step of the field's `system` (`PolyField._system`) as
+    straight-line float code, from y and its slope f, the locals y0,
+    y1, ... and k0_0, k0_1, ..., and the step hs.
+
+    Zero coefficients are skipped, negative ones subtract (`_signed_sum`)
+    and sums run in NumPy's order, so the step equals the same array
+    arithmetic bit for bit. A trial stage assigns only the state
+    components its slope reads. The lines leave z in z0, z1, ..., g in
+    the `g` names and ss = Σ z_i²; err is None without error weights,
+    else, with the scale tol + tol max(|y|, |z|), the RMS of hs Σ e_j
+    k_j in units of it, or with `e3` DOP853's |hs| ‖e5‖² / √((‖e5‖² +
+    0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its units
+    (0 when both vanish). The lines cannot raise: a stage that
+    overflows leaves inf or nan in the components it reaches, as arrays
+    would.
+    """
+    A, b, d, e, e3, _exponent = tableau
+    m = field._system(system, "y")[0]
+    k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
+
+    def combo(weights, i):
+        return _signed_sum([_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c])
+
+    step = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
+    for s, row in enumerate([*A, b], start=1):
+        v, h = ("z", "hb") if s > len(A) else ("a", "hs")
+        _size, body, out = field._system(system, v)
+        reads = set(re.findall(rf"\b{v}(\d+)\b", "\n".join([*body, *out])))
+        step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)
+                 if v == "z" or str(i) in reads]
+        step += [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
+    err = None
+    scale = "(tol + tol*(p if p >= q else q))"
+    if e is not None and e3 is None:
+        step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / {scale}"
+                 for i in range(m)]
+        err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
+    elif e is not None:
+        step += [f"p = abs(y{i}); q = abs(z{i}); sc = {scale}; "
+                 f"u{i} = ({combo(e, i)}) / sc; w{i} = ({combo(e3, i)}) / sc"
+                 for i in range(m)]
+        step += [f"eu = {_numpy_sum([f'u{i}*u{i}' for i in range(m)])}",
+                 f"ed = eu + 0.01*{_numpy_sum([f'w{i}*w{i}' for i in range(m)])}"]
+        err = f"(abs(hs)*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
+    step.append("ss = " + " + ".join(f"z{i}*z{i}" for i in range(m)))
+    return m, step, err, k[0], k[-1]
+
+
+def _compile_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
+    """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
+    returning (z, g, err, ss), err 0.0 without an estimate."""
+    m, step, err, f, g = _step_text(field, system, tableau)
+    return _define("\n".join([
+        "def _step(y, f, hs, tol):",
+        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f", *step,
+                  f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
+    ]))["_step"]
+
+
+def _compile_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
+    """Generate `def _loop(t, y, f, h, steps, t0, t1, direction, tol,
+    cap, budget, rec, plane)`: the stepping loop of a whole run around
+    the step of `_step_text` (see `_loop_lines`)."""
+    m, step, err, f, g = _step_text(field, system, tableau)
+    return _define("\n".join([
+        "def _loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane):",
+        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f",
+                  *_loop_lines(step, err, tableau.exponent, m, field.dimension, f, g)])
+    ]))["_loop"]
+
+
+def _indent(lines: Sequence[str]) -> list[str]:
+    return [f"    {x}" for x in lines]
+
+
+def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
+                n: int, f: str, g: str) -> list[str]:
+    """Body of the generated `_loop`: the run of accepted steps from (t, y)
+    with slope f, step size h and `steps` steps taken, on to t1.
+
+    The same checks in the same order as Hairer, Nørsett & Wanner's
+    DOPRI5 main loop (Solving ODEs I, §II.4), on local floats. With an error
+    estimate `err` (adaptive): stop at t1, after `budget` steps taken,
+    or once h is below 16 ulp of t; clip h to land on t1 exactly; retry
+    a step whose new state is not finite at a fifth of h, and a step
+    whose error norm exceeds 1 at h·max(0.2, 0.9 err^-x); grow h by
+    min(5, 0.9 err^-x) after an accepted step, x the tableau's
+    `exponent` (1/5 for DP5(4), 1/8 for DOP853). Without one: the
+    `budget` equal steps of size h from t0, the k-th landing at t0 + k
+    hs and the last on t1; a state that is not finite ends the run. A
+    stage that overflows shows only there, as a new state that is not
+    finite: the step's arithmetic cannot raise. A new state whose first
+    n components have a norm (`math.hypot`, finite for finite
+    components) above `cap` ends either. `rec`, if not None, is three
+    callables that take each accepted time, state and slope. `plane`,
+    if not None, is (n0, n1, n2, offset, slack): the loop returns at
+    every accepted step of length h where the signed distance g = z0 n0
+    + z1 n1 + z2 n2 - offset changes sign or comes within slack |h|
+    (|g'(ta)| + |g'(tb)|) of zero at an end, and is resumed by calling
+    it again with the returned point.
+
+    Returns (code, t, y, f, h, steps, step): the point it stopped at
+    and its step size and count, and, for the code "crossing", the step
+    (t, y, f, tn, z, g, ga, gb, dga, dgb): its two ends with their
+    slopes, and the signed distance and its rate at both ends. The other
+    codes are "done" (t = t1), "budget", "underflow" (y at t),
+    "non-finite" and "cap" (the refused new state and its time).
+    """
+    ys, fs = f"({_names('y', m)})", f"({_names(f, m)})"
+    zs, gs = f"({_names('z', m)})", f"({_names(g, m)})"
+    finite = " and ".join(f"_isfinite(z{i})" for i in range(m))
+    # a squared norm of all of z below `limit` is finite, with z[:n] under the cap
+    lines = ["limit = cap * cap * (1.0 - 1e-9)",
+             "if rec is not None:", "    rec_t, rec_y, rec_f = rec"]
+    section = m >= 3
+    if section:
+        lines += ["if plane is not None:", "    n0, n1, n2, offset, slack = plane",
+                  "    ga = y0*n0 + y1*n1 + y2*n2 - offset",
+                  f"    dga = {f}0*n0 + {f}1*n1 + {f}2*n2"]
+    if err is not None:
+        lines += [
+            "while direction * (t1 - t) > 0:",
+            "    if steps >= budget:",
+            f"        return 'budget', t, {ys}, {fs}, h, steps, None",
+            "    remaining = abs(t1 - t)",
+            "    if remaining < h:",
+            "        h = remaining",
+            "    final = h == remaining",
+            "    at = abs(t)",
+            f"    if h <= {_UNDERFLOW!r} * (1.0 if 1.0 > at else at):",
+            f"        return 'underflow', t, {ys}, {fs}, h, steps, None",
+            "    hs = direction * h",
+            "    steps += 1",
+            "    tn = t1 if final else t + hs"]
+        refuse = [f"    h *= {_MIN_STEP_FACTOR!r}", "    continue"]
+    else:
+        lines += [
+            "while steps < budget:",
+            "    final = steps == budget - 1",
+            "    hs = direction * h",
+            "    steps += 1",
+            "    tn = t1 if final else t0 + steps * hs"]
+        refuse = [f"    return 'non-finite', tn, {zs}, None, h, steps, None"]
+    lines += [
+        *_indent(step),
+        f"    if not ss < limit and not ({finite}):", *_indent(refuse)]
+    if err is not None:
+        lines += [
+            f"    err = {err}",
+            "    if not err <= 1.0:",
+            f"        c = {_SAFETY!r} * err ** -{exponent!r}",
+            f"        h *= c if c > {_MIN_STEP_FACTOR!r} else {_MIN_STEP_FACTOR!r}",
+            "        continue"]
+    lines += [
+        f"    if not ss < limit and _hypot({_names('z', n)}) > cap:",
+        f"        return 'cap', tn, {zs}, None, h, steps, None"]
+    if err is not None:  # err <= 1 makes the growth factor at least 0.9
+        lines += [
+            "    if err == 0.0:",
+            f"        h *= {_MAX_STEP_FACTOR!r}",
+            "    else:",
+            f"        c = {_SAFETY!r} * err ** -{exponent!r}",
+            f"        h *= c if c < {_MAX_STEP_FACTOR!r} else {_MAX_STEP_FACTOR!r}"]
+    lines += ["    if rec is not None:",
+              f"        rec_t(tn); rec_y({zs}); rec_f({gs})"]
+    if section:
+        lines += [
+            "    if plane is not None:",
+            "        gb = z0*n0 + z1*n1 + z2*n2 - offset",
+            f"        dgb = {g}0*n0 + {g}1*n1 + {g}2*n2",
+            "        ma = abs(ga); mb = abs(gb)",
+            "        if not (ga * gb > 0.0 and (mb if mb < ma else ma)",
+            "                > slack * abs(tn - t) * (abs(dga) + abs(dgb)) + 1e-300):",
+            f"            return 'crossing', tn, {zs}, {gs}, h, steps,"
+            f" (t, {ys}, {fs}, tn, {zs}, {gs}, ga, gb, dga, dgb)",
+            "        ga = gb; dga = dgb"]
+    lines += ["    t = tn",  # one assignment per component: no tuple built
+              *(f"    y{i} = z{i}; {f}{i} = {g}{i}" for i in range(m)),
+              f"return 'done', t, {ys}, {fs}, h, steps, None"]
+    return lines
 
 
 class _Run:
@@ -309,7 +550,7 @@ class _Run:
                                     f"step budget {_MAX_STEPS}", t0, np.array(y))
             budget = max(1, math.ceil(span / opts.step))
             h = span / budget
-        self._loop = field._compiled_loop(system, tableau)
+        self._loop = _compiled_loop(field, system, tableau)
         self._run = (t0, t1, direction, opts.tol, opts.blow_up_norm, budget,
                      rec, plane)
         self._n, self._cap = field.dimension, opts.blow_up_norm
@@ -345,34 +586,6 @@ class _Run:
                           f"{self._cap:.3e} at t={t:.6g}", t, state)
 
 
-def _drive(field: PolyField, system: str, w0, t0, t1, opts, record=False):
-    """Step `system` from (t0, w0) to t1; returns (final state, trajectory).
-
-    With `record`, every accepted point goes into flat float buffers, and
-    the trajectory, also attached to any IntegrationError, is a view of
-    them; otherwise it is None.
-    """
-    if not record:
-        run = _Run(field, system, w0, t0, t1, opts)
-        run.advance()
-        return np.array(run.point[1]), None
-    times, states, derivs = array("d"), array("d"), array("d")
-
-    def trajectory():
-        rows = [np.frombuffer(b).reshape(len(times), -1) for b in (states, derivs)]
-        return Trajectory(np.frombuffer(times), *rows, opts.tolerance,
-                          field.variable_names)
-
-    try:
-        run = _Run(field, system, w0, t0, t1, opts,
-                   (times.append, states.extend, derivs.extend))
-        run.advance()
-    except IntegrationError as exc:
-        exc.trajectory = trajectory()
-        raise
-    return np.array(run.point[1]), trajectory()
-
-
 def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:
     y0 = field._check_state(x0)
     if not math.isfinite(t1):
@@ -392,7 +605,20 @@ def integrate(field: PolyField, x0, t0: float, t1: float,
     """
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
-    return _drive(field, "rhs", y0, t0, t1, opts, record=True)[1]
+    times, states, derivs = array("d"), array("d"), array("d")
+
+    def trajectory():  # a view of the flat buffers
+        rows = [np.frombuffer(b).reshape(len(times), -1) for b in (states, derivs)]
+        return Trajectory(np.frombuffer(times), *rows, opts.tolerance,
+                          field.variable_names)
+
+    try:
+        _Run(field, "rhs", y0, t0, t1, opts,
+             (times.append, states.extend, derivs.extend)).advance()
+    except IntegrationError as exc:
+        exc.trajectory = trajectory()
+        raise
+    return trajectory()
 
 
 def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
@@ -410,6 +636,7 @@ def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
     Q0 = np.asarray(Q0, dtype=float)
     if Q0.shape != (n, n):
         raise ValueError(f"Q0 has shape {Q0.shape}, expected ({n}, {n})")
-    w0 = np.concatenate([y0, Q0.ravel()])
-    w, _ = _drive(field, "tangent_rhs", w0, t0, t1, opts)
+    run = _Run(field, "tangent_rhs", np.concatenate([y0, Q0.ravel()]), t0, t1, opts)
+    run.advance()
+    w = np.array(run.point[1])
     return w[:n], w[n:].reshape(n, n)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .integrator import _MAX_STEPS, IntegrationOptions, MaxStepsError, _drive, _Run
+from .integrator import _MAX_STEPS, IntegrationOptions, MaxStepsError, _Run
 from .polyfield import PolyField, _define, _names
 
 __all__ = [
@@ -136,10 +136,12 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
         raise MaxStepsError(f"{count:.3g} renormalization intervals needed, "
                             f"step budget {_MAX_STEPS}", 0.0, x)
     if transient > 0:
-        x, _ = _drive(field, "rhs", x, 0.0, transient, opts)
+        run = _Run(field, "rhs", x, 0.0, transient, opts)
+        run.advance()
+        x = run.point[1]
     renorm = _renormalizer(n)
     # the tangent system's state is x, then the frame row by row
-    w = x.tolist() + [float(i == j) for i in range(n) for j in range(n)]
+    w = list(x) + [float(i == j) for i in range(n) for j in range(n)]
     logs = [0.0] * n
     n_chunks = max(1, math.ceil(count - 1e-9))
     history = []

@@ -33,6 +33,7 @@ from .integrator import (
     DOP853_ADAPTIVE,
     IntegrationError,
     IntegrationOptions,
+    _compiled_step,
     _hermite,
     _hermite_fraction,
     _Run,
@@ -99,12 +100,14 @@ class SectionPlane:
             raise ValueError("plane point and normal must be 3-vectors")
         if not (np.all(np.isfinite(point)) and np.all(np.isfinite(normal))):
             raise ValueError("plane point and normal must be finite")
-        length = float(np.linalg.norm(normal))
-        if length == 0.0:
+        big = np.max(np.abs(normal))
+        if big == 0.0:
             raise ValueError("plane normal must be nonzero")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        normal = normal / length
+        # an exact power-of-two rescaling: the norm's squares cannot overflow or vanish
+        normal = np.ldexp(normal, -np.frexp(big)[1])
+        normal = normal / np.linalg.norm(normal)
         k = int(np.argmin(np.abs(normal)))
         e1 = -normal[k] * normal
         e1[k] += 1.0
@@ -315,7 +318,7 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
                plane=(*plane.normal, plane.offset, _SLACK))
     land = None
     if opts.method == DOP853_ADAPTIVE:
-        exact, tol = field.compiled_step(system, _DOP853), opts.tol
+        exact, tol = _compiled_step(field, system, _DOP853), opts.tol
 
         def land(y, f, hs):
             return exact(y, f, hs, tol)[:2]

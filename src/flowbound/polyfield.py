@@ -9,13 +9,11 @@ syntactic lower-bound certifier.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
-import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -187,8 +185,9 @@ class Polynomial:
 class PolyField:
     """An n-component polynomial vector field f: R^n -> R^n.
 
-    Immutable after construction; evaluation, Jacobian and step callables are
-    generated lazily and cached, so sharing one instance across threads
+    Immutable after construction; evaluation and Jacobian callables, and
+    `integrator`'s step and loop, are generated lazily and cached in the
+    field's entry, so sharing one instance across threads
     or repeated integrations is cheap. Generated code reads only the
     components, so fields with equal components (say, parsed from the
     same text) share one entry of the module-level `_GENERATED` and its
@@ -289,23 +288,10 @@ class PolyField:
         slope = self.compiled_slope(system)
         return lambda y: np.array(slope(np.asarray(y, dtype=float).tolist()))
 
-    def compiled_step(self, system: str, tableau: _Tableau) -> Callable:
-        """The generated step of `system` ("rhs", "tangent_rhs" or
-        "liouville_rhs") for a tableau, built on first use from the same
-        step text as the body of `_compiled_loop`."""
-        return self._compiled((system, tableau), lambda: _compile_step(
-            lambda v: self._system(system, v), tableau))
-
-    def _compiled_loop(self, system: str, tableau: _Tableau) -> Callable:
-        """The generated stepping loop of `system` for a tableau (see
-        `_loop_lines`), built on first use."""
-        return self._compiled((system, tableau, "loop"), lambda: _compile_loop(
-            lambda v: self._system(system, v), tableau, self.dimension))
-
     def _compiled(self, key, build: Callable[[], Callable]) -> Callable:
         """The generated function cached under `key` (a `_system` name
         first, alone or with its tableau), built by `build` on first
-        use."""
+        use; `integrator` caches its steps and loops here too."""
         if self._generated is None:
             self._generated = _GENERATED.setdefault(self.components, {})
         if key not in self._generated:
@@ -425,12 +411,6 @@ def _names(v: str, size: int) -> str:
 # (name, tableau); equal components generate equal code, so they share
 _GENERATED: dict[tuple, dict] = {}
 
-# step-size control of the generated adaptive loop
-_MIN_STEP_FACTOR = 0.2
-_MAX_STEP_FACTOR = 5.0
-_SAFETY = 0.9
-_UNDERFLOW = 16 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 1)
-
 
 def _define(source: str) -> dict:
     """The namespace of what the generated `source` defines; the one
@@ -447,226 +427,6 @@ def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable
     nan in the outputs it reaches, as arrays would."""
     lines = [f"{_names('x', size)} = y", *body, f"return ({', '.join(outputs)},)"]
     return _define("def _slope(y):\n    " + "\n    ".join(lines))["_slope"]
-
-
-def _numpy_sum(terms: list, add: Callable = lambda a, b: f"({a} + {b})"):
-    """Sum of `terms` in the order of NumPy's pairwise `add.reduce`;
-    `add` joins two partial sums: code strings by default, or floats
-    with `operator.add`."""
-    n, rest = len(terms), len(terms) - len(terms) % 8
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return add(_numpy_sum(terms[:half], add), _numpy_sum(terms[half:], add))
-    if n >= 8:  # eight running sums, added pairwise, then the rest in turn
-        r = [functools.reduce(add, terms[j:rest:8]) for j in range(8)]
-        while len(r) > 1:
-            r = [add(a, b) for a, b in zip(r[::2], r[1::2])]
-        terms = r + terms[rest:]
-    return functools.reduce(add, terms)
-
-
-class _Tableau(NamedTuple):
-    """An explicit Runge-Kutta tableau of the generated step.
-
-    Stage rows `A`; the new state z = y + (hs/d) Σ b_j k_j, whose slope g
-    is the next first stage (FSAL); error weights `e` (None: no
-    estimate, fixed steps); `e3`, for DOP853's combined error norm, the
-    weights of its 3rd-order estimate (None: the RMS norm of e alone);
-    and the controller exponent 1/(q+1), q the order of the error
-    estimate, which also sizes the initial step.
-    """
-
-    A: tuple
-    b: tuple
-    d: float = 1.0
-    e: Optional[tuple] = None
-    e3: Optional[tuple] = None
-    exponent: float = 0.2
-
-
-def _step_text(system: Callable, tableau: _Tableau) -> tuple:
-    """(size, step lines, err expression, f and g names) of one explicit
-    Runge-Kutta step of `system(v)` -> (size, body, outputs) as
-    straight-line float code, from y and its slope f, the locals y0,
-    y1, ... and k0_0, k0_1, ..., and the step hs.
-
-    Zero coefficients are skipped, negative ones subtract (`_signed_sum`)
-    and sums run in NumPy's order, so the step equals the same array
-    arithmetic bit for bit. A trial stage assigns only the state
-    components its slope reads. The lines leave z in z0, z1, ..., g in
-    the `g` names and ss = Σ z_i²; err is None without error weights,
-    else, with the scale tol + tol max(|y|, |z|), the RMS of hs Σ e_j
-    k_j in units of it, or with `e3` DOP853's |hs| ‖e5‖² / √((‖e5‖² +
-    0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its units
-    (0 when both vanish). The lines cannot raise: a stage that
-    overflows leaves inf or nan in the components it reaches, as arrays
-    would.
-    """
-    A, b, d, e, e3, _exponent = tableau
-    m = system("y")[0]
-    k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
-
-    def combo(weights, i):
-        return _signed_sum([_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c])
-
-    step = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
-    for s, row in enumerate([*A, b], start=1):
-        v, h = ("z", "hb") if s > len(A) else ("a", "hs")
-        _size, body, out = system(v)
-        reads = set(re.findall(rf"\b{v}(\d+)\b", "\n".join([*body, *out])))
-        step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)
-                 if v == "z" or str(i) in reads]
-        step += [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
-    err = None
-    scale = "(tol + tol*(p if p >= q else q))"
-    if e is not None and e3 is None:
-        step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / {scale}"
-                 for i in range(m)]
-        err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
-    elif e is not None:
-        step += [f"p = abs(y{i}); q = abs(z{i}); sc = {scale}; "
-                 f"u{i} = ({combo(e, i)}) / sc; w{i} = ({combo(e3, i)}) / sc"
-                 for i in range(m)]
-        step += [f"eu = {_numpy_sum([f'u{i}*u{i}' for i in range(m)])}",
-                 f"ed = eu + 0.01*{_numpy_sum([f'w{i}*w{i}' for i in range(m)])}"]
-        err = f"(abs(hs)*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
-    step.append("ss = " + " + ".join(f"z{i}*z{i}" for i in range(m)))
-    return m, step, err, k[0], k[-1]
-
-
-def _compile_step(system: Callable, tableau: _Tableau) -> Callable:
-    """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
-    returning (z, g, err, ss), err 0.0 without an estimate."""
-    m, step, err, f, g = _step_text(system, tableau)
-    return _define("\n".join([
-        "def _step(y, f, hs, tol):",
-        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f", *step,
-                  f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
-    ]))["_step"]
-
-
-def _compile_loop(system: Callable, tableau: _Tableau, n: int) -> Callable:
-    """Generate `def _loop(t, y, f, h, steps, t0, t1, direction, tol,
-    cap, budget, rec, plane)`: the stepping loop of a whole run around
-    the step of `_step_text` (see `_loop_lines`); `n` is the field's
-    dimension, the state components that the blow-up cap bounds."""
-    m, step, err, f, g = _step_text(system, tableau)
-    return _define("\n".join([
-        "def _loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane):",
-        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f",
-                  *_loop_lines(step, err, tableau.exponent, m, n, f, g)])
-    ]))["_loop"]
-
-
-def _indent(lines: Sequence[str]) -> list[str]:
-    return [f"    {x}" for x in lines]
-
-
-def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
-                n: int, f: str, g: str) -> list[str]:
-    """Body of the generated `_loop`: the run of accepted steps from (t, y)
-    with slope f, step size h and `steps` steps taken, on to t1.
-
-    The same checks in the same order as Hairer, Nørsett & Wanner's
-    DOPRI5 main loop (Solving ODEs I, §II.4), on local floats. With an error
-    estimate `err` (adaptive): stop at t1, after `budget` steps taken,
-    or once h is below 16 ulp of t; clip h to land on t1 exactly; retry
-    a step whose new state is not finite at a fifth of h, and a step
-    whose error norm exceeds 1 at h·max(0.2, 0.9 err^-x); grow h by
-    min(5, 0.9 err^-x) after an accepted step, x the tableau's
-    `exponent` (1/5 for DP5(4), 1/8 for DOP853). Without one: the
-    `budget` equal steps of size h from t0, the k-th landing at t0 + k
-    hs and the last on t1; a state that is not finite ends the run. A
-    stage that overflows shows only there, as a new state that is not
-    finite: the step's arithmetic cannot raise. A new state whose first
-    n components have a norm (`math.hypot`, finite for finite
-    components) above `cap` ends either. `rec`, if not None, is three
-    callables that take each accepted time, state and slope. `plane`,
-    if not None, is (n0, n1, n2, offset, slack): the loop returns at
-    every accepted step of length h where the signed distance g = z0 n0
-    + z1 n1 + z2 n2 - offset changes sign or comes within slack |h|
-    (|g'(ta)| + |g'(tb)|) of zero at an end, and is resumed by calling
-    it again with the returned point.
-
-    Returns (code, t, y, f, h, steps, step): the point it stopped at
-    and its step size and count, and, for the code "crossing", the step
-    (t, y, f, tn, z, g, ga, gb, dga, dgb): its two ends with their
-    slopes, and the signed distance and its rate at both ends. The other
-    codes are "done" (t = t1), "budget", "underflow" (y at t),
-    "non-finite" and "cap" (the refused new state and its time).
-    """
-    ys, fs = f"({_names('y', m)})", f"({_names(f, m)})"
-    zs, gs = f"({_names('z', m)})", f"({_names(g, m)})"
-    finite = " and ".join(f"_isfinite(z{i})" for i in range(m))
-    # a squared norm of all of z below `limit` is finite, with z[:n] under the cap
-    lines = ["limit = cap * cap * (1.0 - 1e-9)",
-             "if rec is not None:", "    rec_t, rec_y, rec_f = rec"]
-    section = m >= 3
-    if section:
-        lines += ["if plane is not None:", "    n0, n1, n2, offset, slack = plane",
-                  "    ga = y0*n0 + y1*n1 + y2*n2 - offset",
-                  f"    dga = {f}0*n0 + {f}1*n1 + {f}2*n2"]
-    if err is not None:
-        lines += [
-            "while direction * (t1 - t) > 0:",
-            "    if steps >= budget:",
-            f"        return 'budget', t, {ys}, {fs}, h, steps, None",
-            "    remaining = abs(t1 - t)",
-            "    if remaining < h:",
-            "        h = remaining",
-            "    final = h == remaining",
-            "    at = abs(t)",
-            f"    if h <= {_UNDERFLOW!r} * (1.0 if 1.0 > at else at):",
-            f"        return 'underflow', t, {ys}, {fs}, h, steps, None",
-            "    hs = direction * h",
-            "    steps += 1",
-            "    tn = t1 if final else t + hs"]
-        refuse = [f"    h *= {_MIN_STEP_FACTOR!r}", "    continue"]
-    else:
-        lines += [
-            "while steps < budget:",
-            "    final = steps == budget - 1",
-            "    hs = direction * h",
-            "    steps += 1",
-            "    tn = t1 if final else t0 + steps * hs"]
-        refuse = [f"    return 'non-finite', tn, {zs}, None, h, steps, None"]
-    lines += [
-        *_indent(step),
-        f"    if not ss < limit and not ({finite}):", *_indent(refuse)]
-    if err is not None:
-        lines += [
-            f"    err = {err}",
-            "    if not err <= 1.0:",
-            f"        c = {_SAFETY!r} * err ** -{exponent!r}",
-            f"        h *= c if c > {_MIN_STEP_FACTOR!r} else {_MIN_STEP_FACTOR!r}",
-            "        continue"]
-    lines += [
-        f"    if not ss < limit and _hypot({_names('z', n)}) > cap:",
-        f"        return 'cap', tn, {zs}, None, h, steps, None"]
-    if err is not None:  # err <= 1 makes the growth factor at least 0.9
-        lines += [
-            "    if err == 0.0:",
-            f"        h *= {_MAX_STEP_FACTOR!r}",
-            "    else:",
-            f"        c = {_SAFETY!r} * err ** -{exponent!r}",
-            f"        h *= c if c < {_MAX_STEP_FACTOR!r} else {_MAX_STEP_FACTOR!r}"]
-    lines += ["    if rec is not None:",
-              f"        rec_t(tn); rec_y({zs}); rec_f({gs})"]
-    if section:
-        lines += [
-            "    if plane is not None:",
-            "        gb = z0*n0 + z1*n1 + z2*n2 - offset",
-            f"        dgb = {g}0*n0 + {g}1*n1 + {g}2*n2",
-            "        ma = abs(ga); mb = abs(gb)",
-            "        if not (ga * gb > 0.0 and (mb if mb < ma else ma)",
-            "                > slack * abs(tn - t) * (abs(dga) + abs(dgb)) + 1e-300):",
-            f"            return 'crossing', tn, {zs}, {gs}, h, steps,"
-            f" (t, {ys}, {fs}, tn, {zs}, {gs}, ga, gb, dga, dgb)",
-            "        ga = gb; dga = dgb"]
-    lines += ["    t = tn",  # one assignment per component: no tuple built
-              *(f"    y{i} = z{i}; {f}{i} = {g}{i}" for i in range(m)),
-              f"return 'done', t, {ys}, {fs}, h, steps, None"]
-    return lines
 
 
 # -- parsing ---------------------------------------------------------------

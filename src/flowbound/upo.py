@@ -27,7 +27,7 @@ from .integrator import (
     DOP853_ADAPTIVE,
     IntegrationError,
     IntegrationOptions,
-    _drive,
+    _Run,
     integrate_with_tangent,
 )
 from .poincare import (
@@ -238,10 +238,10 @@ def flow_determinant(field: PolyField, x0, T: float) -> float:
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    w0 = np.append(field._check_state(x0), 0.0)
-    w, _ = _drive(field, "liouville_rhs", w0, 0.0, float(T),
-                  SHOOT_INTEGRATION)
-    return float(np.exp(w[-1]))
+    run = _Run(field, "liouville_rhs", np.append(field._check_state(x0), 0.0),
+               0.0, float(T), SHOOT_INTEGRATION)
+    run.advance()
+    return float(np.exp(run.point[1][-1]))
 
 
 def _prime_shift(cycle_coords: np.ndarray, k: int) -> Optional[int]:

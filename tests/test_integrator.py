@@ -284,8 +284,18 @@ def _reference_step(rhs, y, f, hs, tol, method):
     return z, k[-1], float(np.sqrt(np.mean((hs * acc / scale) ** 2)))
 
 
+class TestGeneratedSums:
+    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
+    def test_sum_follows_numpy_reduction_order(self, n):
+        # the generated step's RMS must round exactly as np.mean does
+        rng = np.random.default_rng(n)
+        q = (rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)) ** 2
+        expr = integrator._numpy_sum([f"q[{i}]" for i in range(n)])
+        assert eval(expr, {"q": q.tolist()}) == float(np.add.reduce(q))
+
+
 class TestGeneratedStep:
-    """`PolyField.compiled_step` is straight-line float code; it must
+    """`integrator._compiled_step` is straight-line float code; it must
     reproduce the array arithmetic of the same tableau bit for bit."""
 
     @pytest.mark.parametrize("name, system, method, x0, hs", [
@@ -313,7 +323,7 @@ class TestGeneratedStep:
             w = np.concatenate([w, np.eye(3).ravel()])
         elif system == "liouville_rhs":
             w = np.append(w, 0.0)
-        step = field.compiled_step(system, integrator._TABLEAUS[method])
+        step = integrator._compiled_step(field, system, integrator._TABLEAUS[method])
         y, f = tuple(w.tolist()), tuple(rhs(w).tolist())
         for _ in range(200):
             z, g, err, _ss = step(y, f, hs, 1e-10)
@@ -327,7 +337,7 @@ class TestGeneratedStep:
     def test_overflowing_power(self, closed_orbit):
         # a stage before z overflows: as arrays would, z is not finite
         rhs = closed_orbit.compiled_rhs()
-        step = closed_orbit.compiled_step("rhs", integrator._DP54)
+        step = integrator._compiled_step(closed_orbit, "rhs", integrator._DP54)
         y = (1e80, 0.0, 0.0)
         z, _g, _err, _ss = step(y, tuple(rhs(np.array(y)).tolist()), 1e-100, 1e-10)
         assert not all(map(math.isfinite, z))
@@ -340,7 +350,7 @@ class TestGeneratedStep:
         with pytest.raises(BlowUpError, match="exceeded blow-up cap") as info:
             integrate(closed_orbit, [1.0, 1.0, 1.0], 0.0, -0.5, opts)
         traj = info.value.trajectory
-        step = closed_orbit.compiled_step("rhs", integrator._RK4)
+        step = integrator._compiled_step(closed_orbit, "rhs", integrator._RK4)
         z, g, _err, _ss = step(tuple(traj.states[-1].tolist()),
                                tuple(traj.derivs[-1].tolist()), -0.01, 1e-10)
         assert all(map(math.isfinite, z)) and not all(map(math.isfinite, g))
@@ -361,7 +371,7 @@ class TestGeneratedStep:
             pass
         i = next(i for i, a in enumerate(attempts) if a[3] == "non-finite")
         y, f, hs, _verdict = attempts[i]
-        step = OVERFLOWING.compiled_step("rhs", integrator._DP54)
+        step = integrator._compiled_step(OVERFLOWING, "rhs", integrator._DP54)
         z, _g, _err, _ss = step(y, f, hs, HUGE_CAP.tol)
         assert not all(map(math.isfinite, z))
         z, _g, _err, _ss = step(y, f, 0.2 * hs, HUGE_CAP.tol)
@@ -456,6 +466,26 @@ def _reference_run(field, system, y0, t0, t1, opts, attempts=None):
     return np.array(times), np.array(states), np.array(derivs), error
 
 
+def _recorded_run(field, system, w0, t0, t1, opts):
+    """(times, states, derivs, error) of one run of the generated loop
+    with every accepted point recorded: by `integrate` for "rhs" (a
+    failed run's points from the trajectory its error carries), else by
+    one `_Run` recording into lists."""
+    if system == "rhs":
+        try:
+            traj, error = integrate(field, w0, t0, t1, opts), None
+        except IntegrationError as exc:
+            traj, error = exc.trajectory, exc
+        return traj.times, traj.states, traj.derivs, error
+    times, states, derivs, error = [], [], [], None
+    try:
+        integrator._Run(field, system, w0, t0, t1, opts,
+                        (times.append, states.append, derivs.append)).advance()
+    except IntegrationError as exc:
+        error = exc
+    return np.array(times), np.array(states), np.array(derivs), error
+
+
 class TestGeneratedLoop:
     """The generated stepping loop accepts the same points, bit for bit,
     and ends the same way as `_reference_stream`."""
@@ -468,19 +498,15 @@ class TestGeneratedLoop:
     def _assert_same_run(field, system, w0, t0, t1, opts, attempts=None):
         times, states, derivs, error = _reference_run(field, system, w0, t0, t1,
                                                       opts, attempts)
-        try:
-            _w, traj = integrator._drive(field, system, np.array(w0, dtype=float),
-                                         t0, t1, opts, record=True)
-        except IntegrationError as exc:
+        *run, exc = _recorded_run(field, system, w0, t0, t1, opts)
+        if exc is None:
+            assert error is None, error
+        else:
             assert type(exc) is type(error) and str(exc) == str(error)
             assert exc.t == error.t
             np.testing.assert_array_equal(exc.state, error.state)
-            traj = exc.trajectory
-        else:
-            assert error is None, error
-        np.testing.assert_array_equal(traj.times, times)
-        np.testing.assert_array_equal(traj.states, states)
-        np.testing.assert_array_equal(traj.derivs, derivs)
+        for got, expected in zip(run, (times, states, derivs)):
+            np.testing.assert_array_equal(got, expected)
         return error
 
     @pytest.mark.parametrize("name, system, w0, t1, rk4", [

@@ -42,6 +42,16 @@ class TestPlaneGeometry:
         plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 2.0], "negative")
         assert np.allclose(plane.normal, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("normal, unit", [
+        ((1e200, 1e200, 0.0), (0.5 ** 0.5, 0.5 ** 0.5, 0.0)),  # squares overflow
+        ((1e-200, 1e-200, 0.0), (0.5 ** 0.5, 0.5 ** 0.5, 0.0)),  # squares vanish
+        ((3e-162, 0.0, 4e-162), (0.6, 0.0, 0.8)),  # squares are subnormal
+    ])
+    def test_extreme_normal_is_normalized(self, normal, unit):
+        # a RuntimeWarning from the norm fails the test (pyproject.toml)
+        plane = SectionPlane([0.0, 0.0, 27.0], normal, "both")
+        assert np.max(np.abs(np.subtract(plane.normal, unit))) < 1e-15
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             SectionPlane([0.0, 0.0], [0.0, 0.0, 1.0], "both")

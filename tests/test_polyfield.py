@@ -234,16 +234,6 @@ class TestFloatEvaluation:
         assert p.evaluate([3.0]) == float(Fraction(1, 3)) * 9.0
 
 
-class TestGeneratedSums:
-    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
-    def test_sum_follows_numpy_reduction_order(self, n):
-        # the generated step's RMS must round exactly as np.mean does
-        rng = np.random.default_rng(n)
-        q = (rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)) ** 2
-        expr = polyfield._numpy_sum([f"q[{i}]" for i in range(n)])
-        assert eval(expr, {"q": q.tolist()}) == float(np.add.reduce(q))
-
-
 SHIPPED = ("lorenz", "stuart-landau", "closed-orbit", "equilibrium")
 # the shipped systems go up to cubes; these powers, odd and even up to
 # 13, take every branch of the powering rule
@@ -308,13 +298,15 @@ def _size(field, system):
 
 def _capture_sources(monkeypatch):
     """A list that collects the source of every function generated from
-    now on, taken at `_define`. The test gets an empty `_GENERATED`, so
-    fields whose code an earlier test generated generate it again."""
+    now on, taken at `_define`, polyfield's and the one integrator
+    imports for its steps and loops. The test gets an empty `_GENERATED`,
+    so fields whose code an earlier test generated generate it again."""
     sources = []
     define = polyfield._define
     monkeypatch.setattr(polyfield, "_GENERATED", {})
-    monkeypatch.setattr(polyfield, "_define", lambda src: (
-        sources.append(src), define(src))[1])
+    for module in (polyfield, integrator):
+        monkeypatch.setattr(module, "_define", lambda src: (
+            sources.append(src), define(src))[1])
     return sources
 
 
@@ -389,8 +381,8 @@ class TestGeneratedEvaluator:
                 field.compiled_slope(system)
             for system in SYSTEMS[:3]:
                 for tableau in (integrator._DP54, integrator._DOP853, integrator._RK4):
-                    field.compiled_step(system, tableau)
-                    field._compiled_loop(system, tableau)
+                    integrator._compiled_step(field, system, tableau)
+                    integrator._compiled_loop(field, system, tableau)
         assert len(sources) == 4 * (4 + 3 * 2 * 3)
         for source in sources:
             for node in ast.walk(ast.parse(source)):
@@ -413,7 +405,7 @@ class TestGeneratedEvaluator:
         tableau = getattr(integrator, tableau)
         sources = _capture_sources(monkeypatch)
         field = flowbound.load_system(name)
-        field.compiled_step(system, tableau)
+        integrator._compiled_step(field, system, tableau)
         size = _size(field, system)
         assigned = Counter(line.split(" = ")[0] for line in sources[0].splitlines()
                            if re.match(r"\s+a\d+ = ", line))
@@ -442,8 +434,9 @@ class TestSharedCode:
         """The slopes, and the one-step function and stepping loop of
         each stepped system and tableau."""
         return ([field.compiled_slope(s) for s in SYSTEMS]
-                + [f(s, t) for s in SYSTEMS[:3] for t in (integrator._DP54, integrator._RK4)
-                   for f in (field.compiled_step, field._compiled_loop)])
+                + [f(field, s, t) for s in SYSTEMS[:3]
+                   for t in (integrator._DP54, integrator._RK4)
+                   for f in (integrator._compiled_step, integrator._compiled_loop)])
 
     def test_same_text_gives_same_functions(self):
         a, b = parse_system(self.LORENZ), parse_system(self.LORENZ)
@@ -458,7 +451,7 @@ class TestSharedCode:
         assert a.compiled_slope("rhs")(state)[1] == 23.0  # x*(rho - z) - y
         assert b.compiled_slope("rhs")(state)[1] == 23.5
         f = a.compiled_slope("rhs")(state)
-        steps = [field.compiled_step("rhs", integrator._DP54)(state, f, 0.01, 1e-10)
+        steps = [integrator._compiled_step(field, "rhs", integrator._DP54)(state, f, 0.01, 1e-10)
                  for field in (a, b)]
         assert steps[0][0] != steps[1][0]
 

@@ -99,6 +99,10 @@ def _matrix() -> list[tuple[str, ...]]:
         ("section", "lorenz", "--x0", "1,1,1", "--plane", "0,0,27/0,0,1/both",
          "--iterates", "300", "--tol", "1e-9", "--stdout"),
     ]
+    # normals whose squares overflow or are subnormal
+    rows += [("section", "lorenz", "--x0", "1,1,1", "--plane", f"0,0,27/{normal}/both",
+              "--iterates", "50", "--stdout")
+             for normal in ("1e200,1e200,0", "3e-162,0,4e-162")]
     rows += [
         ("upo", "stuart-landau", "--x0", "1.3,-0.2,0", "--plane", Y0_PLANE,
          "--iterates", "4", "--k-max", "2", "--stdout"),
