@@ -144,10 +144,18 @@ def check_bound_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
+def _component_slopes(traj: Trajectory, j: int) -> np.ndarray:
+    """Component j (0-based) of the field at every sample of `traj`: inf
+    or nan, without a warning, where a state near the cap overflows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fj = traj.field.components[j].evaluate(list(traj.states.T))
+    return np.broadcast_to(fj, traj.times.shape)  # a constant component is a float
+
+
 def verify_bounds(traj: Trajectory, cert: BoundCertificate,
                   tol: float = 1e-6) -> BoundReport:
     """Check the forward and backward bound lines on trajectory samples
-    plus dense-output midpoints.
+    plus every step's Hermite midpoint, on slopes taken from the field.
 
     The effective tolerance is `tol` plus 10x the integrator tolerance
     the trajectory was produced with, separating mathematical violations
@@ -162,9 +170,7 @@ def verify_bounds(traj: Trajectory, cert: BoundCertificate,
             f"component index {cert.component_index} out of range "
             f"1..{traj.dimension}")
 
-    ts = traj.times
-    xs = traj.states[:, j]
-    fs = traj.derivs[:, j]
+    ts, xs, fs = traj.times, traj.states[:, j], _component_slopes(traj, j)
     # samples plus the Hermite midpoint of every step (none for one sample)
     all_t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])
     all_x = np.concatenate([xs, _hermite_fraction(
@@ -298,8 +304,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     opts = opts or IntegrationOptions()
     if cert.alpha > 0 and cert.source == CERTIFIED:
         y0 = field._check_state(x0)
-        traj = Trajectory([0.0], y0[None], field.evaluate(y0)[None],
-                          opts.tolerance, field.variable_names)
+        traj = Trajectory([0.0], y0[None], opts.tolerance, field)
         return RefutationReport(
             verdict=VERDICT_PROVED_UNBOUNDED, bounded=False, equilibrium=False,
             witnessed_bound=math.hypot(*y0), horizon=0.0,
@@ -309,9 +314,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     bounded, reached = True, horizon
     if x_star is not None:
         ts = np.linspace(0.0, -horizon, 11)
-        states = np.tile(x_star, (ts.size, 1))
-        traj = Trajectory(ts, states, np.zeros_like(states), opts.tolerance,
-                          field.variable_names)
+        traj = Trajectory(ts, np.tile(x_star, (ts.size, 1)), opts.tolerance, field)
         witnessed = float(np.linalg.norm(x_star))
     else:
         try:

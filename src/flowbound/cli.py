@@ -210,8 +210,9 @@ def _leg(field, x0, t_end, opts):
 
 def cmd_bounds_check(field: PolyField, x0: np.ndarray, args) -> int:
     check_bound_tol(args.bound_tol)  # also when no component is certified
-    if not all(0 <= t < math.inf for t in (args.t_fwd, args.t_back)):
-        raise ValueError("--t-fwd and --t-back must be finite and nonnegative")
+    spans = (args.t_fwd, args.t_back)
+    if not (all(0 <= t < math.inf for t in spans) and any(spans)):
+        raise ValueError("--t-fwd and --t-back must be finite, nonnegative, not both 0")
     opts = _integration_options(args)
     if args.j is not None:
         certs = [BoundCertificate.certified(field, args.j)]

@@ -201,21 +201,19 @@ class IntegrationOptions:
 
 
 class Trajectory:
-    """Time-stamped state sequence from t0, forward or backward.
+    """Time-stamped state sequence of a field from t0, forward or backward.
 
     `times` is strictly monotone (increasing forward, decreasing
-    backward); its first sample is t0. `derivs` holds the field value at
-    each sample, which makes cubic Hermite interpolation local and cheap.
+    backward); its first sample is t0; `field` gives each sample's slope.
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray,
-                 derivs: np.ndarray, tol: float, variable_names):
+    def __init__(self, times: np.ndarray, states: np.ndarray, tol: float,
+                 field: PolyField):
         self.times = np.asarray(times, dtype=float)
         self.t0 = float(self.times[0])
         self.states = np.asarray(states, dtype=float)
-        self.derivs = np.asarray(derivs, dtype=float)
         self.tol = float(tol)
-        self.variable_names = tuple(variable_names)
+        self.field = field
 
     def __len__(self) -> int:
         return len(self.times)
@@ -234,7 +232,7 @@ class Trajectory:
 
     def csv_blocks(self) -> Iterator[str]:
         """CSV text in blocks: header t,<var1>,...,<varn>; 17 digits."""
-        return _csv_blocks(("t", *self.variable_names), self.times, self.states)
+        return _csv_blocks(("t", *self.field.variable_names), self.times, self.states)
 
 
 def _csv_blocks(names, *columns) -> Iterator[str]:
@@ -421,8 +419,8 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     stage that overflows shows only there, as a new state that is not
     finite: the step's arithmetic cannot raise. A new state whose first
     n components have a norm (`math.hypot`, finite for finite
-    components) above `cap` ends either. `rec`, if not None, is three
-    callables that take each accepted time, state and slope. `plane`,
+    components) above `cap` ends either. `rec`, if not None, takes each
+    accepted point as one row (t, z0, ..., z{m-1}). `plane`,
     if not None, is (n0, n1, n2, offset, slack): the loop returns at
     every accepted step of length h where the signed distance g = z0 n0
     + z1 n1 + z2 n2 - offset changes sign or comes within slack |h|
@@ -440,8 +438,7 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     zs, gs = f"({_names('z', m)})", f"({_names(g, m)})"
     finite = " and ".join(f"_isfinite(z{i})" for i in range(m))
     # a squared norm of all of z below `limit` is finite, with z[:n] under the cap
-    lines = ["limit = cap * cap * (1.0 - 1e-9)",
-             "if rec is not None:", "    rec_t, rec_y, rec_f = rec"]
+    lines = ["limit = cap * cap * (1.0 - 1e-9)"]
     section = m >= 3
     if section:
         lines += ["if plane is not None:", "    n0, n1, n2, offset, slack = plane",
@@ -492,7 +489,7 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
             f"        c = {_SAFETY!r} * err ** -{exponent!r}",
             f"        h *= c if c < {_MAX_STEP_FACTOR!r} else {_MAX_STEP_FACTOR!r}"]
     lines += ["    if rec is not None:",
-              f"        rec_t(tn); rec_y({zs}); rec_f({gs})"]
+              f"        rec((tn, {_names('z', m)}))"]
     if section:
         lines += [
             "    if plane is not None:",
@@ -515,11 +512,11 @@ class _Run:
 
     Construction is the run start: it converts the start to floats,
     refuses a start state or t0 that is not finite (ValueError), takes
-    the first slope, passes the start to `rec` and sizes the first step:
-    the adaptive tableau's automatic initial step, refusing a start slope
-    that is not finite, or ceil(|t1 - t0| / step) equal RK4 steps,
-    refusing a span that is not finite (ValueError) or exceeds the step
-    budget.
+    the first slope, records the row (t0, *y0) through `rec` and sizes
+    the first step: the adaptive tableau's automatic initial step,
+    refusing a start slope that is not finite, or ceil(|t1 - t0| / step)
+    equal RK4 steps, refusing a span that is not finite (ValueError) or
+    exceeds the step budget.
     """
 
     def __init__(self, field: PolyField, system: str, y0, t0, t1, opts,
@@ -530,8 +527,7 @@ class _Run:
         slope = field.compiled_slope(system)
         f = slope(y)
         if rec is not None:
-            for put, value in zip(rec, (t0, y, f)):
-                put(value)
+            rec((t0, *y))
         tableau = _TABLEAUS[opts.method]
         direction = 1.0 if t1 > t0 else -1.0
         if tableau.e is not None:
@@ -605,16 +601,14 @@ def integrate(field: PolyField, x0, t0: float, t1: float,
     """
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
-    times, states, derivs = array("d"), array("d"), array("d")
+    rows = array("d")  # one row (t, x_1, ..., x_n) per accepted point
 
-    def trajectory():  # a view of the flat buffers
-        rows = [np.frombuffer(b).reshape(len(times), -1) for b in (states, derivs)]
-        return Trajectory(np.frombuffer(times), *rows, opts.tolerance,
-                          field.variable_names)
+    def trajectory():  # views of the row buffer
+        table = np.frombuffer(rows).reshape(-1, 1 + field.dimension)
+        return Trajectory(table[:, 0], table[:, 1:], opts.tolerance, field)
 
     try:
-        _Run(field, "rhs", y0, t0, t1, opts,
-             (times.append, states.extend, derivs.extend)).advance()
+        _Run(field, "rhs", y0, t0, t1, opts, rows.extend).advance()
     except IntegrationError as exc:
         exc.trajectory = trajectory()
         raise

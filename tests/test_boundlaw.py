@@ -8,15 +8,18 @@ from flowbound import (
     VERDICT_NO_COUNTEREXAMPLE,
     VERDICT_PROVED_UNBOUNDED,
     BoundCertificate,
+    IntegrationError,
     IntegrationOptions,
     bound_line,
     combine_reports,
     find_equilibrium,
     integrate,
+    load_system,
     parse_system,
     refute_nonexistence,
     verify_bounds,
 )
+from flowbound import boundlaw
 from flowbound.boundlaw import certified_components
 
 CUBIC_ESCAPE = parse_system("dx/dt = 1\ndy/dt = 0\ndz/dt = x^2")
@@ -165,6 +168,47 @@ class TestVerifyBounds:
                             "naive_backward_violated", "margins",
                             "samples_checked", "tolerance"}
         assert set(doc["margins"]) == {"forward", "backward"}
+
+
+def _recorded(field, x0, t1, opts):
+    """The trajectory of a run from t = 0, or the part its error carries."""
+    try:
+        return integrate(field, x0, 0.0, t1, opts)
+    except IntegrationError as exc:
+        return exc.trajectory
+
+
+class TestSlopesFromTheField:
+    """A trajectory stores no slopes: `verify_bounds` evaluates its
+    component at the recorded states. Those slopes must be the ones the
+    generated step carried to each state (FSAL), `compiled_slope("rhs")`
+    there, bit for bit."""
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed",
+                                        "dop853-adaptive"])
+    @pytest.mark.parametrize("name, x0, span", [
+        ("lorenz", [1.0, 1.0, 1.0], 0.5),  # escapes backward past the cap by RK4
+        ("closed-orbit", [0.5, 0.0, 0.0], 2.0),
+        ("stuart-landau", [1.3, -0.2, 0.5], 2.0),  # escapes backward
+        ("equilibrium", [0.5, 0.0, 0.0], 2.0),
+        # x^2 overflows: the run stops at once, on slopes that are not finite
+        ("closed-orbit", [1e155, 0.0, 0.0], 2.0),
+    ], ids=["lorenz", "closed-orbit", "stuart-landau", "equilibrium",
+            "closed-orbit-1e155"])
+    def test_equal_to_compiled_slope(self, name, x0, span, method, direction):
+        field = load_system(name)
+        traj = _recorded(field, x0, direction * span, IntegrationOptions(method=method))
+        slope = field.compiled_slope("rhs")
+        columns = [boundlaw._component_slopes(traj, j) for j in range(3)]
+        for i, y in enumerate(traj.states.tolist()):
+            assert ([float(c[i]).hex() for c in columns]
+                    == [v.hex() for v in slope(tuple(y))])
+        finite = bool(np.isfinite(np.column_stack(columns)[-1]).all())
+        assert finite == (x0[0] < 1e155)
+        assert (len(traj) > 1) == finite
+        for cert in certified_components(field):
+            verify_bounds(traj, cert)  # a RuntimeWarning would fail the test
 
 
 class TestCombineReports:

@@ -173,7 +173,8 @@ class TestDenseOutput:
     @staticmethod
     def _largest_midpoint_error(t1):
         traj = integrate(HARMONIC, [1.0, 0.0], 0.0, t1, IntegrationOptions(tol=1e-10))
-        ts, ys, fs = traj.times, traj.states, traj.derivs
+        ts, ys = traj.times, traj.states
+        fs = [HARMONIC.compiled_slope("rhs")(tuple(y)) for y in ys.tolist()]
         errors = []
         for i in range(len(ts) - 1):
             t = 0.5 * (ts[i] + ts[i + 1])
@@ -351,8 +352,8 @@ class TestGeneratedStep:
             integrate(closed_orbit, [1.0, 1.0, 1.0], 0.0, -0.5, opts)
         traj = info.value.trajectory
         step = integrator._compiled_step(closed_orbit, "rhs", integrator._RK4)
-        z, g, _err, _ss = step(tuple(traj.states[-1].tolist()),
-                               tuple(traj.derivs[-1].tolist()), -0.01, 1e-10)
+        y = tuple(traj.states[-1].tolist())
+        z, g, _err, _ss = step(y, closed_orbit.compiled_slope("rhs")(y), -0.01, 1e-10)
         assert all(map(math.isfinite, z)) and not all(map(math.isfinite, g))
 
     @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
@@ -470,20 +471,26 @@ def _recorded_run(field, system, w0, t0, t1, opts):
     """(times, states, derivs, error) of one run of the generated loop
     with every accepted point recorded: by `integrate` for "rhs" (a
     failed run's points from the trajectory its error carries), else by
-    one `_Run` recording into lists."""
+    one `_Run` recording rows into a list. The loop records no slopes:
+    derivs is the field's `compiled_slope(system)` at each recorded
+    state, which must equal the slope the step carried to it (FSAL)."""
     if system == "rhs":
         try:
             traj, error = integrate(field, w0, t0, t1, opts), None
         except IntegrationError as exc:
             traj, error = exc.trajectory, exc
-        return traj.times, traj.states, traj.derivs, error
-    times, states, derivs, error = [], [], [], None
-    try:
-        integrator._Run(field, system, w0, t0, t1, opts,
-                        (times.append, states.append, derivs.append)).advance()
-    except IntegrationError as exc:
-        error = exc
-    return np.array(times), np.array(states), np.array(derivs), error
+        times, states = traj.times, traj.states
+    else:
+        rows, error = [], None
+        try:
+            integrator._Run(field, system, w0, t0, t1, opts, rows.append).advance()
+        except IntegrationError as exc:
+            error = exc
+        rows = np.array(rows)
+        times, states = rows[:, 0], rows[:, 1:]
+    slope = field.compiled_slope(system)
+    derivs = np.array([slope(tuple(y)) for y in states.tolist()])
+    return times, states, derivs, error
 
 
 class TestGeneratedLoop:
@@ -749,7 +756,7 @@ class TestRecordingMemory:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes
+        kept = traj.times.nbytes + traj.states.nbytes  # the (t, state) rows
         assert len(traj) > 50_000
         assert peak < 3 * kept
 

@@ -68,6 +68,9 @@ def _matrix() -> list[tuple[str, ...]]:
         ]
         rows += [("bounds-check", system, "--x0", x, "--t-fwd", "20",
                   "--t-back", "20", "--stdout") for x in starts]
+    # no span to check: refused before anything is integrated
+    rows.append(("bounds-check", "equilibrium", "--x0", "1,0,0", "--t-fwd", "0",
+                 "--t-back", "0"))
     rows += [("refute", "closed-orbit", "--x0", x, "--stdout")
              for x in ("0.5,0,0", "1,0,0", "1.1,0,0", "2,0,0")]
     rows += [
