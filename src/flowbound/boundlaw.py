@@ -315,11 +315,11 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     if x_star is not None:
         ts = np.linspace(0.0, -horizon, 11)
         traj = Trajectory(ts, np.tile(x_star, (ts.size, 1)), opts.tolerance, field)
-        witnessed = float(np.linalg.norm(x_star))
+        witnessed = math.hypot(*x_star)
     else:
         try:
             traj = integrate(field, x0, 0.0, -horizon, opts)
-            witnessed = float(np.max(np.linalg.norm(traj.states, axis=1)))
+            witnessed = max(map(math.hypot, *traj.states.T.tolist()))
         except (BlowUpError, StepSizeError) as exc:
             # integrate records the start before anything can fail
             traj, bounded, reached = exc.trajectory, False, float(abs(exc.t))

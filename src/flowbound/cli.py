@@ -46,14 +46,8 @@ from .integrator import (
     _csv_blocks,
     integrate,
 )
-from .lyapunov import TangentCollapseError, lyapunov_spectrum
-from .poincare import (
-    DIRECTIONS,
-    NonReturningOrbitError,
-    SectionPlane,
-    first_crossing,
-    return_map_iterates,
-)
+from .lyapunov import lyapunov_spectrum
+from .poincare import DIRECTIONS, SectionPlane, first_crossing, return_map_iterates
 from .polyfield import PolyField, SystemConfigError, parse_system
 from .upo import SHOOT_INTEGRATION, census
 
@@ -481,8 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         _human(f"error: {exc}")
         return EXIT_USAGE
-    except (IntegrationError, NonReturningOrbitError,
-            TangentCollapseError) as exc:
+    except IntegrationError as exc:
         _human(f"integration failed: {exc}")
         return EXIT_INTEGRATION
 

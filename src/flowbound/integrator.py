@@ -136,16 +136,17 @@ _UNDERFLOW = 16 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 
 
 
 class IntegrationError(RuntimeError):
-    """Base class for integration failures.
-
-    `trajectory` holds the partial trajectory up to the failure when the
-    failing call records samples, else None.
+    """Base class of every run failure: blow-up, step budget, step-size
+    underflow, a stalled crossing refinement, a section search that never
+    returns, a collapsed tangent frame. `t` and `state` are where the run
+    stopped, `state` converted here to a float array. `trajectory` holds
+    the partial trajectory when the failing call records samples, else None.
     """
 
-    def __init__(self, message: str, t: float, state: np.ndarray):
+    def __init__(self, message: str, t: float, state):
         super().__init__(message)
         self.t = t
-        self.state = state
+        self.state = np.array(state, dtype=float)
         self.trajectory: Optional["Trajectory"] = None
 
 
@@ -183,8 +184,8 @@ class IntegrationOptions:
             raise ValueError(f"unknown method {self.method!r}")
         if self.step is not None and self.method != RK4_FIXED:
             raise ValueError(f"step applies to {RK4_FIXED} only")
-        if self.step is not None and not self.step > 0:
-            raise ValueError("step must be positive")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         if self.method == RK4_FIXED and self.step is None:
             self.step = 0.01
         if not 0 < self.tol < math.inf:
@@ -532,8 +533,7 @@ class _Run:
         direction = 1.0 if t1 > t0 else -1.0
         if tableau.e is not None:
             if not all(map(math.isfinite, f)):
-                raise BlowUpError(f"non-finite field value at t={t0:.6g}",
-                                  t0, np.array(y))
+                raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
             h = min(_initial_step(slope, y, f, direction, opts.tol, tableau.exponent),
                     abs(t1 - t0))
             budget = _MAX_STEPS
@@ -543,7 +543,7 @@ class _Run:
                 raise ValueError(f"{RK4_FIXED} needs a finite time span")
             if span / opts.step > _MAX_STEPS:
                 raise MaxStepsError(f"{span / opts.step:.3g} fixed steps needed, "
-                                    f"step budget {_MAX_STEPS}", t0, np.array(y))
+                                    f"step budget {_MAX_STEPS}", t0, y)
             budget = max(1, math.ceil(span / opts.step))
             h = span / budget
         self._loop = _compiled_loop(field, system, tableau)
@@ -568,18 +568,16 @@ class _Run:
             return True
         if code == "done":
             return False
-        state = np.array(y)
         if code == "budget":
             raise MaxStepsError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}",
-                                t, state)
+                                t, y)
         if code == "underflow":
-            raise StepSizeError(f"step size underflow (h={h:.3e}) at t={t:.6g}",
-                                t, state)
+            raise StepSizeError(f"step size underflow (h={h:.3e}) at t={t:.6g}", t, y)
         if code == "non-finite":
-            raise BlowUpError(f"non-finite state at t={t:.6g}", t, state)
+            raise BlowUpError(f"non-finite state at t={t:.6g}", t, y)
         norm = math.hypot(*y[:self._n])
         raise BlowUpError(f"state norm {norm:.3e} exceeded blow-up cap "
-                          f"{self._cap:.3e} at t={t:.6g}", t, state)
+                          f"{self._cap:.3e} at t={t:.6g}", t, y)
 
 
 def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .integrator import _MAX_STEPS, IntegrationOptions, MaxStepsError, _Run
+from .integrator import _MAX_STEPS, IntegrationError, IntegrationOptions, MaxStepsError, _Run
 from .polyfield import PolyField, _define, _names
 
 __all__ = [
@@ -35,9 +35,11 @@ _HISTORY_EVERY = 100  # renormalizations between convergence-history samples
 _COLLAPSE = 1e-12  # smallest share of its norm a column may keep in QR
 
 
-class TangentCollapseError(RuntimeError):
+class TangentCollapseError(IntegrationError):
     """Tangent vectors became numerically dependent between two
-    renormalizations; the renormalization interval is too large."""
+    renormalizations; the renormalization interval is too large. `t` is
+    the time along the orbit, transient included, at the end of the
+    interval, and `state` that interval's final state, x then the frame."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
             raise TangentCollapseError(
                 f"tangent vector {j} collapsed during renormalization "
                 f"(column norm {d:.3g} of {norm:.3g} before projection); "
-                f"shrink renorm_interval")
+                f"shrink renorm_interval", transient + elapsed + dt, run.point[1])
         logs = [a + math.log(d) for a, d in zip(logs, diag)]
         elapsed += dt
         if (i + 1) % _HISTORY_EVERY == 0:

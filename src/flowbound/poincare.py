@@ -64,13 +64,13 @@ _SUB_S = (0.25, 0.5, 0.75)
 _SLACK = 0.15
 
 
-class NonReturningOrbitError(RuntimeError):
-    """No section crossing occurred within the allowed integration time."""
+class NonReturningOrbitError(IntegrationError):
+    """No section crossing occurred within the allowed integration time;
+    `t` and `state` are where the search stopped, `elapsed` its length."""
 
-    def __init__(self, message: str, elapsed: float, state: np.ndarray):
-        super().__init__(message)
+    def __init__(self, message: str, t: float, state, elapsed: float):
+        super().__init__(message, t, state)
         self.elapsed = elapsed
-        self.state = state
 
 
 class CrossingRefinementError(IntegrationError):
@@ -295,7 +295,7 @@ def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
         if not abs(g) <= _REFINE_TOL:  # NaN fails this too
             raise CrossingRefinementError(
                 f"crossing refinement stalled at |s|={abs(g):.3e} "
-                f"(t={tau:.6g})", tau, np.array(x))
+                f"(t={tau:.6g})", tau, x)
         return tau, np.array(x)
     return None
 
@@ -329,7 +329,7 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     tb, yb = run.point[:2]
     raise NonReturningOrbitError(
         f"no counted section crossing within {max_time} time units",
-        abs(tb - t0), np.array(yb))
+        tb, yb, abs(tb - t0))
 
 
 def first_return(field: PolyField, plane: SectionPlane, start: SectionPoint,
@@ -393,7 +393,7 @@ def return_map_iterates(field: PolyField, plane: SectionPlane,
         try:
             current, _rt = first_return(field, plane, current, opts,
                                         max_time=max_time)
-        except RuntimeError as exc:
+        except IntegrationError as exc:
             exc.iterate_index = i
             raise
         points.append(current)

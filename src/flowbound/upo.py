@@ -32,7 +32,6 @@ from .integrator import (
 )
 from .poincare import (
     _REFRACTORY,
-    NonReturningOrbitError,
     SectionPlane,
     SectionPoint,
     _next_crossing,
@@ -352,8 +351,7 @@ def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
         fixed_point = plane.section_point(plane.from_chart(u), 0.0)
         multipliers = _floquet_multipliers(field, M, fixed_point.state3,
                                            cycle[-1].time)
-    except (IntegrationError, NonReturningOrbitError, ValueError,
-            np.linalg.LinAlgError) as exc:
+    except (IntegrationError, ValueError, np.linalg.LinAlgError) as exc:
         raise NewtonConvergenceError(
             f"return map failed during shooting (k={k}): {exc}") from exc
 

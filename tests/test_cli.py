@@ -174,11 +174,6 @@ class TestUsageErrors:
                      "--t1", "1", "--out", str(tmp_path)])
         assert code == 1
 
-    def test_bad_plane_spec(self, tmp_path):
-        code = main(["section", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
-                     "--plane", "sideways", "--out", str(tmp_path)])
-        assert code == 1
-
     def test_missing_required_flag_exits_1(self):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--system", EQUILIBRIUM, "--x0", "1,0,0"])
@@ -210,7 +205,11 @@ class TestUsageErrors:
         ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1=nan"],
         ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "1",
          "--tol=inf"],
+        ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "1",
+         "--method", "rk4-fixed", "--step=inf"],
         ["lyapunov", "--system", LORENZ, "--x0", "1,1,1", "--total=inf"],
+        ["lyapunov", "--system", LORENZ, "--x0", "1,1,1",
+         "--method", "rk4-fixed", "--step=inf"],
         ["lyapunov", "--system", LORENZ, "--x0", "1,1,1", "--transient=inf"],
         ["bounds-check", "--system", CLOSED_ORBIT, "--x0", "1,0,0",
          "--t-fwd=nan"],
@@ -244,6 +243,22 @@ class TestUsageErrors:
         assert not any(out.iterdir())
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--plane", "sideways", "--plane must look like px,py,pz/nx,ny,nz/dir"),
+        ("--plane", "0,0/0,1,0/positive",
+         "--plane point and normal need three components each"),
+        ("--plane", "0,0,0/0,1,0/sideways",
+         "--plane direction must be one of ('positive', 'negative', 'both')"),
+        ("--x0", "nan,0,0", "--x0 components must be finite"),
+    ], ids=["plane-shape", "plane-point-arity", "plane-direction", "x0-nan"])
+    def test_malformed_plane_or_start(self, tmp_path, capsys, flag, value, message):
+        argv = {"--plane": CIRCLE_PLANE, "--x0": "1,0,0", flag: value}
+        out = tmp_path / "run"
+        assert main(["section", "--system", CLOSED_ORBIT,
+                     *(f"{k}={v}" for k, v in argv.items()), "--out", str(out)]) == 1
+        assert not any(out.iterdir())
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unbounded_section_time_still_runs(self, tmp_path):
         out = tmp_path / "run"
@@ -389,6 +404,24 @@ class TestRefute:
         doc = json.loads((out / "refutation.json").read_text())
         assert (doc["component"], doc["alpha"]) == (2, 2.0)
         assert doc["proof"] == "bound-line"
+
+    @pytest.mark.parametrize("system", [EQUILIBRIUM, CLOSED_ORBIT],
+                             ids=["equilibrium", "closed-orbit"])
+    def test_huge_bounded_witness_is_strict_json(self, tmp_path, system):
+        # (0, 0, 1e200) is an equilibrium of one and drifts by 10 in z on
+        # the other: both bounds are 1e200, whose square overflows
+        out = tmp_path / "run"
+        code = main(["refute", "--system", system, "--x0=0,0,1e200",
+                     "--cap", "1e300", "--horizon", "10", "--out", str(out)])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads((out / "refutation.json").read_text(),
+                         parse_constant=reject)
+        assert "falsified" in doc["verdict"] and doc["bounded"]
+        assert doc["witnessed_bound"] == 1e200
 
     def test_needs_certificate(self, tmp_path):
         out = tmp_path / "run"
@@ -633,3 +666,61 @@ class TestOverflowingStart:
         assert "escaped backward" in doc["verdict"]
         assert not doc["bounded"]
         assert doc["witnessed_bound"] == float(x0.split(",")[0])
+
+
+class TestRunFailureFamily:
+    """Every run failure is an IntegrationError that says where the run
+    stopped, and the CLI maps that one class to exit 2 and its message."""
+
+    STEEP = {"square.sys": "dx/dt = x^2\n", "ninth.sys": "dx/dt = x^9\n"}
+
+    @pytest.mark.parametrize("error, argv, message", [
+        (flowbound.BlowUpError,
+         ["simulate", "--system", "square.sys", "--x0", "1", "--t1", "2"],
+         "state norm 1.021e+12 exceeded blow-up cap 1.000e+12 at t=1"),
+        (flowbound.MaxStepsError,
+         ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "1e6",
+          "--method", "rk4-fixed", "--step", "1e-9"],
+         f"1e+15 fixed steps needed, step budget {integrator._MAX_STEPS}"),
+        # the singularity of x^9 outruns the blow-up cap
+        (flowbound.StepSizeError,
+         ["simulate", "--system", "ninth.sys", "--x0", "1", "--t1", "1"],
+         "step size underflow (h=3.495e-15) at t=0.125"),
+        (flowbound.CrossingRefinementError,
+         ["section", "--system", CLOSED_ORBIT, "--x0", "1,-0.1,0",
+          "--plane", CIRCLE_PLANE, "--iterates", "5"],
+         "crossing refinement stalled at |s|=5.204e-18 (t=0.0996687)"),
+        (flowbound.NonReturningOrbitError,
+         ["section", "--system", LORENZ, "--x0", "1,1,1",
+          "--plane", "0,0,27/0,0,1/negative", "--max-time", "0.01"],
+         "no counted section crossing within 0.01 time units"),
+        (flowbound.TangentCollapseError,
+         ["lyapunov", "--system", LORENZ, "--x0", "1,1,1", "--transient", "10",
+          "--total", "60", "--interval", "2"],
+         "tangent vector 2 collapsed during renormalization (column norm "
+         "3.48e-14 of 20.1 before projection); shrink renorm_interval"),
+    ], ids=["blow-up", "max-steps", "step-size", "crossing-refinement",
+            "non-returning", "tangent-collapse"])
+    def test_failure_is_an_integration_error_exiting_2(
+            self, tmp_path, monkeypatch, capsys, error, argv, message):
+        if error is flowbound.CrossingRefinementError:
+            monkeypatch.setattr(poincare, "_REFINE_TOL", 0.0)
+        for name, text in self.STEEP.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "run"
+        argv = [str(tmp_path / a) if a in self.STEEP else a for a in argv]
+        argv += ["--out", str(out)]
+        args = cli.build_parser().parse_args(argv)
+        out.mkdir()
+        field = polyfield.parse_system(args.system.read_text())
+        with pytest.raises(error) as info:
+            cli._HANDLERS[args.command][0](
+                field, cli._parse_vector(args.x0, field.dimension), args)
+        exc = info.value
+        assert isinstance(exc, flowbound.IntegrationError)
+        assert math.isfinite(exc.t)
+        assert isinstance(exc.state, np.ndarray) and exc.state.dtype == np.float64
+        assert str(exc) == message
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"integration failed: {message}\n"
+        assert not any(out.iterdir())

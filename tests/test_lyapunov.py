@@ -20,6 +20,7 @@ import pytest
 
 import flowbound
 from flowbound import (
+    IntegrationError,
     IntegrationOptions,
     MaxStepsError,
     TangentCollapseError,
@@ -151,9 +152,16 @@ class TestFailureModes:
         # over 2 or 5 time units the weaker tangent vectors align with the
         # strongest; projection leaves the third under 1e-14 of its norm,
         # and its exponent would be round-off (-6.46 instead of -14.5 at 5)
-        with pytest.raises(TangentCollapseError, match="tangent vector 2"):
+        with pytest.raises(TangentCollapseError, match="tangent vector 2") as info:
             lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0], transient=10.0,
                               total_time=60.0, renorm_interval=interval)
+        # it stops at the end of the refused interval, transient included,
+        # with that interval's final state, x then the frame
+        exc = info.value
+        assert isinstance(exc, IntegrationError)
+        assert exc.t > 10.0 and (exc.t - 10.0) % interval == 0.0
+        assert exc.state.shape == (12,)
+        assert lyapunov._renormalizer(3)(tuple(exc.state.tolist()))[1] is None
 
     @pytest.mark.parametrize("interval", [0.5, 1.0])
     def test_short_intervals_keep_the_sum_rule(self, lorenz, interval):

@@ -194,7 +194,9 @@ class TestFirstReturn:
         plane = SectionPlane([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], "both")
         with pytest.raises(NonReturningOrbitError) as info:
             first_crossing(drift, plane, [0.0, 0.0, 0.0], max_time=10.0)
+        assert isinstance(info.value, IntegrationError)
         assert info.value.elapsed >= 10.0
+        assert info.value.t == info.value.elapsed
         assert info.value.state[0] == pytest.approx(10.0, abs=1e-6)
 
     def test_stalled_refinement_is_typed(self, closed_orbit, monkeypatch):

@@ -9,6 +9,7 @@ and its fixed point on the x = 0 upward section is
 (y, z) = (1.74572460, 21.90093830).
 """
 
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from flowbound import (
     IntegrationOptions,
     NewtonConvergenceError,
+    NonReturningOrbitError,
     PeriodicOrbit,
     RecurrenceSeed,
     SectionPlane,
@@ -255,6 +257,44 @@ class TestNewtonShoot:
         assert orbit.stability == "neutral-degenerate"
         assert abs(orbit.period - TWO_PI) < 1e-6
 
+    @pytest.mark.parametrize("direction, message", [
+        ("negative", r"^no convergence within 8 Newton steps \(k=1\)"),
+        ("positive", r"^Newton stalled at residual .* after step halving \(k=1\)"),
+    ])
+    def test_step_halving_that_cannot_finish(self, closed_orbit, monkeypatch,
+                                             direction, message):
+        # from the point of a plane through (0.5, 0, 0) with normal f
+        # there, Newton halves its trial steps and either runs out of
+        # iterations or finds no smaller residual
+        legs = []
+
+        def counted(*args, **kwargs):
+            legs.append(1)
+            return next_crossing(*args, **kwargs)
+
+        next_crossing = upo._next_crossing
+        monkeypatch.setattr(upo, "_next_crossing", counted)
+        point = np.array([0.5, 0.0, 0.0])
+        plane = SectionPlane(point, closed_orbit.evaluate(point), direction)
+        with pytest.raises(NewtonConvergenceError, match=message):
+            newton_shoot(closed_orbit, plane, chart_seed(plane, [0.0, 0.0], 1, 6.0))
+        # one leg at the seed and one per trial step: more legs than
+        # 1 + 8 mean that trial steps were halved
+        assert len(legs) > 1 + upo._MAX_ITER
+
+    def test_run_failure_is_wrapped(self, closed_orbit, monkeypatch):
+        # a leg shorter than the period never returns: the shooting error
+        # names it and keeps the run failure, with where it stopped
+        monkeypatch.setattr(upo, "_MAX_RETURN_TIME", 0.5)
+        plane = circle_plane()
+        with pytest.raises(NewtonConvergenceError, match=(
+                r"^return map failed during shooting \(k=1\): no counted "
+                r"section crossing within 0\.5 time units$")) as info:
+            newton_shoot(closed_orbit, plane, chart_seed(plane, [1.0, 0.0], 1, TWO_PI))
+        cause = info.value.__cause__
+        assert isinstance(cause, NonReturningOrbitError)
+        assert cause.t == 0.5 and cause.state.shape == (12,)
+
     def test_prime_period_reduction(self, stuart_landau):
         plane = circle_plane()
         seed = chart_seed(plane, [1.2, 0.0], 2, 2 * TWO_PI)
@@ -353,6 +393,21 @@ class TestCensus:
         assert np.array_equal(a.section_fixed_point.coords2,
                               b.section_fixed_point.coords2)
         assert a.floquet_multipliers == b.floquet_multipliers
+
+    def test_failing_seeds_are_logged_and_skipped(self, lorenz, caplog):
+        # on z = 27 most seeds do not refine, one because a leg never
+        # returns within 50 time units; one k = 2 orbit survives
+        plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "negative")
+        start, _ = first_crossing(lorenz, plane, [1.0, 1.0, 1.0], max_time=100.0)
+        with caplog.at_level(logging.INFO, logger="flowbound.upo"):
+            orbits = census(lorenz, plane, start, n_iterates=60, k_max=3,
+                            threshold=0.3)
+        assert [orbit.k for orbit in orbits] == [2]
+        skipped = [r.getMessage() for r in caplog.records]
+        assert len(skipped) >= 2
+        assert all(" did not refine: " in m for m in skipped)
+        assert any("return map failed during shooting (k=1): no counted "
+                   "section crossing within 50.0 time units" in m for m in skipped)
 
     def test_reintegration_closes_orbit(self, stuart_landau):
         plane = circle_plane()

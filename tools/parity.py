@@ -86,6 +86,9 @@ def _matrix() -> list[tuple[str, ...]]:
         ("refute", "closed-orbit", "--x0", "2,0,0", "--cap", "10"),
         ("refute", "closed-orbit", "--x0", "0.3,0.4,-2", "--horizon", "50"),
     ]
+    # bounded witnesses whose norm squared overflows
+    rows += [("refute", system, "--x0=0,0,1e200", "--cap", "1e300", "--horizon", "10")
+             for system in ("closed-orbit", "equilibrium")]
     rows += [("section", "lorenz", "--x0", "1,1,1", "--plane", plane,
               "--iterates", "50", "--stdout")
              for plane in (LORENZ_Z27, Y0_PLANE, "0,0,20/1,1,1/both",
@@ -167,6 +170,13 @@ def _matrix() -> list[tuple[str, ...]]:
         ("simulate", "lorenz", "--x0", "1,1,1"),  # usage error: no --t1
         ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
          "--iterates", "5", "--max-time=inf"),
+        # a search that never returns, and a fixed step that is not finite
+        ("section", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
+         "--max-time", "0.01"),
+        ("simulate", "lorenz", "--x0", "1,1,1", "--method", "rk4-fixed",
+         "--step", "inf", "--t1", "1"),
+        ("lyapunov", "lorenz", "--x0", "1,1,1", "--method", "rk4-fixed",
+         "--step=inf"),
     ]
     # the system-file reader's error paths, a zeroth power of zero and a
     # file that is not UTF-8
