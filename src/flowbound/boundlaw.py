@@ -145,10 +145,10 @@ def check_bound_tol(tol: float) -> None:
 
 
 def _component_slopes(traj: Trajectory, j: int) -> np.ndarray:
-    """Component j (0-based) of the field at every sample of `traj`: inf
-    or nan, without a warning, where a state near the cap overflows it."""
+    """Component j (0-based) of `compiled_slope("rhs")` run on the state
+    columns of `traj`: inf or nan, without a warning, where one overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        fj = traj.field.components[j].evaluate(list(traj.states.T))
+        fj = traj.field.compiled_slope("rhs")(list(traj.states.T))[j]
     return np.broadcast_to(fj, traj.times.shape)  # a constant component is a float
 
 

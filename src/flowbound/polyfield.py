@@ -2,9 +2,8 @@
 
 Provides the canonical representation (monomials with sorted exponent
 tuples, like terms merged, zero terms dropped), a parser for the
-system-config text format, float evaluation equal to the generated code
-bit for bit, symbolic differentiation, and a sound-but-incomplete
-syntactic lower-bound certifier.
+system-config text format, symbolic differentiation, generated float
+evaluators, and a sound-but-incomplete syntactic lower-bound certifier.
 """
 
 from __future__ import annotations
@@ -54,15 +53,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def evaluate(self, state: Sequence[float]) -> float:
-        """c*x0^e0*x1^e1*... in floats, in the generated code's order and
-        with its powers (`_power_lines`), so equal bit for bit."""
-        v = float(self.coefficient)
-        for x, e in zip(state, self.exponents):
-            if e:
-                v *= _int_power(x, e)
-        return v
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -109,16 +99,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
-
-    def evaluate(self, state: Sequence[float]) -> float:
-        """The float value at `state`, summed from the first term in
-        order, which equals `PolyField.compiled_slope` bit for bit."""
-        if not self.terms:
-            return 0.0
-        v = self.terms[0].evaluate(state)
-        for m in self.terms[1:]:
-            v += m.evaluate(state)
-        return v
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_terms(self.terms + other.terms)
@@ -270,9 +250,10 @@ class PolyField:
     # -- compiled callables ------------------------------------------------
 
     def compiled_slope(self, system: str) -> Callable[[Sequence[float]], tuple]:
-        """Float evaluator of a `_system`, floats in, tuple out. An
-        overflow gives inf or nan in each component it reaches, as NumPy
-        arrays would."""
+        """Float evaluator of a `_system`, floats in, tuple out: products,
+        sums and negations only, so NumPy columns in give columns out,
+        equal bit for bit. An overflow gives inf or nan in each component
+        it reaches, as NumPy arrays would."""
         return self._compiled(system, lambda: _compile(*self._system(system, "x")))
 
     def compiled_rhs(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -357,16 +338,6 @@ def _power_lines(polys: Iterable[Polynomial], v: str) -> list[str]:
     return [f"{_power(i, e, v)} = " + (f"{_power(i, e - 1, v)}*{v}{i}" if e % 2
                                        else f"{_power(i, e // 2, v)}*{_power(i, e // 2, v)}")
             for i, e in sorted(needed)]
-
-
-def _int_power(x: float, e: int) -> float:
-    """x^e (e >= 1) by the products of `_power_lines`."""
-    if e == 1:
-        return x
-    if e % 2:
-        return _int_power(x, e - 1) * x
-    half = _int_power(x, e // 2)
-    return half * half
 
 
 def _monomial_expr(m: Monomial, v: str, *factors: str) -> str:

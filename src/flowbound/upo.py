@@ -151,13 +151,14 @@ def scan_close_recurrences(field: PolyField, plane: SectionPlane,
     points += return_map_iterates(field, plane, start, n_iterates, opts,
                                   max_time=max_time)
     coords = np.array([p.coords2 for p in points])
-    best: dict[tuple[int, int, int], tuple[float, int]] = {}
+    best: dict[tuple[int, float, float], tuple[float, int]] = {}
     for k in range(1, k_max + 1):
         gaps = coords[k:] - coords[:-k]
         dists = np.hypot(gaps[:, 0], gaps[:, 1])
         for i in np.flatnonzero(dists < threshold):
-            cell = (k, round(coords[i, 0] / threshold),
-                    round(coords[i, 1] / threshold))
+            # float quotients: one that overflows is a cell at ±inf
+            cell = (k, round(float(coords[i, 0]) / threshold, 0),
+                    round(float(coords[i, 1]) / threshold, 0))
             d = float(dists[i])
             if cell not in best or d < best[cell][0]:
                 best[cell] = (d, int(i))
@@ -314,8 +315,8 @@ def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
     try:
         _require_3d(field)
         G, cycle, M = evaluate(u)
+        residual = float(np.linalg.norm(G))
         for _ in range(_MAX_ITER):
-            residual = float(np.linalg.norm(G))
             if residual < _CONVERGE_TOL:
                 break
             J = _chart_jacobian(field, plane, M, cycle[-1].state3)
@@ -332,18 +333,19 @@ def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
                 du *= _TRUST_RADIUS / step_norm
             for _halving in range(_MAX_HALVINGS + 1):
                 G_new, cycle_new, M_new = evaluate(u + du)
-                if float(np.linalg.norm(G_new)) < residual:
-                    u, G, cycle, M = u + du, G_new, cycle_new, M_new
+                residual_new = float(np.linalg.norm(G_new))
+                if residual_new < residual:
+                    u, G, cycle, M, residual = u + du, G_new, cycle_new, M_new, residual_new
                     break
                 du *= 0.5
             else:
                 raise NewtonConvergenceError(
                     f"Newton stalled at residual {residual:.3e} after step "
                     f"halving (k={k}): iteration left the seed's basin")
-        else:
+        if not (residual < _CONVERGE_TOL or degenerate):
             raise NewtonConvergenceError(
                 f"no convergence within {_MAX_ITER} Newton steps (k={k}), "
-                f"residual {float(np.linalg.norm(G)):.3e}")
+                f"residual {residual:.3e}")
         coords = np.vstack([u] + [p.coords2 for p in cycle[:-1]])
         d = _prime_shift(coords, k)
         if d is not None:

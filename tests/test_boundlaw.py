@@ -10,6 +10,7 @@ from flowbound import (
     BoundCertificate,
     IntegrationError,
     IntegrationOptions,
+    PolyField,
     bound_line,
     combine_reports,
     find_equilibrium,
@@ -24,6 +25,7 @@ from flowbound.boundlaw import certified_components
 
 CUBIC_ESCAPE = parse_system("dx/dt = 1\ndy/dt = 0\ndz/dt = x^2")
 SQUARE = parse_system("dx/dt = x^2")
+CONSTANT_Z = parse_system("dx/dt = -y\ndy/dt = x\ndz/dt = -0.5")
 
 REFUTATION_KEYS = ["verdict", "bounded", "equilibrium", "witnessed_bound",
                    "horizon", "bound_report"]
@@ -179,8 +181,8 @@ def _recorded(field, x0, t1, opts):
 
 
 class TestSlopesFromTheField:
-    """A trajectory stores no slopes: `verify_bounds` evaluates its
-    component at the recorded states. Those slopes must be the ones the
+    """A trajectory stores no slopes: `verify_bounds` runs the field's
+    generated slope on the recorded state columns. Those slopes must be the ones the
     generated step carried to each state (FSAL), `compiled_slope("rhs")`
     there, bit for bit."""
 
@@ -194,10 +196,12 @@ class TestSlopesFromTheField:
         ("equilibrium", [0.5, 0.0, 0.0], 2.0),
         # x^2 overflows: the run stops at once, on slopes that are not finite
         ("closed-orbit", [1e155, 0.0, 0.0], 2.0),
+        # a constant certified component: its slope is one float, broadcast
+        (CONSTANT_Z, [1.0, 0.0, 0.0], 2.0),
     ], ids=["lorenz", "closed-orbit", "stuart-landau", "equilibrium",
-            "closed-orbit-1e155"])
+            "closed-orbit-1e155", "constant-z"])
     def test_equal_to_compiled_slope(self, name, x0, span, method, direction):
-        field = load_system(name)
+        field = name if isinstance(name, PolyField) else load_system(name)
         traj = _recorded(field, x0, direction * span, IntegrationOptions(method=method))
         slope = field.compiled_slope("rhs")
         columns = [boundlaw._component_slopes(traj, j) for j in range(3)]

@@ -286,6 +286,17 @@ class TestBoundsCheck:
         # the uncorrected backward reading of the forward bound fails
         assert report["naive_backward_violated"]
 
+    def test_leg_failing_at_its_start_exits_2(self, tmp_path, capsys):
+        # the forward leg stops before its first step, with no samples to
+        # check: the failure itself is reported, and nothing is written
+        out = tmp_path / "run"
+        code = main(["bounds-check", "--system", CLOSED_ORBIT,
+                     "--x0=1e200,0,0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "integration failed: non-finite field value at t=0\n")
+        assert not (out / "bounds.json").exists()
+
     def test_explicit_component_flag(self, tmp_path):
         code = main(["bounds-check", "--system", EQUILIBRIUM,
                      "--x0", "0.5,0,0", "--j", "3", "--out", str(tmp_path)])

@@ -282,6 +282,25 @@ class TestNewtonShoot:
         # 1 + 8 mean that trial steps were halved
         assert len(legs) > 1 + upo._MAX_ITER
 
+    def test_step_that_converges_on_the_last_iteration(self, stuart_landau,
+                                                       monkeypatch):
+        # from (1.2, 0) the second Newton step reaches the tolerance: one
+        # iteration is too few, and with two the point that the last one
+        # accepts is tested, not dropped
+        plane = circle_plane()
+        seed = chart_seed(plane, [1.2, 0.0], 1, TWO_PI)
+        unlimited = newton_shoot(stuart_landau, plane, seed)
+        monkeypatch.setattr(upo, "_MAX_ITER", 1)
+        with pytest.raises(NewtonConvergenceError, match=(
+                r"^no convergence within 1 Newton steps \(k=1\), "
+                r"residual 1\.292e-07$")):
+            newton_shoot(stuart_landau, plane, seed)
+        monkeypatch.setattr(upo, "_MAX_ITER", 2)
+        orbit = newton_shoot(stuart_landau, plane, seed)
+        assert orbit.residual == unlimited.residual < upo._CONVERGE_TOL
+        assert orbit.period == unlimited.period
+        assert orbit.floquet_multipliers == unlimited.floquet_multipliers
+
     def test_run_failure_is_wrapped(self, closed_orbit, monkeypatch):
         # a leg shorter than the period never returns: the shooting error
         # names it and keeps the run failure, with where it stopped
@@ -393,6 +412,22 @@ class TestCensus:
         assert np.array_equal(a.section_fixed_point.coords2,
                               b.section_fixed_point.coords2)
         assert a.floquet_multipliers == b.floquet_multipliers
+
+    def test_subnormal_threshold(self, stuart_landau):
+        # the limit cycle's return map repeats exactly, so pairs lie within
+        # any threshold; coordinate / 1e-320 overflows to an infinite cell
+        # without a warning (a RuntimeWarning fails the test)
+        plane = circle_plane()
+        start, _ = first_crossing(stuart_landau, plane, [1.0, 0.0, 0.0],
+                                  max_time=1000.0)
+        seeds = scan_close_recurrences(stuart_landau, plane, start,
+                                       n_iterates=100, k_max=1,
+                                       threshold=1e-320)
+        assert seeds and all(s.distance == 0.0 for s in seeds)
+        orbits = census(stuart_landau, plane, start, n_iterates=100, k_max=1,
+                        threshold=1e-320)
+        assert [(o.k, o.stability) for o in orbits] == [(1, "stable")]
+        assert abs(orbits[0].period - TWO_PI) < 1e-6
 
     def test_failing_seeds_are_logged_and_skipped(self, lorenz, caplog):
         # on z = 27 most seeds do not refine, one because a leg never

@@ -114,6 +114,9 @@ def _matrix() -> list[tuple[str, ...]]:
          "--iterates", "4", "--k-max", "2", "--stdout"),
         ("upo", "lorenz", "--x0", "1,1,1", "--plane", LORENZ_Z27,
          "--iterates", "300"),
+        # pairs that repeat exactly, scanned on cells whose size is subnormal
+        ("upo", "stuart-landau", "--x0", "1,0,0", "--plane", Y0_PLANE,
+         "--iterates", "100", "--k-max", "1", "--threshold", "1e-320"),
         ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
          "--total", "100", "--interval", "0.5", "--history"),
         ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
