@@ -25,7 +25,7 @@ import re
 import shutil
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +62,20 @@ _SVG_WIDTH = 800
 _SVG_HEIGHT = 600
 _SVG_MAX_POINTS = 20000
 _SVG_MARGINS = (70.0, 15.0, 15.0, 45.0)  # left, right, top, bottom
+_SVG_CHUNK = 1024  # polyline points formatted at once
+_FIELD_CACHE_SIZE = 16  # system texts whose parsed fields a process keeps
 
 
 def _human(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _field(text: str) -> PolyField:
+    """The field of a system file's text, parsed on the first command that
+    reads this text; later commands share it, as a PolyField is immutable.
+    A SystemConfigError is raised again on every call, never cached."""
+    return parse_system(text)
 
 
 def _parse_vector(text: str, dimension: int) -> np.ndarray:
@@ -114,15 +124,18 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
-    """Fixed-viewport SVG polyline: decimated, no external assets, no
-    timestamps, formatting pinned so equal data gives equal bytes."""
+def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> Iterator[str]:
+    """Fixed-viewport SVG polyline in text blocks: decimated, no external
+    assets, no timestamps, formatting pinned so equal data gives equal
+    bytes."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    stride = max(1, math.ceil(len(xs) / _SVG_MAX_POINTS))
-    if stride > 1:
-        keep = np.unique(np.append(np.arange(0, len(xs), stride),
-                                   len(xs) - 1))
+    n = len(xs)
+    stride = max(1, math.ceil(n / _SVG_MAX_POINTS))
+    keep = slice(None, None, stride)
+    if (n - 1) % stride:  # the last sample is always drawn
+        xs, ys = np.append(xs[keep], xs[-1]), np.append(ys[keep], ys[-1])
+    else:
         xs, ys = xs[keep], ys[keep]
     ml, mr, mt, mb = _SVG_MARGINS
     plot_w = _SVG_WIDTH - ml - mr
@@ -137,10 +150,20 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
     y_lo, y_hi = _range(ys)
     px = ml + (xs - x_lo) / (x_hi - x_lo) * plot_w
     py = _SVG_HEIGHT - mb - (ys - y_lo) / (y_hi - y_lo) * plot_h
-    points = " ".join(["%.2f,%.2f" % p for p in zip(px.tolist(), py.tolist())])
-    frame = (f'<rect x="{ml:.0f}" y="{mt:.0f}" width="{plot_w:.0f}" '
-             f'height="{plot_h:.0f}" fill="none" stroke="#333"/>')
-    labels = (
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" '
+        f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">\n'
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="#fff"/>\n'
+        f'<rect x="{ml:.0f}" y="{mt:.0f}" width="{plot_w:.0f}" '
+        f'height="{plot_h:.0f}" fill="none" stroke="#333"/>\n'
+        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1" '
+        f'points="')
+    for i in range(0, len(px), _SVG_CHUNK):
+        chunk = zip(px[i:i + _SVG_CHUNK].tolist(), py[i:i + _SVG_CHUNK].tolist())
+        yield (" " if i else "") + " ".join(["%.2f,%.2f" % p for p in chunk])
+    yield (
+        f'"/>\n'
         f'<text x="{ml + plot_w / 2:.0f}" y="{_SVG_HEIGHT - 8:.0f}" '
         f'text-anchor="middle" font-size="14">{xlabel}</text>'
         f'<text x="16" y="{mt + plot_h / 2:.0f}" text-anchor="middle" '
@@ -153,16 +176,7 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> str:
         f'<text x="{ml - 4:.0f}" y="{_SVG_HEIGHT - mb:.0f}" '
         f'text-anchor="end" font-size="11">{y_lo:.6g}</text>'
         f'<text x="{ml - 4:.0f}" y="{mt + 11:.0f}" text-anchor="end" '
-        f'font-size="11">{y_hi:.6g}</text>')
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" '
-        f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">\n'
-        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="#fff"/>\n'
-        f'{frame}\n'
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1" '
-        f'points="{points}"/>\n'
-        f'{labels}\n'
+        f'font-size="11">{y_hi:.6g}</text>\n'
         f'</svg>\n')
 
 
@@ -461,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        field = parse_system(args.system.read_text(encoding="utf-8"))
+        field = _field(args.system.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         _human(f"cannot read system file: {exc}")
         return EXIT_USAGE

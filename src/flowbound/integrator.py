@@ -127,7 +127,7 @@ _DOP853 = _Tableau(
 _TABLEAUS = {RK4_FIXED: _RK4, RK45_ADAPTIVE: _DP54, DOP853_ADAPTIVE: _DOP853}
 
 _MAX_STEPS = 10_000_000  # step budget of one integration
-_CSV_BLOCK = 4096  # rows that `_csv_blocks` formats at once
+_CSV_BLOCK = 512  # rows that `_csv_blocks` formats at once
 # step-size control of the generated adaptive loop
 _MIN_STEP_FACTOR = 0.2
 _MAX_STEP_FACTOR = 5.0

@@ -147,6 +147,7 @@ def scan_close_recurrences(field: PolyField, plane: SectionPlane,
         raise ValueError("need n_iterates >= k_max >= 1")
     if not 0 <= threshold < math.inf:
         raise ValueError("threshold must be finite and nonnegative")
+    threshold = float(threshold)  # a NumPy scalar would divide in NumPy
     points = [start]
     points += return_map_iterates(field, plane, start, n_iterates, opts,
                                   max_time=max_time)

@@ -69,19 +69,21 @@ class TestSimulate:
         assert abs(data["x"][-1] - math.exp(-1.0)) < 1e-8
         assert abs(data["z"][-1] - 0.5 * (1.0 - math.exp(-2.0))) < 1e-8
 
-    def test_peak_memory_stays_near_the_trajectory(self, tmp_path,
-                                                   monkeypatch):
-        # the CSV is streamed in blocks, never held whole next to the
-        # arrays; the step is generated before tracing starts, because
+    @pytest.mark.parametrize("project, bound", [([], 1.5), (["--project", "x,z"], 2)],
+                             ids=["csv", "csv-svg"])
+    def test_peak_memory_stays_near_the_trajectory(self, tmp_path, monkeypatch,
+                                                   project, bound):
+        # the CSV and the SVG are streamed in blocks, never held whole next
+        # to the arrays; the step is generated before tracing starts, because
         # code generated under tracemalloc runs about ten times slower
         field = flowbound.load_system("lorenz")
         flowbound.integrate(field, [1.0, 1.0, 1.0], 0.0, 1.0)
-        monkeypatch.setattr(cli, "parse_system", lambda _text: field)
+        monkeypatch.setattr(cli, "_field", lambda _text: field)
         out = tmp_path / "run"
         tracemalloc.start()
         try:
             code = main(["simulate", "--system", LORENZ, "--x0", "1,1,1",
-                         "--t1", "200", "--out", str(out)])
+                         "--t1", "200", *project, "--out", str(out)])
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -90,7 +92,16 @@ class TestSimulate:
             samples = sum(1 for _line in fh) - 1
         rows = samples * (1 + 3) * 8  # one (t, x, y, z) row per sample
         assert samples > 50_000
-        assert peak < 3 * rows
+        assert peak < bound * rows
+
+    @pytest.mark.parametrize("n", [1, 20_000, 30_001, 40_002, 50_912])
+    def test_svg_keeps_every_strideth_sample_and_the_last(self, n):
+        rng = np.random.default_rng(n)
+        xs, ys = rng.normal(size=(2, n)).cumsum(axis=1)
+        stride = math.ceil(n / 20_000)
+        keep = np.unique(np.append(np.arange(0, n, stride), n - 1))
+        assert ("".join(cli._svg_polyline(xs, ys, "x", "y"))
+                == "".join(cli._svg_polyline(xs[keep], ys[keep], "x", "y")))
 
     def test_projection_svg(self, tmp_path):
         out = tmp_path / "run"
@@ -576,8 +587,10 @@ class TestStdoutPassthrough:
 
 
 class TestRepeatedCalls:
-    """`main` reuses one parser and the code generated by earlier calls;
-    neither carries anything from one call into the next."""
+    """`main` reuses one parser, the code generated by earlier calls and
+    the field of each system text it has parsed; none of them carries
+    anything from one call into the next, and a changed or malformed
+    text is parsed again."""
 
     BOUNDS = ["bounds-check", "--system", EQUILIBRIUM, "--x0", "0.5,0.2,-0.3"]
     SIMULATE = ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "2"]
@@ -596,6 +609,39 @@ class TestRepeatedCalls:
         assert main(argv) == 0
         assert len(polyfield._GENERATED) == entries and not calls
         assert cli.build_parser() is cli.build_parser()
+
+    def test_one_parse_per_text(self, tmp_path, monkeypatch):
+        cli._field.cache_clear()
+        texts = []
+        monkeypatch.setattr(cli, "parse_system", lambda text: (
+            texts.append(text), polyfield.parse_system(text))[1])
+        assert main([*self.BOUNDS, "--out", str(tmp_path / "a")]) == 0
+        assert main(["refute", "--system", EQUILIBRIUM, "--x0", "0.5,0,0",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert len(texts) == 1
+
+    def test_edited_file_is_parsed_again(self, tmp_path):
+        system = tmp_path / "drift.sys"
+        argv = ["bounds-check", "--system", str(system), "--x0", "1,0,0",
+                "--t-fwd", "1", "--t-back", "1"]
+        alphas = []
+        for rate in (1, 2):
+            system.write_text(f"dx/dt = -x\ndy/dt = -y\ndz/dt = {rate} + x^2\n")
+            assert main([*argv, "--out", str(tmp_path / str(rate))]) == 0
+            doc = json.loads((tmp_path / str(rate) / "bounds.json").read_text())
+            alphas.append(doc["components"][0]["alpha"])
+        assert alphas == [1.0, 2.0]
+
+    def test_malformed_file_fails_every_time(self, tmp_path, capsys):
+        system = tmp_path / "bad.sys"
+        system.write_text("dx/dt = x +\ndy/dt = 0\ndz/dt = 0\n")
+        errors = []
+        for _ in range(2):
+            assert main(["simulate", "--system", str(system), "--x0", "1,0,0",
+                         "--t1", "1", "--out", str(tmp_path)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("cannot parse system file:")
+        assert errors[1] == errors[0]
 
     def test_no_stdout_after_stdout(self, tmp_path, capsys):
         assert main([*self.BOUNDS, "--out", str(tmp_path / "a"), "--stdout"]) == 0

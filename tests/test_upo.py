@@ -429,6 +429,18 @@ class TestCensus:
         assert [(o.k, o.stability) for o in orbits] == [(1, "stable")]
         assert abs(orbits[0].period - TWO_PI) < 1e-6
 
+    def test_numpy_scalar_threshold(self, stuart_landau):
+        # a NumPy scalar divides in NumPy, whose overflow warns
+        plane = circle_plane()
+        start, _ = first_crossing(stuart_landau, plane, [1.0, 0.0, 0.0],
+                                  max_time=1000.0)
+        runs = [[(s.k, s.distance, s.point.time)
+                 for s in scan_close_recurrences(stuart_landau, plane, start,
+                                                 n_iterates=20, k_max=1,
+                                                 threshold=threshold)]
+                for threshold in (1e-320, np.float64(1e-320))]
+        assert runs[0] and runs[0] == runs[1]
+
     def test_failing_seeds_are_logged_and_skipped(self, lorenz, caplog):
         # on z = 27 most seeds do not refine, one because a leg never
         # returns within 50 time units; one k = 2 orbit survives
