@@ -379,11 +379,9 @@ def _compile_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
     returning (z, g, err, ss), err 0.0 without an estimate."""
     m, step, err, f, g = _step_text(field, system, tableau)
-    return _define("\n".join([
-        "def _step(y, f, hs, tol):",
-        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f", *step,
-                  f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
-    ]))["_step"]
+    return _define("_step(y, f, hs, tol)", [
+        f"{_names('y', m)} = y", f"{_names(f, m)} = f", *step,
+        f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
 
 
 def _compile_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
@@ -391,11 +389,10 @@ def _compile_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     cap, budget, rec, plane)`: the stepping loop of a whole run around
     the step of `_step_text` (see `_loop_lines`)."""
     m, step, err, f, g = _step_text(field, system, tableau)
-    return _define("\n".join([
-        "def _loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane):",
-        *_indent([f"{_names('y', m)} = y", f"{_names(f, m)} = f",
-                  *_loop_lines(step, err, tableau.exponent, m, field.dimension, f, g)])
-    ]))["_loop"]
+    return _define(
+        "_loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane)",
+        [f"{_names('y', m)} = y", f"{_names(f, m)} = f",
+         *_loop_lines(step, err, tableau.exponent, m, field.dimension, f, g)])
 
 
 def _indent(lines: Sequence[str]) -> list[str]:

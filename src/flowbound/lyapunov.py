@@ -107,7 +107,7 @@ def _renormalizer(n: int) -> Callable:
                   *(f"q{k}_{j} = v{k}_{j} / {d}" for k in range(n))]
     q = ", ".join(f"q{i}_{j}" for i in range(n) for j in range(n))  # Q[i][j]
     lines.append(f"return ({_names('x', n)} {q},), ({_names('d', n)})")
-    return _define("def _renorm(w):\n    " + "\n    ".join(lines))["_renorm"]
+    return _define("_renorm(w)", lines)
 
 
 def lyapunov_spectrum(field: PolyField, x0, transient: float,

@@ -166,13 +166,9 @@ class PolyField:
     """An n-component polynomial vector field f: R^n -> R^n.
 
     Immutable after construction; evaluation and Jacobian callables, and
-    `integrator`'s step and loop, are generated lazily and cached in the
-    field's entry, so sharing one instance across threads
-    or repeated integrations is cheap. Generated code reads only the
-    components, so fields with equal components (say, parsed from the
-    same text) share one entry of the module-level `_GENERATED` and its
-    function objects, generated and exec'd once. That dict grows by one
-    entry per distinct component tuple that generated code in a process.
+    `integrator`'s step and loop, are generated lazily and cached on the
+    field, so sharing one instance across threads or repeated
+    integrations is cheap. Generated code lives as long as its field.
     """
 
     def __init__(
@@ -199,7 +195,7 @@ class PolyField:
                 if len(m.exponents) != self.dimension:
                     raise ValueError("monomial exponent tuple has wrong length")
         self._jac_polys: Optional[tuple] = None
-        self._generated: Optional[dict] = None  # its `_GENERATED` entry, once bound
+        self._generated: dict = {}  # key of `_compiled` -> generated function
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyField):
@@ -273,8 +269,6 @@ class PolyField:
         """The generated function cached under `key` (a `_system` name
         first, alone or with its tableau), built by `build` on first
         use; `integrator` caches its steps and loops here too."""
-        if self._generated is None:
-            self._generated = _GENERATED.setdefault(self.components, {})
         if key not in self._generated:
             self._generated[key] = build()
         return self._generated[key]
@@ -378,17 +372,14 @@ def _names(v: str, size: int) -> str:
     return ", ".join(f"{v}{i}" for i in range(size)) + ","
 
 
-# a field's components -> its generated functions by `_system` name or
-# (name, tableau); equal components generate equal code, so they share
-_GENERATED: dict[tuple, dict] = {}
-
-
-def _define(source: str) -> dict:
-    """The namespace of what the generated `source` defines; the one
-    exec site."""
+def _define(signature: str, lines: Sequence[str]) -> Callable:
+    """The function `def <signature>:` with the body `lines`, each
+    indented once; the one exec site of generated code. The function is
+    taken out of its globals, so that no reference cycle keeps it alive
+    once its owner lets it go."""
     ns = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "_hypot": math.hypot}
-    exec(source, ns)
-    return ns
+    exec("\n".join([f"def {signature}:", *(f"    {x}" for x in lines)]), ns)
+    return ns.pop(signature.partition("(")[0])
 
 
 def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable:
@@ -396,8 +387,8 @@ def _compile(size: int, body: Sequence[str], outputs: Sequence[str]) -> Callable
     `body`, return the tuple of the `outputs` expressions. Its arithmetic
     is products and sums, which cannot raise: an overflow leaves inf or
     nan in the outputs it reaches, as arrays would."""
-    lines = [f"{_names('x', size)} = y", *body, f"return ({', '.join(outputs)},)"]
-    return _define("def _slope(y):\n    " + "\n    ".join(lines))["_slope"]
+    return _define("_slope(y)", [f"{_names('x', size)} = y", *body,
+                                 f"return ({', '.join(outputs)},)"])
 
 
 # -- parsing ---------------------------------------------------------------

@@ -143,10 +143,10 @@ def scan_close_recurrences(field: PolyField, plane: SectionPlane,
     cell so each neighborhood is represented once. Seeds come back
     sorted by (k, distance). A zero threshold yields no seeds.
     """
-    if not (n_iterates >= k_max >= 1):
-        raise ValueError("need n_iterates >= k_max >= 1")
     if not 0 <= threshold < math.inf:
         raise ValueError("threshold must be finite and nonnegative")
+    if not (n_iterates >= k_max >= 1):
+        raise ValueError("need n_iterates >= k_max >= 1")
     threshold = float(threshold)  # a NumPy scalar would divide in NumPy
     points = [start]
     points += return_map_iterates(field, plane, start, n_iterates, opts,
@@ -391,9 +391,10 @@ def census(field: PolyField, plane: SectionPlane, start: SectionPoint,
     points coincide within 1e-5 up to a cyclic shift of the k-cycle.
     Per-seed failures are logged and skipped, never fatal. Seeds are
     processed in sorted order so identical inputs give identical output.
-    An n_iterates of 0 returns an empty census.
+    An n_iterates of 0 returns an empty census when k_max and threshold
+    pass the scan's checks; otherwise the scan refuses them.
     """
-    if n_iterates == 0:
+    if n_iterates == 0 and k_max >= 1 and 0 <= threshold < math.inf:
         return []
     seeds = scan_close_recurrences(field, plane, start, n_iterates, k_max,
                                    threshold, scan_opts, max_time=max_time)

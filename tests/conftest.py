@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowbound import load_system, parse_system
+from flowbound import load_system, parse_system, polyfield
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +31,16 @@ def rotation():
         "dx/dt = -y\n"
         "dy/dt = x\n"
         "dz/dt = -z\n")
+
+
+@pytest.fixture()
+def generated_sources(monkeypatch):
+    """A list that collects the source of every function generated during
+    the test, taken at polyfield's `exec`, the one exec site."""
+    sources = []
+    monkeypatch.setattr(polyfield, "exec", lambda source, ns: (
+        sources.append(source), exec(source, ns))[1], raising=False)
+    return sources
 
 
 def lorenz_rhs(t, s):

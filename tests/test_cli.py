@@ -7,6 +7,7 @@ point, --stdout passthrough, and start states that must fail without a
 traceback or a hang.
 """
 
+import gc
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +516,25 @@ class TestUpo:
         last = np.array([cycle["x"][-1], cycle["y"][-1], cycle["z"][-1]])
         assert np.max(np.abs(first - last)) < 1e-6
 
+    UPO = ["upo", "--system", STUART_LANDAU, "--x0", "1.3,-0.2,0",
+           "--plane", CIRCLE_PLANE, "--iterates", "0"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold=nan"], "threshold must be finite and nonnegative"),
+        (["--k-max", "-5"], "need n_iterates >= k_max >= 1"),
+    ], ids=["threshold-nan", "k-max-negative"])
+    def test_zero_iterates_still_checks_arguments(self, tmp_path, capsys,
+                                                  flags, message):
+        out = tmp_path / "run"
+        assert main([*self.UPO, *flags, "--out", str(out)]) == 1
+        assert not any(out.iterdir())
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_iterates_empty_census(self, tmp_path):
+        assert main([*self.UPO, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "census.json").read_text())
+        assert doc["k_max"] == 4 and doc["orbits"] == []
+
 
 class TestLyapunov:
     def test_spectrum_and_history(self, tmp_path):
@@ -587,10 +608,10 @@ class TestStdoutPassthrough:
 
 
 class TestRepeatedCalls:
-    """`main` reuses one parser, the code generated by earlier calls and
-    the field of each system text it has parsed; none of them carries
-    anything from one call into the next, and a changed or malformed
-    text is parsed again."""
+    """`main` reuses one parser and the field of each system text it has
+    parsed, with the code generated for it; none of them carries
+    anything from one call into the next, a changed or malformed text is
+    parsed again, and a text the cache evicts frees its field and code."""
 
     BOUNDS = ["bounds-check", "--system", EQUILIBRIUM, "--x0", "0.5,0.2,-0.3"]
     SIMULATE = ["simulate", "--system", LORENZ, "--x0", "1,1,1", "--t1", "2"]
@@ -598,7 +619,7 @@ class TestRepeatedCalls:
     def test_repeated_command_generates_no_code(self, tmp_path, monkeypatch):
         argv = [*self.BOUNDS, "--out", str(tmp_path)]
         assert main(argv) == 0
-        entries, calls = len(polyfield._GENERATED), []
+        calls = []
         for module, name, real in ((polyfield, "_compile", polyfield._compile),
                                    (integrator, "_compile_step", integrator._compile_step),
                                    (integrator, "_compile_loop", integrator._compile_loop),
@@ -607,8 +628,24 @@ class TestRepeatedCalls:
             monkeypatch.setattr(module, name, lambda *a, name=name, real=real: (
                 calls.append(name), real(*a))[1], raising=name != "exec")
         assert main(argv) == 0
-        assert len(polyfield._GENERATED) == entries and not calls
+        assert not calls
         assert cli.build_parser() is cli.build_parser()
+
+    def test_evicted_text_frees_its_code(self, tmp_path):
+        # the field cache is the one owner of a text's field, and a field
+        # the one owner of its generated code
+        cli._field.cache_clear()
+        texts = [f"dx/dt = -{k + 1}*x\ndy/dt = -y\ndz/dt = 1 + x^2\n"
+                 for k in range(cli._FIELD_CACHE_SIZE + 1)]
+        for k, text in enumerate(texts):
+            system = tmp_path / f"{k}.sys"
+            system.write_text(text)
+            assert main(["simulate", "--system", str(system), "--x0", "1,0,0",
+                         "--t1", "0.1", "--out", str(tmp_path / str(k))]) == 0
+            if k == 0:
+                slope = weakref.ref(cli._field(text).compiled_slope("rhs"))
+        gc.collect()
+        assert slope() is None
 
     def test_one_parse_per_text(self, tmp_path, monkeypatch):
         cli._field.cache_clear()

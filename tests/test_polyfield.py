@@ -1,5 +1,6 @@
 import ast
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -275,20 +276,6 @@ def _size(field, system):
     return {"rhs": n, "jacobian": n, "liouville_rhs": n + 1}.get(system, n + n * n)
 
 
-def _capture_sources(monkeypatch):
-    """A list that collects the source of every function generated from
-    now on, taken at `_define`, polyfield's and the one integrator
-    imports for its steps and loops. The test gets an empty `_GENERATED`,
-    so fields whose code an earlier test generated generate it again."""
-    sources = []
-    define = polyfield._define
-    monkeypatch.setattr(polyfield, "_GENERATED", {})
-    for module in (polyfield, integrator):
-        monkeypatch.setattr(module, "_define", lambda src: (
-            sources.append(src), define(src))[1])
-    return sources
-
-
 def _is_unit(node):
     """A literal 1.0 or -1.0 (ast.parse keeps -1.0 as a negation)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -347,13 +334,12 @@ class TestGeneratedEvaluator:
         assert polyfield._power_lines([p, q], "x") == [
             "x1_2 = x1*x1", "x1_3 = x1_2*x1", "x1_6 = x1_3*x1_3", "x1_7 = x1_6*x1"]
 
-    def test_no_multiplication_or_division_by_unit(self, monkeypatch):
+    def test_no_multiplication_or_division_by_unit(self, generated_sources):
         # the four slopes and the DP5(4), DOP853 and RK4 steps and
         # stepping loops of the three stepped systems; 21.0*x is no
         # identity, 1.0*x and x/1.0 are. Powers are products and nothing
         # is caught: the one `**` is the step controller's err ** -0.2,
         # or err ** -0.125 for DOP853
-        sources = _capture_sources(monkeypatch)
         for name in SHIPPED:
             field = flowbound.load_system(name)
             for system in SYSTEMS:
@@ -362,8 +348,8 @@ class TestGeneratedEvaluator:
                 for tableau in (integrator._DP54, integrator._DOP853, integrator._RK4):
                     integrator._compiled_step(field, system, tableau)
                     integrator._compiled_loop(field, system, tableau)
-        assert len(sources) == 4 * (4 + 3 * 2 * 3)
-        for source in sources:
+        assert len(generated_sources) == 4 * (4 + 3 * 2 * 3)
+        for source in generated_sources:
             for node in ast.walk(ast.parse(source)):
                 if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
                     assert not (_is_unit(node.left) or _is_unit(node.right)), \
@@ -379,33 +365,32 @@ class TestGeneratedEvaluator:
         ("lorenz", "liouville_rhs", {3}),  # nor the divergence integral
     ])
     @pytest.mark.parametrize("tableau", ["_DP54", "_DOP853", "_RK4"])
-    def test_trial_stages_assign_only_what_slopes_read(self, monkeypatch, name,
+    def test_trial_stages_assign_only_what_slopes_read(self, generated_sources, name,
                                                        system, unread, tableau):
         tableau = getattr(integrator, tableau)
-        sources = _capture_sources(monkeypatch)
         field = flowbound.load_system(name)
         integrator._compiled_step(field, system, tableau)
         size = _size(field, system)
-        assigned = Counter(line.split(" = ")[0] for line in sources[0].splitlines()
+        assigned = Counter(line.split(" = ")[0] for line in generated_sources[0].splitlines()
                            if re.match(r"\s+a\d+ = ", line))
         assert assigned == {f"    a{i}": len(tableau.A) for i in range(size)
                             if i not in unread}
 
     @pytest.mark.parametrize("name", SHIPPED)
-    def test_zero_jacobian_entries_keep_their_term(self, monkeypatch, name):
+    def test_zero_jacobian_entries_keep_their_term(self, generated_sources, name):
         # J V sums every k: a 0.0*v term can decide the sign of a zero sum
         field = flowbound.load_system(name)
         zeros = sum(p.is_zero for row in field.jacobian_polynomials() for p in row)
-        sources = _capture_sources(monkeypatch)
         field.compiled_slope("tangent_rhs")
-        terms = [node for node in ast.walk(ast.parse(sources[0]))
+        terms = [node for node in ast.walk(ast.parse(generated_sources[0]))
                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                  and isinstance(node.left, ast.Constant) and node.left.value == 0.0]
         assert zeros and len(terms) == zeros * field.dimension
 
 
-class TestSharedCode:
-    """Generated functions are shared across fields with equal components."""
+class TestFieldCode:
+    """A field generates each function once and keeps it; equal
+    components generate equal code."""
 
     LORENZ = flowbound.system_path("lorenz").read_text()
 
@@ -417,15 +402,43 @@ class TestSharedCode:
                    for t in (integrator._DP54, integrator._RK4)
                    for f in (integrator._compiled_step, integrator._compiled_loop)])
 
-    def test_same_text_gives_same_functions(self):
-        a, b = parse_system(self.LORENZ), parse_system(self.LORENZ)
-        assert a is not b
-        assert all(f is g for f, g in zip(self._functions(a), self._functions(b)))
+    def test_same_function_on_every_call(self, generated_sources):
+        field = parse_system(self.LORENZ)
+        first = self._functions(field)
+        generated_sources.clear()
+        assert all(f is g for f, g in zip(first, self._functions(field)))
+        assert not generated_sources
+
+    def test_code_is_freed_with_its_field(self):
+        # by reference counting alone: generated code holds no cycle
+        field = parse_system(self.LORENZ)
+        refs = [weakref.ref(f) for f in self._functions(field)]
+        del field
+        assert not any(ref() for ref in refs)
+
+    def test_equal_components_generate_equal_source(self, generated_sources):
+        exact = [Polynomial((Monomial(Fraction(1, 2), (1, 0)),)),
+                 Polynomial((Monomial(3, (0, 0)),))]
+        for a, b in [
+            (parse_system(self.LORENZ), parse_system(self.LORENZ)),
+            # names and parameters do not enter the generated code
+            (parse_system(self.LORENZ),
+             PolyField(parse_system(self.LORENZ).components, ("u", "v", "w"))),
+            # coefficients are written as floats
+            (PolyField(exact), parse_system("dx/dt = 0.5*x\ndy/dt = 3")),
+        ]:
+            assert a.components == b.components
+            generated_sources.clear()
+            count = len(self._functions(a))
+            self._functions(b)
+            assert generated_sources[:count] == generated_sources[count:]
+            assert len(generated_sources) == 2 * count
+        values = PolyField(exact).compiled_slope("rhs")((2.0, 0.0))
+        assert values == (1.0, 3.0) and all(type(v) is float for v in values)
 
     def test_one_coefficient_apart_gives_other_functions(self):
         a = parse_system(self.LORENZ)
         b = parse_system(self.LORENZ.replace("rho = 28", "rho = 28.5"))
-        assert all(f is not g for f, g in zip(self._functions(a), self._functions(b)))
         state = [1.0, 2.0, 3.0]
         assert a.compiled_slope("rhs")(state)[1] == 23.0  # x*(rho - z) - y
         assert b.compiled_slope("rhs")(state)[1] == 23.5
@@ -434,25 +447,26 @@ class TestSharedCode:
                  for field in (a, b)]
         assert steps[0][0] != steps[1][0]
 
-    def test_field_built_from_components_shares_functions(self):
-        # names and parameters do not enter the generated code
-        a = parse_system(self.LORENZ)
-        b = PolyField(a.components, ("u", "v", "w"))
-        assert all(f is g for f, g in zip(self._functions(a), self._functions(b)))
-
     def test_list_built_polynomial_compiles(self):
         field = PolyField([Polynomial([Monomial(-1.0, (1,))])])
         assert field.compiled_slope("rhs")((2.0,)) == (-2.0,)
 
-    def test_equal_coefficients_of_other_types_share_float_code(self):
-        exact = PolyField([Polynomial((Monomial(Fraction(1, 2), (1, 0)),)),
-                           Polynomial((Monomial(3, (0, 0)),))])
-        field = parse_system("dx/dt = 0.5*x\ndy/dt = 3")
-        assert exact == field
-        slope = exact.compiled_slope("rhs")
-        assert field.compiled_slope("rhs") is slope
-        values = slope((2.0, 0.0))
-        assert values == (1.0, 3.0) and all(type(v) is float for v in values)
+    def test_define_is_the_one_exec_site(self):
+        # an AST scan of the package for calls of exec, eval and compile,
+        # each with its module and enclosing function
+        sites = []
+
+        def visit(node, owner):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                sites.append((*owner, node.func.id))
+            for child in ast.iter_child_nodes(node):
+                visit(child, (owner[0], child.name) if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+        for path in sorted(Path(polyfield.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem, None))
+        assert sites == [("polyfield", "_define", "exec")]
 
 
 class TestJacobian:

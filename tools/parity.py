@@ -15,8 +15,8 @@ calling `flowbound.cli.main` row after row, each row in an empty working
 directory of its own with stdout and stderr captured, `SystemExit`
 taken as the exit code and any other exception as exit 1 with its
 traceback. Every row must give what its fresh process gave, a traceback
-compared by its last line, so no state (a reused parser, shared
-generated code) leaks from one command into the next.
+compared by its last line, so no state (a reused parser, a cached field
+and its generated code) leaks from one command into the next.
 
 Prints one line per differing command and exits 1 if any command differs
 in either pass, else 0. Runs two processes at a time.
@@ -117,6 +117,11 @@ def _matrix() -> list[tuple[str, ...]]:
         # pairs that repeat exactly, scanned on cells whose size is subnormal
         ("upo", "stuart-landau", "--x0", "1,0,0", "--plane", Y0_PLANE,
          "--iterates", "100", "--k-max", "1", "--threshold", "1e-320"),
+        # no iterates: the other arguments are still checked
+        ("upo", "stuart-landau", "--x0", "1,0,0", "--plane", Y0_PLANE,
+         "--iterates", "0", "--threshold=nan"),
+        ("upo", "stuart-landau", "--x0", "1,0,0", "--plane", Y0_PLANE,
+         "--iterates", "0", "--k-max", "-5"),
         ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
          "--total", "100", "--interval", "0.5", "--history"),
         ("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
