@@ -214,29 +214,32 @@ def combine_reports(*reports: BoundReport) -> BoundReport:
 
 def find_equilibrium(field: PolyField, x0: Sequence[float],
                      ) -> Optional[tuple[np.ndarray, float]]:
-    """Newton iteration on f(x) = 0 from x0.
-
-    Returns (x_star, residual) with residual = max |f_j(x_star)| from the
-    compiled floating-point field, or None when 25 Newton steps fail to
-    reach 1e-12. Steps are least-squares solves, so fields whose
-    equilibria form a manifold (singular Jacobian everywhere) still
-    converge onto the nearest point of it when the geometry allows.
+    """Least-squares Gauss–Newton on f(x) = 0 from x0, on Python floats
+    with one LAPACK `lstsq` per step: (x_star, max |f_j(x_star)|) of the
+    compiled floating-point field, or None when 25 steps fail to reach
+    1e-12. Minimum-norm steps let fields whose equilibria form a manifold
+    (singular Jacobian everywhere) still converge onto the nearest point
+    of it when the geometry allows.
     """
-    x = np.asarray(x0, dtype=float)
+    rhs, jac = field.compiled_slope("rhs"), field.compiled_slope("jacobian")
+    x = field._check_state(x0).tolist()
     for steps in range(_EQUILIBRIUM_MAX_ITER + 1):
-        fx = field.evaluate(x)
-        residual = float(np.max(np.abs(fx)))
+        fx = rhs(x)
+        if not all(map(math.isfinite, fx)):
+            return None  # Python's max can drop a nan that np.max keeps
+        residual = max(map(abs, fx))
         if residual < _EQUILIBRIUM_TOL:
-            return x, residual
+            return np.array(x), residual
         if steps == _EQUILIBRIUM_MAX_ITER:
             return None
-        J = field.jacobian(x)
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
+        J = jac(x)
+        if not all(map(math.isfinite, J)):
             return None  # LAPACK can spin on non-finite input
-        dx, *_ = np.linalg.lstsq(J, -fx, rcond=None)
-        if not np.all(np.isfinite(dx)) or not np.any(dx):
+        dx = np.linalg.lstsq(np.array(J).reshape(len(fx), -1), [-v for v in fx],
+                             rcond=None)[0].tolist()
+        if not all(map(math.isfinite, dx)) or not any(dx):
             return None
-        x = x + dx
+        x = [a + b for a, b in zip(x, dx)]
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +22,17 @@ from flowbound import (
     verify_bounds,
 )
 from flowbound import boundlaw
-from flowbound.boundlaw import certified_components
+from flowbound.boundlaw import (
+    _EQUILIBRIUM_MAX_ITER,
+    _EQUILIBRIUM_TOL,
+    certified_components,
+)
 
 CUBIC_ESCAPE = parse_system("dx/dt = 1\ndy/dt = 0\ndz/dt = x^2")
 SQUARE = parse_system("dx/dt = x^2")
 CONSTANT_Z = parse_system("dx/dt = -y\ndy/dt = x\ndz/dt = -0.5")
+LORENZ_ESCAPE = parse_system((Path(__file__).resolve().parents[1] / "tools"
+                              / "parity-systems" / "lorenz-escape.sys").read_text())
 
 REFUTATION_KEYS = ["verdict", "bounded", "equilibrium", "witnessed_bound",
                    "horizon", "bound_report"]
@@ -266,6 +273,88 @@ class TestFindEquilibrium:
         assert x_star[0] == 30.0 / 2**25 == 8.940696716308594e-07
         assert residual == 7.993605777301127e-13
         assert find_equilibrium(SQUARE, [34.0]) is None
+
+
+def _numpy_find_equilibrium(field, x0):
+    """The NumPy loop that `find_equilibrium` replaced, kept word for word
+    as the reference its float loop must match bit for bit."""
+    x = np.asarray(x0, dtype=float)
+    for steps in range(_EQUILIBRIUM_MAX_ITER + 1):
+        fx = field.evaluate(x)
+        residual = float(np.max(np.abs(fx)))
+        if residual < _EQUILIBRIUM_TOL:
+            return x, residual
+        if steps == _EQUILIBRIUM_MAX_ITER:
+            return None
+        J = field.jacobian(x)
+        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
+            return None  # LAPACK can spin on non-finite input
+        dx, *_ = np.linalg.lstsq(J, -fx, rcond=None)
+        if not np.all(np.isfinite(dx)) or not np.any(dx):
+            return None
+        x = x + dx
+
+
+def _bits(found):
+    if found is None:
+        return None
+    x_star, residual = found
+    return [float(v).hex() for v in x_star], residual.hex()
+
+
+class TestFloatGaussNewton:
+    """`find_equilibrium` on Python floats gives what the NumPy loop gave,
+    bit for bit, on every kind of path: converged, exact, stalled,
+    overflowing, one-dimensional and four-dimensional."""
+
+    @pytest.mark.parametrize("name, x0", [
+        ("equilibrium", (0.3, -0.2, 0.1)),
+        ("equilibrium", (0.0, 0.0, 0.7)),  # exact: accepted with no step
+        ("equilibrium", (2.0, -1.0, 0.5)),
+        ("equilibrium", (0.1, 0.2, -0.3)),
+        ("closed-orbit", (0.5, 0.0, 0.0)),  # inside the circle
+        ("closed-orbit", (0.3, 0.4, -2.0)),
+        ("closed-orbit", (2.0, 0.0, 0.0)),  # outside
+        ("closed-orbit", (1.1, 0.0, 0.0)),
+        ("closed-orbit", (1e80, 0.0, 0.0)),
+        ("closed-orbit", (1e155, 0.0, 0.0)),
+        ("closed-orbit", (1e200, 0.0, 0.0)),
+        ("lorenz", (-5.0, 3.0, 20.0)),  # to C+
+        ("lorenz", (-5.0, -5.0, 20.0)),  # to C-
+        ("lorenz", (1.0, 1.0, 1.0)),  # to the origin
+        ("lorenz", (0.5, 0.5, 0.5)),
+    ])
+    def test_shipped_systems(self, name, x0):
+        field = load_system(name)
+        expected = _numpy_find_equilibrium(field, x0)
+        assert _bits(find_equilibrium(field, x0)) == _bits(expected)
+
+    @pytest.mark.parametrize("field, x0, converges", [
+        (SQUARE, (30.0,), True),  # the 25th and last step converges
+        (SQUARE, (34.0,), False),
+        (parse_system("dx/dt = x^2 + 1"), (1.0,), False),
+        # 20 steps in 4-D to w = 9.5e-7, the other components near 1e-267
+        (LORENZ_ESCAPE, (1.0, 1.0, 1.0, 1.0), True),
+    ])
+    def test_other_dimensions(self, field, x0, converges):
+        expected = _numpy_find_equilibrium(field, x0)
+        found = find_equilibrium(field, x0)
+        assert (found is not None) == converges
+        assert _bits(found) == _bits(expected)
+
+    def test_nan_component_is_no_equilibrium(self):
+        # f = (0.0, nan): Python's max((0.0, nan)) is 0.0 and would accept
+        field = parse_system("dx/dt = x\ndy/dt = x*y^2 - y*x^2")
+        fx = field.compiled_slope("rhs")([0.0, 1e200])
+        assert fx[0] == 0.0 and math.isnan(fx[1])
+        assert _numpy_find_equilibrium(field, [0.0, 1e200]) is None
+        assert find_equilibrium(field, [0.0, 1e200]) is None
+
+    def test_returns_a_fresh_float_array(self):
+        x0 = np.array([0.0, 0.0, 0.7])
+        x_star, residual = find_equilibrium(load_system("equilibrium"), x0)
+        assert x_star.dtype == np.float64 and x_star is not x0
+        assert type(residual) is float
 
 
 class TestRefuteNonexistence:

@@ -10,10 +10,21 @@ odd ones, one run at a time, so the two sides never share the machine.
 
 FILE is a JSON object keyed by workload; this workload's entry is
 written (an existing file keeps its other workloads). The entry holds
-every run's output line and, for each end-to-end metric, each side's
-median and quartiles (inclusive method) and the change's wins: pairs in
-which the change's value is better in the metric's direction, ties
-counting for neither side.
+every run's output line, each side's failed share (failed operations
+over attempted ones, all runs together) and, for each end-to-end
+metric, each side's median and quartiles (inclusive method), the
+change's wins (pairs in which the change's value is better in the
+metric's direction, ties counting for neither side) and a verdict:
+
+    worse       the change's median is worse than the parent's by more
+                than the metric's `bound`, a fraction of the parent's
+                median;
+    better      the change wins at least 9 of every 10 pairs and its
+                median is better than the parent's by more than the
+                parent's quartile spread;
+    unresolved  neither.
+
+A run whose output line is not `correct` ends the script with exit 1.
 """
 
 from __future__ import annotations
@@ -36,7 +47,11 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv)} exited "
                          f"{proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {' '.join(argv)} was not correct\n"
+                         f"{proc.stderr}")
+    return result
 
 
 def _spread(values: list[float]) -> dict:
@@ -45,17 +60,28 @@ def _spread(values: list[float]) -> dict:
 
 
 def summarize(spec: dict, runs: dict) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
-    pairs the change wins."""
-    summary = {}
+    """Each side's failed share and, per end-to-end metric, each side's
+    median and quartiles, the pairs the change wins and the verdict."""
+    summary = {"failed_share": {
+        side: sum(r["failed"] for r in runs[side])
+        / sum(r["attempted"] for r in runs[side]) for side in SIDES}}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
         wins = sum(sign * (c - p) < 0
                    for p, c in zip(values["parent"], values["change"]))
-        summary[name] = {**{side: _spread(values[side]) for side in SIDES},
-                         "change_wins": wins, "pairs": len(values["parent"])}
+        spread = {side: _spread(values[side]) for side in SIDES}
+        parent, pairs = spread["parent"], len(values["parent"])
+        gain = sign * (parent["median"] - spread["change"]["median"])
+        if -gain > metric["bound"] * abs(parent["median"]):
+            verdict = "worse"
+        elif 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+            verdict = "better"
+        else:
+            verdict = "unresolved"
+        summary[name] = {**spread, "change_wins": wins, "pairs": pairs,
+                         "verdict": verdict}
     return summary
 
 

@@ -163,6 +163,8 @@ def _matrix() -> list[tuple[str, ...]]:
          "--method", "rk4-fixed", "--step", "0.015"),
         ("simulate", "parity-systems/lorenz-escape.sys", "--x0", "1,1,1,1",
          "--t1", "1.5", "--stdout"),
+        # the one Gauss–Newton path of several steps in 4-D
+        ("refute", "parity-systems/lorenz-escape.sys", "--x0", "1,1,1,1", "--stdout"),
         ("simulate", "parity-systems/logistic.sys", "--x0", "0.1", "--t1", "10",
          "--stdout"),
     ]
