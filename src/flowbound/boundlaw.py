@@ -17,10 +17,9 @@ equilibria and closed orbits satisfying the hypothesis are exhibited by
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .integrator import (
     BlowUpError,
@@ -31,6 +30,9 @@ from .integrator import (
     integrate,
 )
 from .polyfield import PolyField, certify_lower_bound
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoundCertificate",
@@ -147,6 +149,7 @@ def check_bound_tol(tol: float) -> None:
 def _component_slopes(traj: Trajectory, j: int) -> np.ndarray:
     """Component j (0-based) of `compiled_slope("rhs")` run on the state
     columns of `traj`: inf or nan, without a warning, where one overflows."""
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         fj = traj.field.compiled_slope("rhs")(list(traj.states.T))[j]
     return np.broadcast_to(fj, traj.times.shape)  # a constant component is a float
@@ -161,6 +164,7 @@ def verify_bounds(traj: Trajectory, cert: BoundCertificate,
     the trajectory was produced with, separating mathematical violations
     from numerical noise.
     """
+    import numpy as np
     check_bound_tol(tol)
     if len(traj) < 1:
         raise ValueError("empty trajectory")
@@ -221,8 +225,9 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
     (singular Jacobian everywhere) still converge onto the nearest point
     of it when the geometry allows.
     """
+    import numpy as np
     rhs, jac = field.compiled_slope("rhs"), field.compiled_slope("jacobian")
-    x = field._check_state(x0).tolist()
+    x = list(field._check_state(x0))
     for steps in range(_EQUILIBRIUM_MAX_ITER + 1):
         fx = rhs(x)
         if not all(map(math.isfinite, fx)):
@@ -307,7 +312,7 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     opts = opts or IntegrationOptions()
     if cert.alpha > 0 and cert.source == CERTIFIED:
         y0 = field._check_state(x0)
-        traj = Trajectory([0.0], y0[None], opts.tolerance, field)
+        traj = Trajectory(array("d", (0.0, *y0)), opts.tolerance, field)
         return RefutationReport(
             verdict=VERDICT_PROVED_UNBOUNDED, bounded=False, equilibrium=False,
             witnessed_bound=math.hypot(*y0), horizon=0.0,
@@ -316,8 +321,9 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     x_star, residual = find_equilibrium(field, x0) or (None, None)
     bounded, reached = True, horizon
     if x_star is not None:
-        ts = np.linspace(0.0, -horizon, 11)
-        traj = Trajectory(ts, np.tile(x_star, (ts.size, 1)), opts.tolerance, field)
+        import numpy as np
+        rows = [v for t in np.linspace(0.0, -horizon, 11).tolist() for v in (t, *x_star)]
+        traj = Trajectory(array("d", rows), opts.tolerance, field)
         witnessed = math.hypot(*x_star)
     else:
         try:

@@ -27,8 +27,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .boundlaw import (
     BoundCertificate,
@@ -78,13 +76,13 @@ def _field(text: str) -> PolyField:
     return parse_system(text)
 
 
-def _parse_vector(text: str, dimension: int) -> np.ndarray:
+def _parse_vector(text: str, dimension: int) -> list[float]:
     parts = text.split(",")
     if len(parts) != dimension:
         raise ValueError(
             f"--x0 has {len(parts)} components, the system has {dimension}")
-    vec = np.array([float(p) for p in parts])
-    if not np.all(np.isfinite(vec)):
+    vec = [float(p) for p in parts]
+    if not all(map(math.isfinite, vec)):
         raise ValueError("--x0 components must be finite")
     return vec
 
@@ -99,7 +97,7 @@ def _parse_plane(text: str) -> SectionPlane:
         raise ValueError("--plane point and normal need three components each")
     if parts[2] not in DIRECTIONS:
         raise ValueError(f"--plane direction must be one of {DIRECTIONS}")
-    return SectionPlane(np.array(point), np.array(normal), parts[2])
+    return SectionPlane(point, normal, parts[2])
 
 
 def _emit(args, filename: str, text: str | Iterable[str]) -> Path:
@@ -114,7 +112,7 @@ def _emit(args, filename: str, text: str | Iterable[str]) -> Path:
     return path
 
 
-def _header(args, x0: np.ndarray) -> dict:
+def _header(args, x0: list[float]) -> dict:
     """The keys every JSON artifact opens with."""
     return {"system": str(args.system), "x0": [float(v) for v in x0],
             "seed": args.seed}
@@ -124,32 +122,27 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> Iterator[str]:
-    """Fixed-viewport SVG polyline in text blocks: decimated, no external
-    assets, no timestamps, formatting pinned so equal data gives equal
-    bytes."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = len(xs)
+def _svg_polyline(rows, width, ix, iy, xlabel: str, ylabel: str) -> Iterator[str]:
+    """Fixed-viewport SVG polyline of values ix and iy of each `width`-value
+    row of the flat `rows`, in text blocks: decimated, no external assets,
+    no timestamps, formatting pinned so equal data gives equal bytes."""
+    n = len(rows) // width
     stride = max(1, math.ceil(n / _SVG_MAX_POINTS))
-    keep = slice(None, None, stride)
+    xs, ys = rows[ix::width * stride], rows[iy::width * stride]
     if (n - 1) % stride:  # the last sample is always drawn
-        xs, ys = np.append(xs[keep], xs[-1]), np.append(ys[keep], ys[-1])
-    else:
-        xs, ys = xs[keep], ys[keep]
+        xs.append(rows[ix - width])
+        ys.append(rows[iy - width])
     ml, mr, mt, mb = _SVG_MARGINS
     plot_w = _SVG_WIDTH - ml - mr
     plot_h = _SVG_HEIGHT - mt - mb
 
-    def _range(v):
-        lo, hi = float(np.min(v)), float(np.max(v))
+    def _range(v):  # the rows are finite: min and max meet no nan
+        lo, hi = min(v), max(v)
         pad = 0.05 * (hi - lo) if hi > lo else 1.0
         return lo - pad, hi + pad
 
     x_lo, x_hi = _range(xs)
     y_lo, y_hi = _range(ys)
-    px = ml + (xs - x_lo) / (x_hi - x_lo) * plot_w
-    py = _SVG_HEIGHT - mb - (ys - y_lo) / (y_hi - y_lo) * plot_h
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" '
@@ -159,9 +152,11 @@ def _svg_polyline(xs, ys, xlabel: str, ylabel: str) -> Iterator[str]:
         f'height="{plot_h:.0f}" fill="none" stroke="#333"/>\n'
         f'<polyline fill="none" stroke="#1f77b4" stroke-width="1" '
         f'points="')
-    for i in range(0, len(px), _SVG_CHUNK):
-        chunk = zip(px[i:i + _SVG_CHUNK].tolist(), py[i:i + _SVG_CHUNK].tolist())
-        yield (" " if i else "") + " ".join(["%.2f,%.2f" % p for p in chunk])
+    wx, wy, base = x_hi - x_lo, y_hi - y_lo, _SVG_HEIGHT - mb
+    for i in range(0, len(xs), _SVG_CHUNK):  # the array formula's operations and order
+        px = [ml + (x - x_lo) / wx * plot_w for x in xs[i:i + _SVG_CHUNK]]
+        py = [base - (y - y_lo) / wy * plot_h for y in ys[i:i + _SVG_CHUNK]]
+        yield (" " if i else "") + " ".join(["%.2f,%.2f" % p for p in zip(px, py)])
     yield (
         f'"/>\n'
         f'<text x="{ml + plot_w / 2:.0f}" y="{_SVG_HEIGHT - 8:.0f}" '
@@ -186,7 +181,7 @@ def _integration_options(args, **overrides) -> IntegrationOptions:
     return IntegrationOptions(tol=args.tol, **stepper, **overrides)
 
 
-def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
+def cmd_simulate(field: PolyField, x0: list[float], args) -> int:
     names = list(field.variable_names)
     pair = args.project.split(",") if args.project else []
     if pair and (len(pair) != 2 or any(p not in names for p in pair)):
@@ -199,7 +194,7 @@ def cmd_simulate(field: PolyField, x0: np.ndarray, args) -> int:
            f"t={traj.t0:g}..{traj.final_time:g})")
     if pair:
         ix, iy = names.index(pair[0]), names.index(pair[1])
-        svg = _svg_polyline(traj.states[:, ix], traj.states[:, iy],
+        svg = _svg_polyline(traj.rows, 1 + len(names), 1 + ix, 1 + iy,
                             pair[0], pair[1])
         _human(f"wrote {_emit(args, 'projection.svg', svg)}")
     return EXIT_OK
@@ -216,7 +211,7 @@ def _leg(field, x0, t_end, opts):
         return exc.trajectory, str(exc)
 
 
-def cmd_bounds_check(field: PolyField, x0: np.ndarray, args) -> int:
+def cmd_bounds_check(field: PolyField, x0: list[float], args) -> int:
     check_bound_tol(args.bound_tol)  # also when no component is certified
     spans = (args.t_fwd, args.t_back)
     if not (all(0 <= t < math.inf for t in spans) and any(spans)):
@@ -262,7 +257,7 @@ def cmd_bounds_check(field: PolyField, x0: np.ndarray, args) -> int:
     return EXIT_OK if all_hold else EXIT_BOUNDS
 
 
-def cmd_refute(field: PolyField, x0: np.ndarray, args) -> int:
+def cmd_refute(field: PolyField, x0: list[float], args) -> int:
     certs = certified_components(field)
     if not certs:
         _human("refutation needs a component with a certifiable lower bound")
@@ -282,7 +277,7 @@ def cmd_refute(field: PolyField, x0: np.ndarray, args) -> int:
     return EXIT_OK
 
 
-def cmd_section(field: PolyField, x0: np.ndarray, args) -> int:
+def cmd_section(field: PolyField, x0: list[float], args) -> int:
     if args.iterates < 1:
         raise ValueError("--iterates must be at least 1")
     plane = _parse_plane(args.plane)
@@ -292,13 +287,13 @@ def cmd_section(field: PolyField, x0: np.ndarray, args) -> int:
     points = [start] + return_map_iterates(
         field, plane, start, args.iterates - 1, opts, max_time=args.max_time)
     path = _emit(args, "section.csv", _csv_blocks(
-        ("iterate", "u", "v", "t"), range(len(points)),
-        [p.coords2 for p in points], [p.time for p in points]))
+        ("iterate", "u", "v", "t"),
+        [v for i, p in enumerate(points) for v in (i, *p.coords2.tolist(), p.time)]))
     _human(f"wrote {path} ({len(points)} section points)")
     return EXIT_OK
 
 
-def cmd_upo(field: PolyField, x0: np.ndarray, args) -> int:
+def cmd_upo(field: PolyField, x0: list[float], args) -> int:
     plane = _parse_plane(args.plane)
     scan_opts = _integration_options(args)
     start, _elapsed = first_crossing(field, plane, x0, 0.0, scan_opts,
@@ -343,18 +338,17 @@ def cmd_upo(field: PolyField, x0: np.ndarray, args) -> int:
     return EXIT_OK
 
 
-def cmd_lyapunov(field: PolyField, x0: np.ndarray, args) -> int:
+def cmd_lyapunov(field: PolyField, x0: list[float], args) -> int:
     opts = _integration_options(args)
     result = lyapunov_spectrum(field, x0, args.transient, args.total,
                                args.interval, opts)
     doc = {**_header(args, x0), **result.to_json_dict()}
     _emit(args, "lyapunov.json", _json_text(doc))
     if args.history:
-        history = result.convergence_history
         names = [f"lambda{i + 1}" for i in range(field.dimension)]
         _emit(args, "convergence.csv", _csv_blocks(
-            ("time", *names), [t for t, _ex in history],
-            [ex for _t, ex in history]))
+            ("time", *names),
+            [v for t, ex in result.convergence_history for v in (t, *ex)]))
     _human("exponents: "
            + ", ".join(f"{v:.6f}" for v in result.exponents))
     return EXIT_OK

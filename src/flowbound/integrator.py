@@ -29,11 +29,12 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .polyfield import PolyField, _define, _names, _scaled, _signed_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegrationOptions",
@@ -144,6 +145,7 @@ class IntegrationError(RuntimeError):
     """
 
     def __init__(self, message: str, t: float, state):
+        import numpy as np
         super().__init__(message)
         self.t = t
         self.state = np.array(state, dtype=float)
@@ -204,46 +206,55 @@ class IntegrationOptions:
 class Trajectory:
     """Time-stamped state sequence of a field from t0, forward or backward.
 
-    `times` is strictly monotone (increasing forward, decreasing
-    backward); its first sample is t0; `field` gives each sample's slope.
+    `rows`, the one store, is a flat `array("d")` of (t, x_1, ..., x_n)
+    rows, t strictly monotone from t0; `times` and `states` are ndarray
+    views of it, built on first use. `field` gives each sample's slope.
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, tol: float,
-                 field: PolyField):
-        self.times = np.asarray(times, dtype=float)
-        self.t0 = float(self.times[0])
-        self.states = np.asarray(states, dtype=float)
+    def __init__(self, rows: array, tol: float, field: PolyField):
+        self.rows = rows
+        self.t0 = rows[0]
         self.tol = float(tol)
         self.field = field
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.rows) // (1 + self.dimension)
 
     @property
     def dimension(self) -> int:
-        return self.states.shape[1]
+        return self.field.dimension
 
     @property
     def final_time(self) -> float:
-        return float(self.times[-1])
+        return self.rows[-1 - self.dimension]
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
 
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        import numpy as np
+        return np.frombuffer(self.rows).reshape(-1, 1 + self.dimension)[:, 0]
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        import numpy as np
+        return np.frombuffer(self.rows).reshape(-1, 1 + self.dimension)[:, 1:]
+
     def csv_blocks(self) -> Iterator[str]:
         """CSV text in blocks: header t,<var1>,...,<varn>; 17 digits."""
-        return _csv_blocks(("t", *self.field.variable_names), self.times, self.states)
+        return _csv_blocks(("t", *self.field.variable_names), self.rows)
 
 
-def _csv_blocks(names, *columns) -> Iterator[str]:
-    """CSV text in blocks of rows: the header `names`, then the `columns`
-    side by side (a 2-D column is several), each value in "%.17g"."""
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+def _csv_blocks(names, rows) -> Iterator[str]:
+    """CSV text in blocks: the header `names`, then the flat sequence `rows`,
+    len(names) values a row in "%.17g", a block of rows to one `%`."""
+    row, size = ",".join(["%.17g"] * len(names)) + "\n", len(names) * _CSV_BLOCK
     yield ",".join(names) + "\n"
-    for i in range(0, len(columns[0]), _CSV_BLOCK):
-        block = np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
-        yield "".join([row % tuple(r) for r in block.tolist()])
+    for a in range(0, len(rows), size):
+        block = tuple(rows[a:a + size])
+        yield (row * (len(block) // len(names))) % block
 
 
 def _hermite_basis(s):
@@ -407,10 +418,11 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     The same checks in the same order as Hairer, Nørsett & Wanner's
     DOPRI5 main loop (Solving ODEs I, §II.4), on local floats. With an error
     estimate `err` (adaptive): stop at t1, after `budget` steps taken,
-    or once h is below 16 ulp of t; clip h to land on t1 exactly; retry
-    a step whose new state is not finite at a fifth of h, and a step
-    whose error norm exceeds 1 at h·max(0.2, 0.9 err^-x); grow h by
-    min(5, 0.9 err^-x) after an accepted step, x the tableau's
+    or once a step short of t1 is below 16 ulp of t (the span, not the
+    controller, sizes the step onto t1); clip h to land on t1 exactly;
+    retry a step whose new state is not finite at a fifth of h, and a
+    step whose error norm exceeds 1 at h·max(0.2, 0.9 err^-x); grow h
+    by min(5, 0.9 err^-x) after an accepted step, x the tableau's
     `exponent` (1/5 for DP5(4), 1/8 for DOP853). Without one: the
     `budget` equal steps of size h from t0, the k-th landing at t0 + k
     hs and the last on t1; a state that is not finite ends the run. A
@@ -452,7 +464,7 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
             "        h = remaining",
             "    final = h == remaining",
             "    at = abs(t)",
-            f"    if h <= {_UNDERFLOW!r} * (1.0 if 1.0 > at else at):",
+            f"    if not final and h <= {_UNDERFLOW!r} * (1.0 if 1.0 > at else at):",
             f"        return 'underflow', t, {ys}, {fs}, h, steps, None",
             "    hs = direction * h",
             "    steps += 1",
@@ -510,11 +522,12 @@ class _Run:
 
     Construction is the run start: it converts the start to floats,
     refuses a start state or t0 that is not finite (ValueError), takes
-    the first slope, records the row (t0, *y0) through `rec` and sizes
-    the first step: the adaptive tableau's automatic initial step,
-    refusing a start slope that is not finite, or ceil(|t1 - t0| / step)
-    equal RK4 steps, refusing a span that is not finite (ValueError) or
-    exceeds the step budget.
+    the first slope, records the row (t0, *y0) through `rec`, refuses an
+    adaptive start slope that is not finite, then a start whose first n
+    components exceed the blow-up cap in norm, and sizes the first step:
+    the adaptive tableau's automatic initial step, or ceil(|t1 - t0| /
+    step) equal RK4 steps, refusing a span that is not finite
+    (ValueError) or exceeds the step budget.
     """
 
     def __init__(self, field: PolyField, system: str, y0, t0, t1, opts,
@@ -528,9 +541,12 @@ class _Run:
             rec((t0, *y))
         tableau = _TABLEAUS[opts.method]
         direction = 1.0 if t1 > t0 else -1.0
+        if tableau.e is not None and not all(map(math.isfinite, f)):
+            raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
+        if (norm := math.hypot(*y[:field.dimension])) > opts.blow_up_norm:
+            raise BlowUpError(f"start state norm {norm:.3e} exceeds blow-up cap "
+                              f"{opts.blow_up_norm:.3e} at t={t0:.6g}", t0, y)
         if tableau.e is not None:
-            if not all(map(math.isfinite, f)):
-                raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
             h = min(_initial_step(slope, y, f, direction, opts.tol, tableau.exponent),
                     abs(t1 - t0))
             budget = _MAX_STEPS
@@ -577,7 +593,7 @@ class _Run:
                           f"{self._cap:.3e} at t={t:.6g}", t, y)
 
 
-def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> np.ndarray:
+def _validate_initial(field: PolyField, x0, t0: float, t1: float) -> tuple[float, ...]:
     y0 = field._check_state(x0)
     if not math.isfinite(t1):
         raise ValueError("t1 must be finite")
@@ -597,17 +613,12 @@ def integrate(field: PolyField, x0, t0: float, t1: float,
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
     rows = array("d")  # one row (t, x_1, ..., x_n) per accepted point
-
-    def trajectory():  # views of the row buffer
-        table = np.frombuffer(rows).reshape(-1, 1 + field.dimension)
-        return Trajectory(table[:, 0], table[:, 1:], opts.tolerance, field)
-
     try:
         _Run(field, "rhs", y0, t0, t1, opts, rows.extend).advance()
     except IntegrationError as exc:
-        exc.trajectory = trajectory()
+        exc.trajectory = Trajectory(rows, opts.tolerance, field)
         raise
-    return trajectory()
+    return Trajectory(rows, opts.tolerance, field)
 
 
 def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
@@ -619,13 +630,14 @@ def integrate_with_tangent(field: PolyField, x0, Q0, t0: float, t1: float,
     system so state and tangent share step sizes and error control.
     Nothing is recorded: an IntegrationError carries no trajectory.
     """
+    import numpy as np
     opts = opts or IntegrationOptions()
     y0 = _validate_initial(field, x0, t0, t1)
     n = field.dimension
     Q0 = np.asarray(Q0, dtype=float)
     if Q0.shape != (n, n):
         raise ValueError(f"Q0 has shape {Q0.shape}, expected ({n}, {n})")
-    run = _Run(field, "tangent_rhs", np.concatenate([y0, Q0.ravel()]), t0, t1, opts)
+    run = _Run(field, "tangent_rhs", (*y0, *Q0.ravel().tolist()), t0, t1, opts)
     run.advance()
     w = np.array(run.point[1])
     return w[:n], w[n:].reshape(n, n)

@@ -24,9 +24,7 @@ along) carries the integrator's own accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .integrator import (
     _DOP853,
@@ -39,6 +37,9 @@ from .integrator import (
     _Run,
 )
 from .polyfield import PolyField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SectionPlane",
@@ -94,6 +95,7 @@ class SectionPlane:
     direction: str = "both"
 
     def __post_init__(self):
+        import numpy as np
         point = np.asarray(self.point, dtype=float)
         normal = np.asarray(self.normal, dtype=float)
         if point.shape != (3,) or normal.shape != (3,):
@@ -140,18 +142,21 @@ class SectionPlane:
 
     def to_chart(self, state) -> np.ndarray:
         """In-plane chart coordinates (u, v) of a state's projection."""
+        import numpy as np
         r0, r1, r2 = (a - p for a, p in zip(state, self.point))
         return np.array([r0 * a0 + r1 * a1 + r2 * a2
                          for a0, a1, a2 in self._basis])
 
     def from_chart(self, coords2) -> np.ndarray:
         """3D state on the plane with the given chart coordinates."""
+        import numpy as np
         u, v = (float(c) for c in coords2)
         return np.array([p + u * a + v * b
                          for p, a, b in zip(self.point, *self._basis)])
 
     def section_point(self, state, time: float) -> "SectionPoint":
         """Build a SectionPoint, enforcing the on-plane invariant."""
+        import numpy as np
         state = np.asarray(state, dtype=float)
         s = self.signed_distance(state)
         if abs(s) >= _ON_PLANE_TOL:
@@ -169,6 +174,7 @@ class SectionPoint:
     time: float
 
     def __post_init__(self):
+        import numpy as np
         coords2 = np.asarray(self.coords2, dtype=float)
         state3 = np.asarray(self.state3, dtype=float)
         if coords2.shape != (2,) or state3.shape != (3,):
@@ -296,6 +302,7 @@ def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
             raise CrossingRefinementError(
                 f"crossing refinement stalled at |s|={abs(g):.3e} "
                 f"(t={tau:.6g})", tau, x)
+        import numpy as np
         return tau, np.array(x)
     return None
 

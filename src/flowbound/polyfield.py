@@ -12,9 +12,10 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Monomial",
@@ -213,12 +214,19 @@ class PolyField:
             for name, p in zip(self.variable_names, self.components)
         )
 
-    def _check_state(self, state) -> np.ndarray:
-        arr = np.asarray(state, dtype=float)
-        if arr.shape != (self.dimension,):
-            raise ValueError(
-                f"state has shape {arr.shape}, expected ({self.dimension},)")
-        return arr
+    def _check_state(self, state) -> tuple[float, ...]:
+        """`state` as n floats, else ValueError naming its NumPy shape."""
+        try:
+            x = () if isinstance(state, str) else tuple([float(v) for v in state])
+        except TypeError:  # a scalar or a nested sequence
+            x = ()
+        if len(x) != self.dimension:
+            import numpy as np
+            arr = np.asarray(state, dtype=float)  # None reads as nan
+            if arr.shape != (self.dimension,):
+                raise ValueError(f"state has shape {arr.shape}, expected ({self.dimension},)")
+            x = tuple(arr.tolist())
+        return x
 
     def evaluate(self, state: Sequence[float]) -> np.ndarray:
         return self.compiled_rhs()(self._check_state(state))
@@ -263,7 +271,11 @@ class PolyField:
 
     def _array(self, system: str) -> Callable[[np.ndarray], np.ndarray]:
         slope = self.compiled_slope(system)
-        return lambda y: np.array(slope(np.asarray(y, dtype=float).tolist()))
+
+        def array(y):  # NumPy is imported on the first call, not here
+            import numpy as np
+            return np.array(slope(np.asarray(y, dtype=float).tolist()))
+        return array
 
     def _compiled(self, key, build: Callable[[], Callable]) -> Callable:
         """The generated function cached under `key` (a `_system` name

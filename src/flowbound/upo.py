@@ -19,9 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .integrator import (
     DOP853_ADAPTIVE,
@@ -40,6 +38,9 @@ from .poincare import (
     return_map_iterates,
 )
 from .polyfield import PolyField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RecurrenceSeed",
@@ -143,6 +144,7 @@ def scan_close_recurrences(field: PolyField, plane: SectionPlane,
     cell so each neighborhood is represented once. Seeds come back
     sorted by (k, distance). A zero threshold yields no seeds.
     """
+    import numpy as np
     if not 0 <= threshold < math.inf:
         raise ValueError("threshold must be finite and nonnegative")
     if not (n_iterates >= k_max >= 1):
@@ -179,6 +181,7 @@ def _classify(multipliers) -> str:
     stable when everything left has modulus below 1 − 1e-6; any further
     near-unit multiplier marks a neutral or degenerate family.
     """
+    import numpy as np
     mods = [abs(m) for m in multipliers]
     if max(mods) > 1.0 + _INSTABILITY_MARGIN:
         return UNSTABLE
@@ -204,6 +207,7 @@ def _floquet_multipliers(field: PolyField, M: np.ndarray, x,
     round-off, so it is det M / (λ1 λ2) instead, with det M =
     exp(∫ div f dt) from `flow_determinant` (Liouville's formula).
     """
+    import numpy as np
     eigvals = np.linalg.eigvals(M)
     if np.all(eigvals.imag == 0):
         lam = sorted(eigvals.real, key=abs, reverse=True)
@@ -221,6 +225,7 @@ def monodromy(field: PolyField, orbit_start,
     eigenvalues); the eigenvalues are the Floquet multipliers, one of
     which is ≈ 1 along the flow direction for any true periodic orbit.
     """
+    import numpy as np
     if not T > 0:
         raise ValueError("period must be positive")
     _x1, M = integrate_with_tangent(field, orbit_start,
@@ -237,9 +242,10 @@ def flow_determinant(field: PolyField, x0, T: float) -> float:
     is formed, so the result stays accurate when M's singular values
     span more orders of magnitude than double precision resolves.
     """
+    import numpy as np
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    run = _Run(field, "liouville_rhs", np.append(field._check_state(x0), 0.0),
+    run = _Run(field, "liouville_rhs", (*field._check_state(x0), 0.0),
                0.0, float(T), SHOOT_INTEGRATION)
     run.advance()
     return float(np.exp(run.point[1][-1]))
@@ -247,6 +253,7 @@ def flow_determinant(field: PolyField, x0, T: float) -> float:
 
 def _prime_shift(cycle_coords: np.ndarray, k: int) -> Optional[int]:
     """Smallest divisor d < k with the k-cycle invariant under shift d."""
+    import numpy as np
     for d in range(1, k):
         if k % d:
             continue
@@ -278,8 +285,7 @@ def newton_shoot(field: PolyField, plane: SectionPlane,
     once it falls below about 1e-16 of the largest. A rest point, with
     no multiplier within 1e-3 of 1, raises NewtonConvergenceError.
     """
-    return _shoot_chart(field, plane, np.asarray(seed.point.coords2, float),
-                        seed.k)
+    return _shoot_chart(field, plane, seed.point.coords2, seed.k)
 
 
 def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
@@ -291,6 +297,7 @@ def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
     projects it by I − f nᵀ/⟨n, f⟩. With E = [e1 e2] the chart basis,
     J = Eᵀ (I − f nᵀ/⟨n, f⟩) M E − I.
     """
+    import numpy as np
     E = np.column_stack(plane.chart_basis())
     f = field.evaluate(end)
     P = np.eye(3) - np.outer(f, plane.normal) / plane.rate(f)
@@ -298,6 +305,7 @@ def _chart_jacobian(field: PolyField, plane: SectionPlane, M: np.ndarray,
 
 
 def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
+    import numpy as np
     def evaluate(u):
         # one tangent-augmented pass per leg; by the chain rule the
         # product of the legs' matrices is the full-period monodromy
@@ -376,6 +384,7 @@ def _shoot_chart(field, plane, u0, k) -> PeriodicOrbit:
 def _same_orbit(a: PeriodicOrbit, b: PeriodicOrbit) -> bool:
     if a.k != b.k:
         return False
+    import numpy as np
     ua = a.section_fixed_point.coords2
     return any(float(np.linalg.norm(ua - p.coords2)) < _DEDUP_TOL
                for p in b.cycle_points)

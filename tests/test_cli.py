@@ -17,6 +17,7 @@ import sys
 import time
 import tracemalloc
 import weakref
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,12 @@ CIRCLE_PLANE = "0,0,0/0,1,0/positive"
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+def _svg(xs, ys):
+    """The SVG of points (xs, ys), from rows of two values."""
+    rows = array("d", np.column_stack([xs, ys]).ravel().tolist())
+    return "".join(cli._svg_polyline(rows, 2, 0, 1, "x", "y"))
 
 
 def run_cli(argv, timeout=None):
@@ -102,8 +109,7 @@ class TestSimulate:
         xs, ys = rng.normal(size=(2, n)).cumsum(axis=1)
         stride = math.ceil(n / 20_000)
         keep = np.unique(np.append(np.arange(0, n, stride), n - 1))
-        assert ("".join(cli._svg_polyline(xs, ys, "x", "y"))
-                == "".join(cli._svg_polyline(xs[keep], ys[keep], "x", "y")))
+        assert _svg(xs, ys) == _svg(xs[keep], ys[keep])
 
     def test_projection_svg(self, tmp_path):
         out = tmp_path / "run"
@@ -760,6 +766,58 @@ class TestOverflowingStart:
         assert "escaped backward" in doc["verdict"]
         assert not doc["bounded"]
         assert doc["witnessed_bound"] == float(x0.split(",")[0])
+
+
+class TestSpanBelowTheSmallestStep:
+    """A span shorter than the 16-ulp step the controller may not go
+    below still runs: its one step lands on t1, forced by the span."""
+
+    def test_refute_short_horizon_is_bounded(self, tmp_path):
+        code = main(["refute", "--system", CLOSED_ORBIT, "--x0", "0.5,0,0",
+                     "--horizon", "1e-15", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "refutation.json").read_text())
+        assert doc["bounded"] and "falsified" in doc["verdict"]
+        assert doc["horizon"] == 1e-15
+
+    def test_simulate_lands_on_t1(self, tmp_path):
+        code = main(["simulate", "--system", LORENZ, "--x0", "1,1,1",
+                     "--t0", "99.99999999999999", "--t1", "100",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        data = read_csv(tmp_path / "trajectory.csv")
+        assert list(data["t"]) == [99.99999999999999, 100.0]
+
+    def test_bounds_check_subnormal_span(self, tmp_path):
+        code = main(["bounds-check", "--system", CLOSED_ORBIT, "--x0", "0.5,0,0",
+                     "--t-fwd", "1e-320", "--t-back", "0", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        assert doc["components"][0]["time_reached"] == [1e-320]
+
+
+class TestStartBeyondTheCap:
+    """A start whose norm already exceeds the blow-up cap is a blow-up at
+    t0, with either stepper; refute keeps its escape verdict."""
+
+    MESSAGE = ("integration failed: start state norm 1.000e+13 exceeds "
+               "blow-up cap 1.000e+12 at t=0\n")
+
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+    def test_simulate_exits_2(self, tmp_path, capsys, method):
+        code = main(["simulate", "--system", LORENZ, "--x0", "1e13,1,1",
+                     "--t1", "1", "--method", method, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_refute_reports_escape(self, tmp_path):
+        code = main(["refute", "--system", CLOSED_ORBIT, "--x0", "1e13,0,0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "refutation.json").read_text())
+        assert not doc["bounded"] and "escaped backward" in doc["verdict"]
+        assert doc["horizon"] == 0.0 and doc["witnessed_bound"] == 1e13
 
 
 class TestRunFailureFamily:

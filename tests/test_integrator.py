@@ -782,14 +782,14 @@ class TestCsvWriter:
         table[-1] = special
         table[rng.integers(0, rows, 6), range(6)] = rng.permutation(special)
         names = ("t", "a", "b", "c", "d", "e")
-        blocks = list(integrator._csv_blocks(names, table[:, 0], table[:, 1:]))
+        blocks = list(integrator._csv_blocks(names, table.ravel().tolist()))
         assert len(blocks) == 1 + math.ceil(rows / _BLOCK)
         assert "".join(blocks) == _per_value_csv(names, table)
 
     def test_iterate_column_prints_integers(self):
         # section.csv numbers its rows with the iterate index
-        u = [0.5, -0.0, 2.0]
-        text = "".join(integrator._csv_blocks(("iterate", "u"), range(3), u))
+        rows = [0, 0.5, 1, -0.0, 2, 2.0]
+        text = "".join(integrator._csv_blocks(("iterate", "u"), rows))
         assert text == "iterate,u\n0,0.5\n1,-0\n2,2\n"
 
     def test_trajectory_csv(self):

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 import weakref
 from collections import Counter
@@ -467,6 +468,37 @@ class TestFieldCode:
         for path in sorted(Path(polyfield.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem, None))
         assert sites == [("polyfield", "_define", "exec")]
+
+
+class TestCheckState:
+    """`_check_state` gives a tuple of floats and refuses what the NumPy
+    check it replaced refused, with the same text."""
+
+    FIELD = parse_system("dx/dt = y\ndy/dt = z\ndz/dt = x")
+
+    @pytest.mark.parametrize("state", [
+        5.0, np.array(5.0), "123", [[1.0, 2.0, 3.0]], np.zeros((3, 1)),
+        [[1.0], [2.0], [3.0]], [1.0, 2.0], np.zeros(4), [],
+    ], ids=["scalar", "0-d", "string", "nested", "column", "nested-column",
+            "short", "long", "empty"])
+    def test_refused_with_numpy_shape(self, state):
+        shape = np.asarray(state, dtype=float).shape
+        with pytest.raises(ValueError) as info:
+            self.FIELD._check_state(state)
+        assert str(info.value) == f"state has shape {shape}, expected (3,)"
+
+    @pytest.mark.parametrize("state", [
+        [1, 2.5, -0.0], (1.0, 2.5, -0.0), np.array([1.0, 2.5, -0.0]),
+        ["1", "2.5", "-0"], [np.float32(1.0), np.int64(2), Fraction(5, 2)],
+    ])
+    def test_floats_out(self, state):
+        x = self.FIELD._check_state(state)
+        assert type(x) is tuple and all(type(v) is float for v in x)
+        assert x == tuple(np.asarray(state, dtype=float).tolist())
+
+    def test_none_is_nan_as_before(self):
+        x = self.FIELD._check_state([None, 1.0, 2.0])
+        assert math.isnan(x[0]) and x[1:] == (1.0, 2.0)
 
 
 class TestJacobian:

@@ -168,6 +168,18 @@ def _matrix() -> list[tuple[str, ...]]:
         ("simulate", "parity-systems/logistic.sys", "--x0", "0.1", "--t1", "10",
          "--stdout"),
     ]
+    # spans shorter than the smallest step the controller would choose,
+    # and starts beyond the blow-up cap
+    rows += [
+        ("refute", "closed-orbit", "--x0", "0.5,0,0", "--horizon", "1e-15"),
+        ("simulate", "lorenz", "--x0", "1,1,1", "--t0", "99.99999999999999",
+         "--t1", "100", "--stdout"),
+        ("bounds-check", "closed-orbit", "--x0", "0.5,0,0", "--t-fwd", "1e-320",
+         "--t-back", "0"),
+        ("simulate", "lorenz", "--x0", "1e13,1,1", "--t1", "1"),
+        ("simulate", "lorenz", "--x0", "1e13,1,1", "--t1", "1", "--method", "rk4-fixed"),
+        ("refute", "closed-orbit", "--x0", "1e13,0,0"),
+    ]
     # powers up to the seventh, computed as shared products
     quintic = ("parity-systems/quintic.sys", "--x0", "0.9,0.4,0.3")
     rows += [
