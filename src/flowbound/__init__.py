@@ -8,23 +8,9 @@ and certifies chaos through Poincaré sections, unstable periodic orbits,
 and Lyapunov spectra.
 """
 
-from importlib import resources
+import importlib
 from pathlib import Path
 
-from .boundlaw import (
-    VERDICT_FALSIFIED,
-    VERDICT_NO_COUNTEREXAMPLE,
-    VERDICT_PROVED_UNBOUNDED,
-    BoundCertificate,
-    BoundReport,
-    RefutationReport,
-    bound_line,
-    certified_components,
-    combine_reports,
-    find_equilibrium,
-    refute_nonexistence,
-    verify_bounds,
-)
 from .integrator import (
     BlowUpError,
     IntegrationError,
@@ -35,16 +21,6 @@ from .integrator import (
     integrate,
     integrate_with_tangent,
 )
-from .lyapunov import LyapunovResult, TangentCollapseError, lyapunov_spectrum
-from .poincare import (
-    CrossingRefinementError,
-    NonReturningOrbitError,
-    SectionPlane,
-    SectionPoint,
-    first_crossing,
-    first_return,
-    return_map_iterates,
-)
 from .polyfield import (
     Monomial,
     PolyField,
@@ -53,18 +29,22 @@ from .polyfield import (
     certify_lower_bound,
     parse_system,
 )
-from .upo import (
-    NewtonConvergenceError,
-    PeriodicOrbit,
-    RecurrenceSeed,
-    census,
-    flow_determinant,
-    monodromy,
-    newton_shoot,
-    scan_close_recurrences,
-)
 
 __version__ = "0.1.0"
+
+# name -> module imported on first access (PEP 562), each module's own name
+# included; only the section, upo and lyapunov commands need the last three
+_LAZY = {name: module for module, names in {
+    "boundlaw": """VERDICT_FALSIFIED VERDICT_NO_COUNTEREXAMPLE
+        VERDICT_PROVED_UNBOUNDED BoundCertificate BoundReport RefutationReport
+        bound_line certified_components combine_reports find_equilibrium
+        refute_nonexistence verify_bounds""",
+    "lyapunov": "LyapunovResult TangentCollapseError lyapunov_spectrum",
+    "poincare": """CrossingRefinementError NonReturningOrbitError SectionPlane
+        SectionPoint first_crossing first_return return_map_iterates""",
+    "upo": """NewtonConvergenceError PeriodicOrbit RecurrenceSeed census
+        flow_determinant monodromy newton_shoot scan_close_recurrences""",
+}.items() for name in (module, *names.split())}
 
 __all__ = [
     "__version__",
@@ -117,9 +97,24 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    """Import the module behind a lazy public name on first access and
+    keep the value here, so that later lookups find it directly."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
 def system_path(name: str) -> Path:
     """Filesystem path of a shipped system file (name without .sys)."""
-    path = Path(str(resources.files(__package__) / "systems" / f"{name}.sys"))
+    path = Path(__file__).parent / "systems" / f"{name}.sys"
     if not path.is_file():
         raise FileNotFoundError(f"no shipped system named {name!r}")
     return path

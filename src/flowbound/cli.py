@@ -25,7 +25,7 @@ import re
 import shutil
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .boundlaw import (
@@ -44,10 +44,10 @@ from .integrator import (
     _csv_blocks,
     integrate,
 )
-from .lyapunov import lyapunov_spectrum
-from .poincare import DIRECTIONS, SectionPlane, first_crossing, return_map_iterates
 from .polyfield import PolyField, SystemConfigError, parse_system
-from .upo import SHOOT_INTEGRATION, census
+
+if TYPE_CHECKING:
+    from .poincare import SectionPlane
 
 __all__ = ["main"]
 
@@ -88,6 +88,7 @@ def _parse_vector(text: str, dimension: int) -> list[float]:
 
 
 def _parse_plane(text: str) -> SectionPlane:
+    from .poincare import DIRECTIONS, SectionPlane
     parts = text.split("/")
     if len(parts) != 3:
         raise ValueError("--plane must look like px,py,pz/nx,ny,nz/dir")
@@ -191,7 +192,7 @@ def cmd_simulate(field: PolyField, x0: list[float], args) -> int:
     traj = integrate(field, x0, args.t0, args.t1, opts)
     path = _emit(args, "trajectory.csv", traj.csv_blocks())
     _human(f"wrote {path} ({len(traj)} samples, "
-           f"t={traj.t0:g}..{traj.final_time:g})")
+           f"t={traj.t0!r}..{traj.final_time!r})")
     if pair:
         ix, iy = names.index(pair[0]), names.index(pair[1])
         svg = _svg_polyline(traj.rows, 1 + len(names), 1 + ix, 1 + iy,
@@ -278,6 +279,7 @@ def cmd_refute(field: PolyField, x0: list[float], args) -> int:
 
 
 def cmd_section(field: PolyField, x0: list[float], args) -> int:
+    from .poincare import first_crossing, return_map_iterates
     if args.iterates < 1:
         raise ValueError("--iterates must be at least 1")
     plane = _parse_plane(args.plane)
@@ -294,6 +296,8 @@ def cmd_section(field: PolyField, x0: list[float], args) -> int:
 
 
 def cmd_upo(field: PolyField, x0: list[float], args) -> int:
+    from .poincare import first_crossing
+    from .upo import SHOOT_INTEGRATION, census
     plane = _parse_plane(args.plane)
     scan_opts = _integration_options(args)
     start, _elapsed = first_crossing(field, plane, x0, 0.0, scan_opts,
@@ -339,6 +343,7 @@ def cmd_upo(field: PolyField, x0: list[float], args) -> int:
 
 
 def cmd_lyapunov(field: PolyField, x0: list[float], args) -> int:
+    from .lyapunov import lyapunov_spectrum
     opts = _integration_options(args)
     result = lyapunov_spectrum(field, x0, args.transient, args.total,
                                args.interval, opts)

@@ -780,13 +780,15 @@ class TestSpanBelowTheSmallestStep:
         assert doc["bounded"] and "falsified" in doc["verdict"]
         assert doc["horizon"] == 1e-15
 
-    def test_simulate_lands_on_t1(self, tmp_path):
+    def test_simulate_lands_on_t1(self, tmp_path, capsys):
         code = main(["simulate", "--system", LORENZ, "--x0", "1,1,1",
                      "--t0", "99.99999999999999", "--t1", "100",
                      "--out", str(tmp_path)])
         assert code == 0
         data = read_csv(tmp_path / "trajectory.csv")
         assert list(data["t"]) == [99.99999999999999, 100.0]
+        # the summary tells the two ends apart
+        assert "t=99.99999999999999..100.0)" in capsys.readouterr().err
 
     def test_bounds_check_subnormal_span(self, tmp_path):
         code = main(["bounds-check", "--system", CLOSED_ORBIT, "--x0", "0.5,0,0",
