@@ -39,7 +39,7 @@ __all__ = [
     "BoundReport",
     "RefutationReport",
     "bound_line",
-    "check_bound_tol",
+    "certified_components",
     "verify_bounds",
     "combine_reports",
     "refute_nonexistence",

@@ -115,6 +115,22 @@ def test_public_names_are_their_modules_own():
     assert not wrong
 
 
+def test_public_names_are_declared_once():
+    # the lazy table is the one copy of a lazy module's __all__ that the
+    # package can read without importing the module
+    lazy = {}
+    for name, module in flowbound._LAZY.items():
+        if name != module:
+            lazy.setdefault(module, set()).add(name)
+    for module, names in lazy.items():
+        assert set(getattr(flowbound, module).__all__) == names, module
+    assert len(flowbound.__all__) == len(set(flowbound.__all__))
+    assert set(flowbound.__all__) == {
+        "__version__", "load_system", "system_path",
+        *flowbound.integrator.__all__, *flowbound.polyfield.__all__,
+        *set().union(*lazy.values())}
+
+
 def test_unknown_names_are_refused():
     with pytest.raises(AttributeError, match="^module 'flowbound' has no attribute 'nope'$"):
         flowbound.nope
