@@ -134,6 +134,7 @@ _MIN_STEP_FACTOR = 0.2
 _MAX_STEP_FACTOR = 5.0
 _SAFETY = 0.9
 _UNDERFLOW = 16 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 1)
+_SUB_S = (0.25, 0.5, 0.75)  # a section's interior Hermite samples of a step, as fractions
 
 
 class IntegrationError(RuntimeError):
@@ -340,19 +341,20 @@ def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
     """(size, step lines, err expression, f and g names) of one explicit
     Runge-Kutta step of the field's `system` (`PolyField._system`) as
     straight-line float code, from y and its slope f, the locals y0,
-    y1, ... and k0_0, k0_1, ..., and the step hs.
+    y1, ..., k0_0, k0_1, ... and p_i = |y_i|, the step hs and h = |hs|.
 
     Zero coefficients are skipped, negative ones subtract (`_signed_sum`)
     and sums run in NumPy's order, so the step equals the same array
     arithmetic bit for bit. A trial stage assigns only the state
-    components its slope reads. The lines leave z in z0, z1, ..., g in
-    the `g` names and ss = Σ z_i²; err is None without error weights,
-    else, with the scale tol + tol max(|y|, |z|), the RMS of hs Σ e_j
-    k_j in units of it, or with `e3` DOP853's |hs| ‖e5‖² / √((‖e5‖² +
-    0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its units
-    (0 when both vanish). The lines cannot raise: a stage that
-    overflows leaves inf or nan in the components it reaches, as arrays
-    would.
+    components its slope reads. The lines call no `abs` and leave z in
+    z0, z1, ..., g in the `g` names, q_i = |z_i| (a zero may keep its
+    sign: tol + tol·(±0) is tol) and ss = Σ z_i²; err is None without
+    error weights, else, with the scale tol + tol max(|y|, |z|), the
+    RMS of hs Σ e_j k_j in units of it, or with `e3` DOP853's |hs|
+    ‖e5‖² / √((‖e5‖² + 0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ
+    e3_j k_j in its units (0 when both vanish). The lines cannot raise:
+    a stage that overflows leaves inf or nan in the components it
+    reaches, as arrays would.
     """
     A, b, d, e, e3, _exponent = tableau
     m = field._system(system, "y")[0]
@@ -370,18 +372,16 @@ def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
                  if v == "z" or str(i) in reads]
         step += [*body, *(f"{k[s]}{i} = {o}" for i, o in enumerate(out))]
     err = None
-    scale = "(tol + tol*(p if p >= q else q))"
+    scale = "q{i} = z{i} if z{i} >= 0.0 else -z{i}; sc = tol + tol*(p{i} if p{i} >= q{i} else q{i})"
     if e is not None and e3 is None:
-        step += [f"p = abs(y{i}); q = abs(z{i}); u{i} = hs*({combo(e, i)}) / {scale}"
-                 for i in range(m)]
+        step += [f"{scale.format(i=i)}; u{i} = hs*({combo(e, i)}) / sc" for i in range(m)]
         err = f"_sqrt({_numpy_sum([f'u{i}*u{i}' for i in range(m)])} / {m})"
     elif e is not None:
-        step += [f"p = abs(y{i}); q = abs(z{i}); sc = {scale}; "
-                 f"u{i} = ({combo(e, i)}) / sc; w{i} = ({combo(e3, i)}) / sc"
-                 for i in range(m)]
+        step += [f"{scale.format(i=i)}; u{i} = ({combo(e, i)}) / sc; "
+                 f"w{i} = ({combo(e3, i)}) / sc" for i in range(m)]
         step += [f"eu = {_numpy_sum([f'u{i}*u{i}' for i in range(m)])}",
                  f"ed = eu + 0.01*{_numpy_sum([f'w{i}*w{i}' for i in range(m)])}"]
-        err = f"(abs(hs)*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
+        err = f"(h*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
     step.append("ss = " + " + ".join(f"z{i}*z{i}" for i in range(m)))
     return m, step, err, k[0], k[-1]
 
@@ -391,7 +391,8 @@ def _compile_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     returning (z, g, err, ss), err 0.0 without an estimate."""
     m, step, err, f, g = _step_text(field, system, tableau)
     return _define("_step(y, f, hs, tol)", [
-        f"{_names('y', m)} = y", f"{_names(f, m)} = f", *step,
+        f"{_names('y', m)} = y", f"{_names(f, m)} = f",
+        "h = abs(hs); " + "; ".join(f"p{i} = abs(y{i})" for i in range(m)), *step,
         f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
 
 
@@ -430,17 +431,22 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     finite: the step's arithmetic cannot raise. A new state whose first
     n components have a norm (`math.hypot`, finite for finite
     components) above `cap` ends either. `rec`, if not None, takes each
-    accepted point as one row (t, z0, ..., z{m-1}). `plane`,
-    if not None, is (n0, n1, n2, offset, slack): the loop returns at
-    every accepted step of length h where the signed distance g = z0 n0
-    + z1 n1 + z2 n2 - offset changes sign or comes within slack |h|
-    (|g'(ta)| + |g'(tb)|) of zero at an end, and is resumed by calling
-    it again with the returned point.
+    accepted point as one row (t, z0, ..., z{m-1}). An accepted step
+    calls no `abs`: |y_i|, |g| and |g'| carry over from the step before.
+    `plane`, if not None, is (n0, n1, n2, offset, slack, rising,
+    falling): on each accepted step of length h whose ends are not on
+    one side of the plane, both farther than slack |h| (|g'(ta)| +
+    |g'(tb)|), the signed distance g = z0 n0 + z1 n1 + z2 n2 - offset
+    is sampled at the fractions `_SUB_S` of its cubic Hermite
+    interpolant (weights from `_hermite_basis`), and the loop returns
+    where two adjacent samples bracket a sign change up (g < 0 <= next)
+    with `rising` or down (g > 0 >= next) with `falling`; it is resumed
+    by calling it again with the returned point.
 
     Returns (code, t, y, f, h, steps, step): the point it stopped at
     and its step size and count, and, for the code "crossing", the step
-    (t, y, f, tn, z, g, ga, gb, dga, dgb): its two ends with their
-    slopes, and the signed distance and its rate at both ends. The other
+    (t, y, f, tn, z, g, dga, dgb, samples): its ends with their slopes,
+    g' at both ends and g at the fractions 0, `_SUB_S` and 1. The other
     codes are "done" (t = t1), "budget", "underflow" (y at t),
     "non-finite" and "cap" (the refused new state and its time).
     """
@@ -451,20 +457,19 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     lines = ["limit = cap * cap * (1.0 - 1e-9)"]
     section = m >= 3
     if section:
-        lines += ["if plane is not None:", "    n0, n1, n2, offset, slack = plane",
+        lines += ["if plane is not None:", "    n0, n1, n2, offset, slack, rising, falling = plane",
                   "    ga = y0*n0 + y1*n1 + y2*n2 - offset",
-                  f"    dga = {f}0*n0 + {f}1*n1 + {f}2*n2"]
+                  f"    dga = {f}0*n0 + {f}1*n1 + {f}2*n2; ma = abs(ga); mda = abs(dga)"]
     if err is not None:
         lines += [
-            "while direction * (t1 - t) > 0:",
+            "; ".join(f"p{i} = abs(y{i})" for i in range(m)),
+            "while (remaining := direction * (t1 - t)) > 0:",
             "    if steps >= budget:",
             f"        return 'budget', t, {ys}, {fs}, h, steps, None",
-            "    remaining = abs(t1 - t)",
             "    if remaining < h:",
             "        h = remaining",
             "    final = h == remaining",
-            "    at = abs(t)",
-            f"    if not final and h <= {_UNDERFLOW!r} * (1.0 if 1.0 > at else at):",
+            f"    if not final and h <= {_UNDERFLOW!r} * (t if t > 1.0 else -t if t < -1.0 else 1.0):",
             f"        return 'underflow', t, {ys}, {fs}, h, steps, None",
             "    hs = direction * h",
             "    steps += 1",
@@ -501,18 +506,26 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     lines += ["    if rec is not None:",
               f"        rec((tn, {_names('z', m)}))"]
     if section:
+        samples = ["ga", *(f"g{j}" for j in range(1, len(_SUB_S) + 1)), "gb"]
+        pairs = list(zip(samples, samples[1:]))
         lines += [
             "    if plane is not None:",
             "        gb = z0*n0 + z1*n1 + z2*n2 - offset",
             f"        dgb = {g}0*n0 + {g}1*n1 + {g}2*n2",
-            "        ma = abs(ga); mb = abs(gb)",
+            "        mb = gb if gb >= 0.0 else -gb; mdb = dgb if dgb >= 0.0 else -dgb",
             "        if not (ga * gb > 0.0 and (mb if mb < ma else ma)",
-            "                > slack * abs(tn - t) * (abs(dga) + abs(dgb)) + 1e-300):",
-            f"            return 'crossing', tn, {zs}, {gs}, h, steps,"
-            f" (t, {ys}, {fs}, tn, {zs}, {gs}, ga, gb, dga, dgb)",
-            "        ga = gb; dga = dgb"]
+            "                > slack * (direction * (tn - t)) * (mda + mdb) + 1e-300):",
+            "            ht = tn - t",
+            *(f"            {q} = {h00!r}*ga + {h01!r}*gb + ht*({h10!r}*dga + {h11!r}*dgb)"
+              for q, (h00, h10, h01, h11) in zip(samples[1:], map(_hermite_basis, _SUB_S))),
+            "            if rising and (" + " or ".join(f"{a} < 0.0 <= {b}" for a, b in pairs)
+            + ") or falling and (" + " or ".join(f"{a} > 0.0 >= {b}" for a, b in pairs) + "):",
+            f"                return 'crossing', tn, {zs}, {gs}, h, steps,"
+            f" (t, {ys}, {fs}, tn, {zs}, {gs}, dga, dgb, ({', '.join(samples)}))",
+            "        ga = gb; dga = dgb; ma = mb; mda = mdb"]
+    carry = "; p{i} = q{i}" if err is not None else ""
     lines += ["    t = tn",  # one assignment per component: no tuple built
-              *(f"    y{i} = z{i}; {f}{i} = {g}{i}" for i in range(m)),
+              *(f"    y{i} = z{i}; {f}{i} = {g}{i}" + carry.format(i=i) for i in range(m)),
               f"return 'done', t, {ys}, {fs}, h, steps, None"]
     return lines
 
@@ -568,10 +581,10 @@ class _Run:
 
     def advance(self) -> bool:
         """Run the loop on, to t1 (False, `point` is the end) or to the
-        next accepted step that the plane test keeps (True, `step` is its
-        (ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb), the last four the
-        plane's signed distance and its rate at the step's ends, as the
-        test computed them); the loop's failures raise their
+        next accepted step whose samples bracket a counted crossing (True,
+        `step` is its (ta, ya, fa, tb, yb, fb, dga, dgb, samples), the
+        plane's g' at the ends and g at the fractions 0, `_SUB_S` and 1,
+        as the loop computed them); the loop's failures raise their
         IntegrationError."""
         code, *point, step = self._loop(*self.point, *self._run)
         self.point = tuple(point)

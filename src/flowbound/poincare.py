@@ -5,9 +5,9 @@ A section is a plane with a unit normal and a crossing direction
 detection runs on the integrator's accepted steps: the signed distance
 is linear in the state, so on each step it is interpolated by the cubic
 Hermite polynomial of its endpoint values and slopes. The generated
-stepping loop rules out every step whose interpolant cannot change sign
-at the sub-samples; sign changes in the others are located on those
-scalar sub-samples and bracketed by bisection on the interpolant.
+stepping loop samples it at the quarter points of each step that its
+slack test cannot rule out, and returns only where two adjacent samples
+bracket a sign change in a counted direction, narrowed by bisection.
 
 How the bracketed crossing is refined depends on the run's tableau.
 DP5(4) and RK4 runs polish it by Newton against the vector field along
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .integrator import (
     _DOP853,
+    _SUB_S,
     DOP853_ADAPTIVE,
     IntegrationError,
     IntegrationOptions,
@@ -57,11 +58,9 @@ _ON_PLANE_TOL = 1e-9
 _REFINE_TOL = 1e-10
 _BRACKET_WIDTH = 1e-12
 _REFRACTORY = 1e-6  # a return ignores crossings this soon after departure
-# interior Hermite sub-samples per accepted step, as step fractions
-_SUB_S = (0.25, 0.5, 0.75)
-# at the fractions _SUB_S, h00 + h01 = 1 and |h10|, |h11| <= 0.140625, so
-# no sample of a step whose ends keep this many |h| (|g'(ta)| + |g'(tb)|)
-# from the plane, on one side, leaves that side
+# at the fractions _SUB_S of the loop's sub-samples, h00 + h01 = 1 and
+# |h10|, |h11| <= 0.140625, so no sample of a step whose ends keep this
+# many |h| (|g'(ta)| + |g'(tb)|) from the plane, on one side, leaves that side
 _SLACK = 0.15
 
 
@@ -155,14 +154,17 @@ class SectionPlane:
                          for p, a, b in zip(self.point, *self._basis)])
 
     def section_point(self, state, time: float) -> "SectionPoint":
-        """Build a SectionPoint, enforcing the on-plane invariant."""
+        """SectionPoint of a 3-vector within 1e-9 of the plane, else ValueError."""
         import numpy as np
-        state = np.asarray(state, dtype=float)
-        s = self.signed_distance(state)
-        if abs(s) >= _ON_PLANE_TOL:
+        state3 = np.array(state, dtype=float)
+        if state3.shape != (3,):
+            raise ValueError("a section point's state must be a 3-vector")
+        x = state3.tolist()
+        s = self.signed_distance(x)
+        if not abs(s) < _ON_PLANE_TOL:
             raise ValueError(
                 f"state lies {s:.3e} off the plane (limit {_ON_PLANE_TOL})")
-        return SectionPoint(self.to_chart(state), state.copy(), float(time))
+        return SectionPoint(self.to_chart(x), state3, time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +204,7 @@ def _refine_crossing(step, below, above, plane, slope, land, near):
     the 3-D field's `slope` until |s| < 1e-10, stopping before an iterate
     that leaves [ta, tb]. Returns (crossing time, state, residual).
     """
-    ta, ya, fa, tb, yb, fb, ga, gb, dga, dgb = step
+    ta, ya, fa, tb, yb, fb, dga, dgb, (ga, *_, gb) = step
     h = tb - ta
     while abs(above - below) * abs(h) > _BRACKET_WIDTH:
         if max(below, above) < near:
@@ -265,24 +267,22 @@ def _land(land, plane, ta, ya, fa, h, s):
 
 def _step_crossing(step, plane, slope, t0, min_elapsed, land=None):
     """The first counted plane crossing in one accepted step (ta, ya, fa,
-    tb, yb, fb, ga, gb, dga, dgb), ga and gb the plane's signed distance
-    and dga, dgb its rate at the ends, that lies at least `min_elapsed`
-    from t0, refined (`_refine_crossing`, with `land` None or the run's
-    exact step), as (tau, x); None if there is none.
+    tb, yb, fb, dga, dgb, samples) of the loop (see `_Run.advance`) that
+    lies at least `min_elapsed` from t0, refined (`_refine_crossing`,
+    with `land` None or the run's exact step), as (tau, x); None if
+    there is none.
 
-    The signed distance's cubic Hermite interpolant is sampled at the
-    fractions `_SUB_S`, and each bracketed sign change in the plane's
-    direction is refined in time order. A bracket at the start of a
-    run's first step is dropped, unrefined, once bisection puts it within
-    min_elapsed / 2 of t0: that is the departure crossing. Raises
-    CrossingRefinementError when a refinement stalls.
+    Each sign change in the plane's direction that the samples, at the
+    fractions 0, `_SUB_S` and 1, bracket is refined in time order. A
+    bracket at the start of a run's first step is dropped, unrefined,
+    once bisection puts it within min_elapsed / 2 of t0: that is the
+    departure crossing. Raises CrossingRefinementError when a
+    refinement stalls.
     """
-    ta, tb, (ga, gb, dga, dgb) = step[0], step[3], step[6:]
+    ta, tb, samples = step[0], step[3], step[-1]
     h = tb - ta
-    samples = [(0.0, ga)]
-    samples += [(s, _hermite_fraction(s, ga, gb, dga, dgb, h)) for s in _SUB_S]
-    samples.append((1.0, gb))
-    for (sa, gi), (sb, gj) in zip(samples, samples[1:]):
+    s = (0.0, *_SUB_S, 1.0)
+    for sa, sb, gi, gj in zip(s, s[1:], samples, samples[1:]):
         if gi < 0.0 <= gj:
             side, below, above = "positive", sa, sb
         elif gi > 0.0 >= gj:
@@ -312,9 +312,9 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
     """March the field's `system` from (t0, state) to the next counted
     plane crossing.
 
-    The generated loop rules out every step whose signed-distance samples
-    cannot change sign; `_step_crossing` looks into the others, and lands
-    a DOP853 run's crossings by its exact step. Only the first three
+    The generated loop returns only at steps whose signed-distance
+    samples bracket a counted crossing; `_step_crossing` refines those,
+    and lands a DOP853 run's crossings by its exact step. Only the first three
     components decide a crossing; any others (a tangent matrix) ride
     along and come back in the returned state.
     """
@@ -322,7 +322,8 @@ def _next_crossing(field, system, plane, state, t0, opts, max_time,
         raise ValueError("max_time must be positive")
     slope = field.compiled_slope("rhs")
     run = _Run(field, system, state, t0, t0 + max_time, opts,
-               plane=(*plane.normal, plane.offset, _SLACK))
+               plane=(*plane.normal, plane.offset, _SLACK,
+                      plane.direction != "negative", plane.direction != "positive"))
     land = None
     if opts.method == DOP853_ADAPTIVE:
         exact, tol = _compiled_step(field, system, _DOP853), opts.tol
@@ -386,14 +387,15 @@ def return_map_iterates(field: PolyField, plane: SectionPlane,
                         start: SectionPoint, k: int,
                         opts: Optional[IntegrationOptions] = None, *,
                         max_time: float = 1000.0) -> list[SectionPoint]:
-    """k successive first returns from `start` (k = 0 gives []).
+    """k successive first returns from `start` (k = 0 gives [], a k that
+    is not a nonnegative integer a ValueError).
 
     Each iterate restarts exactly from the previous refined section
     point. Errors propagate with the index of the failing iterate
     attached as `iterate_index`.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not hasattr(k, "__index__") or k < 0:  # what range() takes
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     points: list[SectionPoint] = []
     current = start
     for i in range(k):

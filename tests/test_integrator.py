@@ -238,6 +238,12 @@ class TestTangentFlow:
             assert abs(np.linalg.det(M) - expected) / abs(expected) < 1e-4
 
 
+def _bits(values):
+    """The floats `values` as hex strings: equal only bit for bit, so
+    -0.0 differs from 0.0."""
+    return [v.hex() for v in values]
+
+
 def _weighted(weights, k):
     """Σ w_j k_j over the nonzero weights, summed in order."""
     terms = [w * kj for w, kj in zip(weights, k) if w]
@@ -316,6 +322,11 @@ class TestGeneratedStep:
         ("lorenz", "tangent_rhs", "dop853-adaptive", [-3.0, 2.0, 30.0], -0.001),
         ("lorenz", "liouville_rhs", "dop853-adaptive", [1.0, 1.0, 1.0], 0.01),
         ("closed-orbit", "rhs", "dop853-adaptive", [0.3, -1.7, 0.5], 0.02),
+        # signed zeros: x = y = 0 stays on the z-axis, y = -0.0 leaves it
+        ("lorenz", "rhs", "rk45-adaptive", [-0.0, 0.0, 1.0], 0.01),
+        ("lorenz", "rhs", "rk45-adaptive", [1.0, -0.0, 0.0], -0.001),
+        ("lorenz", "rhs", "dop853-adaptive", [-0.0, 0.0, 1.0], 0.01),
+        ("lorenz", "rhs", "dop853-adaptive", [1.0, -0.0, 0.0], -0.001),
     ])
     def test_matches_array_arithmetic(self, name, system, method, x0, hs):
         field = load_system(name)
@@ -331,9 +342,9 @@ class TestGeneratedStep:
             z, g, err, _ss = step(y, f, hs, 1e-10)
             z_ref, g_ref, err_ref = _reference_step(
                 rhs, np.array(y), np.array(f), hs, 1e-10, method)
-            assert z == tuple(z_ref.tolist())
-            assert g == tuple(g_ref.tolist())
-            assert err == err_ref
+            assert _bits(z) == _bits(z_ref.tolist())
+            assert _bits(g) == _bits(g_ref.tolist())
+            assert err.hex() == err_ref.hex()
             y, f = z, g
 
     def test_overflowing_power(self, closed_orbit):
@@ -515,6 +526,7 @@ class TestGeneratedLoop:
             np.testing.assert_array_equal(exc.state, error.state)
         for got, expected in zip(run, (times, states, derivs)):
             np.testing.assert_array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()  # signed zeros too
         return error
 
     @pytest.mark.parametrize("name, system, w0, t1, rk4", [
@@ -526,6 +538,8 @@ class TestGeneratedLoop:
         ("lorenz", "tangent_rhs", [1.0, 1.0, 1.0, *np.eye(3).ravel()], 2.0, True),
         ("lorenz", "liouville_rhs", [1.0, 1.0, 1.0, 0.0], 2.0, False),
         ("closed-orbit", "rhs", [0.3, -1.7, 0.5], 3.0, False),
+        ("lorenz", "rhs", [-0.0, 0.0, 1.0], 2.0, False),
+        ("lorenz", "rhs", [1.0, -0.0, 0.0], -0.3, False),
     ])
     def test_completed_runs(self, name, system, w0, t1, rk4):
         opts = self.RK4 if rk4 else IntegrationOptions()
@@ -537,6 +551,8 @@ class TestGeneratedLoop:
         ("rhs", [1.0, 1.0, 1.0], -0.3),
         ("tangent_rhs", [1.0, 1.0, 1.0, *np.eye(3).ravel()], 2.0),
         ("liouville_rhs", [1.0, 1.0, 1.0, 0.0], 2.0),
+        ("rhs", [-0.0, 0.0, 1.0], 2.0),
+        ("rhs", [1.0, -0.0, 0.0], -0.3),
     ])
     def test_dop853_runs(self, lorenz, system, w0, t1):
         assert self._assert_same_run(lorenz, system, w0, 0.0, t1, DOP853) is None

@@ -6,6 +6,7 @@ y = 0, x > 0 is exactly 2*pi from any radius. That gives closed-form
 return times and fixed points to test against.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -216,8 +217,11 @@ class TestFirstReturn:
         fa = fb = (0.0, 0.0, 5000.0)
         plane = SectionPlane([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "positive")
         creep = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 1e-9")
-        step = (0.0, ya, fa, 1.0, yb, fb, plane.signed_distance(ya),
-                plane.signed_distance(yb), plane.rate(fa), plane.rate(fb))
+        ga, gb, dga, dgb = (plane.signed_distance(ya), plane.signed_distance(yb),
+                            plane.rate(fa), plane.rate(fb))
+        samples = (ga, *(poincare._hermite_fraction(s, ga, gb, dga, dgb, 1.0)
+                         for s in poincare._SUB_S), gb)
+        step = (0.0, ya, fa, 1.0, yb, fb, dga, dgb, samples)
         try:
             tau, _x = poincare._step_crossing(step, plane, creep.compiled_slope("rhs"),
                                               0.0, 0.0)
@@ -287,11 +291,63 @@ class TestFirstCrossing:
         assert abs(pt.state3[0] - 1.0) < 1e-5
 
 
+def _digest(points):
+    """The first 16 hex digits of the SHA-256 of each point's time, state
+    and chart coordinates as `float.hex`: equal only bit for bit."""
+    text = "\n".join(" ".join(v.hex() for v in (p.time, *p.state3.tolist(),
+                                               *p.coords2.tolist()))
+                     for p in points)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestLoopExits:
+    """The generated loop leaves only at a step whose samples bracket a
+    counted crossing: per return, at most the departure and the return
+    itself. The section points are pinned as digests of the points from
+    before that rule, when every step that the slack test could not rule
+    out left the loop (4.15, 3.79 and 2.39 exits per Lorenz return)."""
+
+    @pytest.mark.parametrize("name, z, x0, returns, direction, digest", [
+        ("lorenz", 27.0, (1.0, 1.0, 1.0), 100, "negative", "53837c683793496e"),
+        ("lorenz", 27.0, (1.0, 1.0, 1.0), 100, "positive", "94b1edb0f926c642"),
+        ("lorenz", 27.0, (1.0, 1.0, 1.0), 100, "both", "dc1ac1625804ac56"),
+        # y = 0, crossed both ways every period
+        ("stuart_landau", None, (1.3, -0.2, 0.5), 20, "negative", "c585143b33c74150"),
+        ("stuart_landau", None, (1.3, -0.2, 0.5), 20, "both", "dd7c10be6dc12554"),
+        ("rotation", None, (1.0, 0.0, 0.5), 20, "both", "b64c01b5f43d1251"),
+    ])
+    def test_exits_per_return(self, request, monkeypatch, name, z, x0, returns,
+                              direction, digest):
+        field = request.getfixturevalue(name)
+        if z is None:
+            plane = y0_plane(direction)
+        else:
+            plane = SectionPlane([0.0, 0.0, z], [0.0, 0.0, 1.0], direction)
+        start, _ = first_crossing(field, plane, x0, max_time=100.0)
+        exits, real = [], poincare._step_crossing
+        monkeypatch.setattr(poincare, "_step_crossing",
+                            lambda *args: exits.append(1) or real(*args))
+        points = return_map_iterates(field, plane, start, returns)
+        assert len(exits) <= 2 * returns
+        assert _digest(points) == digest
+
+
 class TestReturnMapIterates:
     def test_zero_iterates(self, closed_orbit):
         plane = y0_plane()
         start = plane.section_point([1.0, 0.0, 0.0], time=0.0)
         assert return_map_iterates(closed_orbit, plane, start, 0) == []
+
+    @pytest.mark.parametrize("call", [
+        lambda plane, start, field: plane.section_point([math.nan, 0.0, 27.0], 0.0),
+        lambda plane, start, field: plane.section_point([1.0, 27.0], 0.0),
+        lambda plane, start, field: return_map_iterates(field, plane, start, 2.5),
+    ], ids=["nan-state", "two-components", "fractional-k"])
+    def test_typed_refusals(self, closed_orbit, call):
+        plane = SectionPlane([0.0, 0.0, 27.0], [0.0, 0.0, 1.0], "both")
+        start = plane.section_point([1.0, 0.0, 27.0], time=0.0)
+        with pytest.raises(ValueError):
+            call(plane, start, closed_orbit)
 
     def test_negative_count_rejected(self, closed_orbit):
         plane = y0_plane()
@@ -389,4 +445,4 @@ class TestPortableCharts:
             return real_run(*args, plane=plane)
         monkeypatch.setattr(poincare, "_Run", run)
         first_crossing(lorenz, plane, [1.0, 1.0, 1.0])
-        assert handed == [(*plane.normal, plane.offset, poincare._SLACK)]
+        assert handed == [(*plane.normal, plane.offset, poincare._SLACK, True, False)]

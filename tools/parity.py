@@ -93,6 +93,10 @@ def _matrix() -> list[tuple[str, ...]]:
               "--iterates", "50", "--stdout")
              for plane in (LORENZ_Z27, Y0_PLANE, "0,0,20/1,1,1/both",
                            "1,2,25/0.3,-0.5,1/positive")]
+    # a plane that the orbit crosses both ways every period
+    rows += [("section", "stuart-landau", "--x0", "1.3,-0.2,0.5", "--plane",
+              f"0,0,0/0,1,0/{direction}", "--iterates", "50", "--stdout")
+             for direction in ("negative", "both")]
     # CSVs of several blocks of rows, and a decimated SVG
     rows += [
         ("simulate", "lorenz", "--x0", "1,1,1", "--t1", "100",
