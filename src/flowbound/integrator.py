@@ -55,14 +55,15 @@ DOP853_ADAPTIVE = "dop853-adaptive"
 class _Tableau(NamedTuple):
     """An explicit Runge-Kutta tableau of the generated step.
 
-    Stage rows `A`; the new state z = y + (hs/d) Σ b_j k_j, whose slope g
-    is the next first stage (FSAL); error weights `e` (None: no
-    estimate, fixed steps); `e3`, for DOP853's combined error norm, the
-    weights of its 3rd-order estimate (None: the RMS norm of e alone);
-    and the controller exponent 1/(q+1), q the order of the error
-    estimate, which also sizes the initial step.
+    The method `name`, its generated code's key; stage rows `A`; the new
+    state z = y + (hs/d) Σ b_j k_j, whose slope g is the next first stage
+    (FSAL); error weights `e` (None: no estimate, fixed steps); `e3`, for
+    DOP853's combined error norm, the weights of its 3rd-order estimate
+    (None: the RMS norm of e alone); and the controller exponent 1/(q+1), q
+    the order of the error estimate, which also sizes the initial step.
     """
 
+    name: str
     A: tuple
     b: tuple
     d: float = 1.0
@@ -85,13 +86,14 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # the tableaus of the generated step and loop; DP5(4)'s last row is its
 # 5th-order solution
-_DP54 = _Tableau(_DP_A[1:6], _DP_A[6], e=_DP_E)
-_RK4 = _Tableau(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
+_DP54 = _Tableau(RK45_ADAPTIVE, _DP_A[1:6], _DP_A[6], e=_DP_E)
+_RK4 = _Tableau(RK4_FIXED, ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
 # Dormand-Prince 8(5,3) (Hairer, Nørsett & Wanner, Solving ODEs I,
 # §II.10), the coefficients of SciPy's dop853_coefficients.py as floats:
 # 12 stages, the 8th-order solution, and the 5th- and 3rd-order error
 # weights of its combined error norm
 _DOP853 = _Tableau(
+    DOP853_ADAPTIVE,
     A=(
         (0.05260015195876773,),
         (0.0197250569845379, 0.0591751709536137),
@@ -125,7 +127,7 @@ _DOP853 = _Tableau(
         -0.1521609496625161, 0.20136540080403034, 0.02265179219836082),
     exponent=0.125,
 )
-_TABLEAUS = {RK4_FIXED: _RK4, RK45_ADAPTIVE: _DP54, DOP853_ADAPTIVE: _DOP853}
+_TABLEAUS = {t.name: t for t in (_RK4, _DP54, _DOP853)}
 
 _MAX_STEPS = 10_000_000  # step budget of one integration
 _CSV_BLOCK = 512  # rows that `_csv_blocks` formats at once
@@ -327,13 +329,13 @@ def _initial_step(slope, y0, f0, direction, tol, exponent=0.2):
 def _compiled_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     """The generated step of the field's `system` ("rhs", "tangent_rhs"
     or "liouville_rhs") for a tableau, built on first use."""
-    return field._compiled((system, tableau), lambda: _compile_step(field, system, tableau))
+    return field._compiled((system, tableau.name), lambda: _compile_step(field, system, tableau))
 
 
 def _compiled_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     """The generated stepping loop of the field's `system` for a tableau,
     built on first use around the same step text."""
-    return field._compiled((system, tableau, "loop"),
+    return field._compiled((system, tableau.name, "loop"),
                            lambda: _compile_loop(field, system, tableau))
 
 
@@ -345,27 +347,33 @@ def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
 
     Zero coefficients are skipped, negative ones subtract (`_signed_sum`)
     and sums run in NumPy's order, so the step equals the same array
-    arithmetic bit for bit. A trial stage assigns only the state
-    components its slope reads. The lines call no `abs` and leave z in
-    z0, z1, ..., g in the `g` names, q_i = |z_i| (a zero may keep its
-    sign: tol + tol·(±0) is tol) and ss = Σ z_i²; err is None without
-    error weights, else, with the scale tol + tol max(|y|, |z|), the
-    RMS of hs Σ e_j k_j in units of it, or with `e3` DOP853's |hs|
-    ‖e5‖² / √((‖e5‖² + 0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ
-    e3_j k_j in its units (0 when both vanish). The lines cannot raise:
-    a stage that overflows leaves inf or nan in the components it
-    reaches, as arrays would.
+    arithmetic bit for bit. A trial stage assigns only the state components
+    its slope reads; one whose one weight is a power of two c ≠ ±1 (RK4's
+    0.5) adds hc k_i, hc = hs c, equal to hs (c k_i) unless hs c or c k_i
+    rounds: for 0.5, a step or slope under 2**-1021 in magnitude. The lines
+    call no `abs` and leave z in z0, z1, ..., g in the `g` names and q_i =
+    |z_i| (a zero may keep its sign: tol + tol·(±0) is tol); err is None
+    without error weights, else, with the scale tol + tol max(|y|, |z|), the
+    RMS of hs Σ e_j k_j in units of it, or with `e3` DOP853's |hs| ‖e5‖² /
+    √((‖e5‖² + 0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its
+    units (0 when both vanish). The lines cannot raise: a stage that
+    overflows leaves inf or nan in the components it reaches, as arrays
+    would.
     """
-    A, b, d, e, e3, _exponent = tableau
+    _name, A, b, d, e, e3, _exponent = tableau
     m = field._system(system, "y")[0]
     k = [f"k{s}_" for s in range(len(A) + 2)]  # k[0] is f, k[-1] is g
 
     def combo(weights, i):
         return _signed_sum([_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c])
 
-    step = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"]
+    step, hc = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"], None  # the weight in hc
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
+        w = [c for c in row if c]
+        if v == "a" and len(w) == 1 and abs(w[0]) != 1.0 and abs(math.frexp(w[0])[0]) == 0.5:
+            step += [f"hc = hs*{w[0]!r}"] if hc != w[0] else []
+            row, h, hc = [c / w[0] for c in row], "hc", w[0]
         _size, body, out = field._system(system, v)
         reads = set(re.findall(rf"\b{v}(\d+)\b", "\n".join([*body, *out])))
         step += [f"{v}{i} = y{i} + {h}*({combo(row, i)})" for i in range(m)
@@ -382,18 +390,17 @@ def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
         step += [f"eu = {_numpy_sum([f'u{i}*u{i}' for i in range(m)])}",
                  f"ed = eu + 0.01*{_numpy_sum([f'w{i}*w{i}' for i in range(m)])}"]
         err = f"(h*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
-    step.append("ss = " + " + ".join(f"z{i}*z{i}" for i in range(m)))
     return m, step, err, k[0], k[-1]
 
 
 def _compile_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
-    returning (z, g, err, ss), err 0.0 without an estimate."""
+    returning (z, g, err), err 0.0 without an estimate."""
     m, step, err, f, g = _step_text(field, system, tableau)
     return _define("_step(y, f, hs, tol)", [
         f"{_names('y', m)} = y", f"{_names(f, m)} = f",
         "h = abs(hs); " + "; ".join(f"p{i} = abs(y{i})" for i in range(m)), *step,
-        f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}, ss"])
+        f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}"])
 
 
 def _compile_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
@@ -430,7 +437,9 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     stage that overflows shows only there, as a new state that is not
     finite: the step's arithmetic cannot raise. A new state whose first
     n components have a norm (`math.hypot`, finite for finite
-    components) above `cap` ends either. `rec`, if not None, takes each
+    components) above `cap` ends either; the loop runs these two tests
+    only if ss = Σ z_i² over the n reaches `limit` or the sum sv of the
+    rest (tangent, divergence) is not finite. `rec`, if not None, takes each
     accepted point as one row (t, z0, ..., z{m-1}). An accepted step
     calls no `abs`: |y_i|, |g| and |g'| carry over from the step before.
     `plane`, if not None, is (n0, n1, n2, offset, slack, rising,
@@ -453,8 +462,9 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     ys, fs = f"({_names('y', m)})", f"({_names(f, m)})"
     zs, gs = f"({_names('z', m)})", f"({_names(g, m)})"
     finite = " and ".join(f"_isfinite(z{i})" for i in range(m))
-    # a squared norm of all of z below `limit` is finite, with z[:n] under the cap
+    # ss below `limit` is z[:n] finite and under the cap; sv finite, the rest finite
     lines = ["limit = cap * cap * (1.0 - 1e-9)"]
+    fast = "(ss < limit and sv - sv == 0.0)" if m > n else "ss < limit"
     section = m >= 3
     if section:
         lines += ["if plane is not None:", "    n0, n1, n2, offset, slack, rising, falling = plane",
@@ -477,15 +487,17 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
         refuse = [f"    h *= {_MIN_STEP_FACTOR!r}", "    continue"]
     else:
         lines += [
+            "hs = direction * h; last = budget - 1",
             "while steps < budget:",
-            "    final = steps == budget - 1",
-            "    hs = direction * h",
+            "    final = steps == last",
             "    steps += 1",
             "    tn = t1 if final else t0 + steps * hs"]
         refuse = [f"    return 'non-finite', tn, {zs}, None, h, steps, None"]
     lines += [
         *_indent(step),
-        f"    if not ss < limit and not ({finite}):", *_indent(refuse)]
+        "    ss = " + " + ".join(f"z{i}*z{i}" for i in range(n))
+        + (f"; sv = {' + '.join(f'z{i}' for i in range(n, m))}" if m > n else ""),
+        f"    if not {fast} and not ({finite}):", *_indent(refuse)]
     if err is not None:
         lines += [
             f"    err = {err}",
@@ -494,7 +506,7 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
             f"        h *= c if c > {_MIN_STEP_FACTOR!r} else {_MIN_STEP_FACTOR!r}",
             "        continue"]
     lines += [
-        f"    if not ss < limit and _hypot({_names('z', n)}) > cap:",
+        f"    if not {fast} and _hypot({_names('z', n)}) > cap:",
         f"        return 'cap', tn, {zs}, None, h, steps, None"]
     if err is not None:  # err <= 1 makes the growth factor at least 0.9
         lines += [
@@ -534,8 +546,8 @@ class _Run:
     """One run of the field's generated `system` loop from (t0, y0) to t1.
 
     Construction is the run start: it converts the start to floats,
-    refuses a start state or t0 that is not finite (ValueError), takes
-    the first slope, records the row (t0, *y0) through `rec`, refuses an
+    refuses a start state or t0 that is not finite (ValueError), records
+    the row (t0, *y0) through `rec`, takes the first slope, refuses an
     adaptive start slope that is not finite, then a start whose first n
     components exceed the blow-up cap in norm, and sizes the first step:
     the adaptive tableau's automatic initial step, or ceil(|t1 - t0| /
@@ -548,36 +560,41 @@ class _Run:
         y, t0 = tuple([float(a) for a in y0]), float(t0)  # not map(): swells the free list
         if not (all(map(math.isfinite, y)) and math.isfinite(t0)):
             raise ValueError("start state and t0 must be finite")
-        slope = field.compiled_slope(system)
-        f = slope(y)
         if rec is not None:
             rec((t0, *y))
         tableau = _TABLEAUS[opts.method]
-        direction = 1.0 if t1 > t0 else -1.0
-        if tableau.e is not None and not all(map(math.isfinite, f)):
-            raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
+        self._slope = field.compiled_slope(system)
+        self._exponent = tableau.exponent if tableau.e is not None else None
+        self._run = [t0, t1, 1.0 if t1 > t0 else -1.0, opts.tol, opts.blow_up_norm,
+                     _MAX_STEPS, rec, plane]
+        if tableau.e is not None:  # its slope test comes before the cap's
+            self.restart(y)
         if (norm := math.hypot(*y[:field.dimension])) > opts.blow_up_norm:
             raise BlowUpError(f"start state norm {norm:.3e} exceeds blow-up cap "
                               f"{opts.blow_up_norm:.3e} at t={t0:.6g}", t0, y)
-        if tableau.e is not None:
-            h = min(_initial_step(slope, y, f, direction, opts.tol, tableau.exponent),
-                    abs(t1 - t0))
-            budget = _MAX_STEPS
-        else:
+        if tableau.e is None:
             span = abs(t1 - t0)
             if not math.isfinite(span):
                 raise ValueError(f"{RK4_FIXED} needs a finite time span")
             if span / opts.step > _MAX_STEPS:
                 raise MaxStepsError(f"{span / opts.step:.3g} fixed steps needed, "
                                     f"step budget {_MAX_STEPS}", t0, y)
-            budget = max(1, math.ceil(span / opts.step))
-            h = span / budget
+            self._run[5] = max(1, math.ceil(span / opts.step))  # the budget
+            self.restart(y)
         self._loop = _compiled_loop(field, system, tableau)
-        self._run = (t0, t1, direction, opts.tol, opts.blow_up_norm, budget,
-                     rec, plane)
         self._n, self._cap = field.dimension, opts.blow_up_norm
-        self.point = (t0, y, f, h, 0)  # t, y, its slope, next h, steps taken
         self.step = None
+
+    def restart(self, y) -> None:
+        """Start again at t0 from y, finite floats with the state under the
+        cap, as a new run from y would, less its `rec` row and checks of y."""
+        t0, t1, direction, tol, _cap, budget = self._run[:6]
+        f = self._slope(y)
+        if self._exponent is not None and not all(map(math.isfinite, f)):
+            raise BlowUpError(f"non-finite field value at t={t0:.6g}", t0, y)
+        h = abs(t1 - t0) / budget if self._exponent is None else min(
+            _initial_step(self._slope, y, f, direction, tol, self._exponent), abs(t1 - t0))
+        self.point = (t0, y, f, h, 0)  # t, y, its slope, next h, steps taken
 
     def advance(self) -> bool:
         """Run the loop on, to t1 (False, `point` is the end) or to the

@@ -6,13 +6,13 @@ accumulate the logs of the diagonal stretching factors. The time
 averages of those logs are the Lyapunov exponents; a positive leading
 exponent is the operational chaos certificate.
 
-Each interval is one run of the field's generated tangent loop. Between
-runs the state and the frame stay one flat tuple of Python floats, and
-the renormalization is one generated straight-line function per
-dimension, built on first use, in plain IEEE double arithmetic with
-every sum taken left to right: the spectrum does not depend on a BLAS
-kernel or on whether the CPU fuses multiply and add. A run asking for
-more intervals than the step budget is refused before its first step.
+Each interval is a run of the field's generated tangent loop, one `_Run`
+per interval length. Between runs the state and the frame stay one flat
+tuple of floats, and the renormalization is one generated straight-line
+function per dimension, built on first use, in plain IEEE double
+arithmetic with every sum taken left to right: the spectrum depends on
+no BLAS kernel and on no fused multiply-add. A run asking for more
+intervals than the step budget is refused before its first step.
 """
 
 from __future__ import annotations
@@ -116,13 +116,13 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
                       ) -> LyapunovResult:
     """Estimate the Lyapunov spectrum along the orbit through x0.
 
-    Flows x0 for `transient` time units first (discarded), then
-    accumulates stretching statistics over `total_time` with QR
-    renormalization every `renorm_interval`. Integrator errors
-    propagate (blow-up for escaping orbits); TangentCollapseError
-    signals a renormalization interval too large for the dynamics, and
-    MaxStepsError, before any integration, more intervals than the
-    step budget (each takes at least one step).
+    Flows x0 for `transient` time units first (discarded), then accumulates
+    stretching statistics over `total_time` with QR renormalization every
+    `renorm_interval`, restarting one run for each interval of one length.
+    Integrator errors propagate (blow-up for escaping orbits);
+    TangentCollapseError signals an interval too large for the dynamics,
+    and MaxStepsError, before any integration, more intervals than the step
+    budget (each takes at least one step).
     """
     if not renorm_interval > 0:
         raise ValueError("renorm_interval must be positive")
@@ -146,11 +146,14 @@ def lyapunov_spectrum(field: PolyField, x0, transient: float,
     w = list(x) + [float(i == j) for i in range(n) for j in range(n)]
     logs = [0.0] * n
     n_chunks = max(1, math.ceil(count - 1e-9))
-    history = []
+    history, run, span = [], None, None
     elapsed = 0.0
     for i in range(n_chunks):
         dt = min(renorm_interval, total_time - i * renorm_interval)
-        run = _Run(field, "tangent_rhs", w, 0.0, dt, opts)
+        if dt == span:  # w is finite floats, its state under the cap
+            run.restart(w)
+        else:
+            run, span = _Run(field, "tangent_rhs", w, 0.0, dt, opts), dt
         run.advance()
         w, diag = renorm(run.point[1])
         if diag is None:

@@ -279,7 +279,7 @@ class PolyField:
 
     def _compiled(self, key, build: Callable[[], Callable]) -> Callable:
         """The generated function cached under `key` (a `_system` name
-        first, alone or with its tableau), built by `build` on first
+        first, alone or with its method's name), built by `build` on first
         use; `integrator` caches its steps and loops here too."""
         if key not in self._generated:
             self._generated[key] = build()

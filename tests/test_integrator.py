@@ -315,6 +315,7 @@ class TestGeneratedStep:
         ("lorenz", "rhs", "rk4-fixed", [1.0, 1.0, 1.0], 0.01),
         ("lorenz", "rhs", "rk4-fixed", [1.0, 1.0, 1.0], -0.001),
         ("lorenz", "tangent_rhs", "rk4-fixed", [1.0, 1.0, 1.0], 0.01),
+        ("lorenz", "tangent_rhs", "rk4-fixed", [-3.0, 2.0, 30.0], -0.001),
         ("closed-orbit", "rhs", "rk45-adaptive", [0.3, -1.7, 0.5], 0.02),
         ("lorenz", "rhs", "dop853-adaptive", [1.0, 1.0, 1.0], 0.01),
         ("lorenz", "rhs", "dop853-adaptive", [1.0, 1.0, 1.0], -0.001),
@@ -327,6 +328,8 @@ class TestGeneratedStep:
         ("lorenz", "rhs", "rk45-adaptive", [1.0, -0.0, 0.0], -0.001),
         ("lorenz", "rhs", "dop853-adaptive", [-0.0, 0.0, 1.0], 0.01),
         ("lorenz", "rhs", "dop853-adaptive", [1.0, -0.0, 0.0], -0.001),
+        ("lorenz", "rhs", "rk4-fixed", [-0.0, 0.0, 1.0], 0.01),
+        ("lorenz", "rhs", "rk4-fixed", [1.0, -0.0, 0.0], -0.001),
     ])
     def test_matches_array_arithmetic(self, name, system, method, x0, hs):
         field = load_system(name)
@@ -339,7 +342,7 @@ class TestGeneratedStep:
         step = integrator._compiled_step(field, system, integrator._TABLEAUS[method])
         y, f = tuple(w.tolist()), tuple(rhs(w).tolist())
         for _ in range(200):
-            z, g, err, _ss = step(y, f, hs, 1e-10)
+            z, g, err = step(y, f, hs, 1e-10)
             z_ref, g_ref, err_ref = _reference_step(
                 rhs, np.array(y), np.array(f), hs, 1e-10, method)
             assert _bits(z) == _bits(z_ref.tolist())
@@ -352,7 +355,7 @@ class TestGeneratedStep:
         rhs = closed_orbit.compiled_rhs()
         step = integrator._compiled_step(closed_orbit, "rhs", integrator._DP54)
         y = (1e80, 0.0, 0.0)
-        z, _g, _err, _ss = step(y, tuple(rhs(np.array(y)).tolist()), 1e-100, 1e-10)
+        z, _g, _err = step(y, tuple(rhs(np.array(y)).tolist()), 1e-100, 1e-10)
         assert not all(map(math.isfinite, z))
 
     def test_overflow_at_the_new_state_keeps_the_cap_verdict(self,
@@ -365,7 +368,7 @@ class TestGeneratedStep:
         traj = info.value.trajectory
         step = integrator._compiled_step(closed_orbit, "rhs", integrator._RK4)
         y = tuple(traj.states[-1].tolist())
-        z, g, _err, _ss = step(y, closed_orbit.compiled_slope("rhs")(y), -0.01, 1e-10)
+        z, g, _err = step(y, closed_orbit.compiled_slope("rhs")(y), -0.01, 1e-10)
         assert all(map(math.isfinite, z)) and not all(map(math.isfinite, g))
 
     @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
@@ -385,9 +388,9 @@ class TestGeneratedStep:
         i = next(i for i, a in enumerate(attempts) if a[3] == "non-finite")
         y, f, hs, _verdict = attempts[i]
         step = integrator._compiled_step(OVERFLOWING, "rhs", integrator._DP54)
-        z, _g, _err, _ss = step(y, f, hs, HUGE_CAP.tol)
+        z, _g, _err = step(y, f, hs, HUGE_CAP.tol)
         assert not all(map(math.isfinite, z))
-        z, _g, _err, _ss = step(y, f, 0.2 * hs, HUGE_CAP.tol)
+        z, _g, _err = step(y, f, 0.2 * hs, HUGE_CAP.tol)
         assert all(map(math.isfinite, z)) and attempts[i + 1][2] == 0.2 * hs
         traj = integrate(OVERFLOWING, OVERFLOWING_X0, 0.0, OVERFLOWING_T1, HUGE_CAP)
         assert traj.final_time == OVERFLOWING_T1
@@ -545,6 +548,29 @@ class TestGeneratedLoop:
         opts = self.RK4 if rk4 else IntegrationOptions()
         assert self._assert_same_run(load_system(name), system, w0, 0.0, t1,
                                      opts) is None
+
+    @pytest.mark.parametrize("rk4", [True, False])
+    def test_restart_is_a_fresh_run(self, lorenz, rk4):
+        # restarted from where it ended, a run starts and ends as a new
+        # run from there; a start whose slope overflows is refused alike
+        opts = self.RK4 if rk4 else IntegrationOptions()
+        run = integrator._Run(lorenz, "tangent_rhs", (1.0, 1.0, 1.0, *np.eye(3).ravel()),
+                              0.0, 0.5, opts)
+        for _ in range(2):
+            run.advance()
+            w = run.point[1]
+            fresh = integrator._Run(lorenz, "tangent_rhs", w, 0.0, 0.5, opts)
+            run.restart(w)
+            assert repr(run.point) == repr(fresh.point)
+        fresh.advance()
+        run.advance()
+        assert repr(run.point) == repr(fresh.point)
+        if not rk4:
+            w = (1e300, 1e300, 0.0, *np.eye(3).ravel().tolist())
+            with pytest.raises(BlowUpError, match="^non-finite field value at t=0$"):
+                integrator._Run(lorenz, "tangent_rhs", w, 0.0, 0.5, opts)
+            with pytest.raises(BlowUpError, match="^non-finite field value at t=0$"):
+                run.restart(w)
 
     @pytest.mark.parametrize("system, w0, t1", [
         ("rhs", [1.0, 1.0, 1.0], 5.0),
@@ -874,6 +900,18 @@ class TestFailureModes:
         with pytest.raises(BlowUpError, match=r"^non-finite state at t=0.01$"):
             integrate_with_tangent(lorenz, [1.0, 1.0, 1.0], 1e308 * np.eye(3),
                                    0.0, 1.0, IntegrationOptions(method="rk4-fixed"))
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_tangent_entries_whose_sum_overflows(self, method):
+        # every entry of V is finite, but the frame's sum, which the loop
+        # takes as its cheap finiteness test, overflows: the full test
+        # runs and passes, and the zero field leaves V as it is
+        field = parse_system("dx/dt = 0\ndy/dt = 0\ndz/dt = 0\ndw/dt = 0")
+        V0 = 2.0 ** 1022 * np.eye(4)
+        x, V = integrate_with_tangent(field, [1.0, 2.0, 3.0, 4.0], V0, 0.0, 1.0,
+                                      IntegrationOptions(method=method))
+        assert x.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert V.tobytes() == V0.tobytes()
 
     def test_cap_norm_does_not_overflow(self):
         # x = 1e154 e^t: x*x overflows from t = 0.2933 on, but the state

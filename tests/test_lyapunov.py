@@ -331,3 +331,16 @@ class TestPortableRenormalization:
                                    renorm_interval=0.5, opts=opts)
         expected = _reference_spectrum(field, x0, opts, 20, 0.5)
         assert [e.hex() for e in result.exponents] == [e.hex() for e in expected]
+
+    @pytest.mark.parametrize("opts, exponents", [
+        (RK4, ["0x1.44d678a2010a9p-5", "-0x1.42da9dfcebd7cp-3", "-0x1.b18c4a73efd3bp+3"]),
+        (IntegrationOptions(),
+         ["0x1.459a1cb498c4fp-5", "-0x1.430fc45ea094bp-3", "-0x1.b18eb05d054c5p+3"]),
+    ], ids=["rk4", "dp5"])
+    def test_frozen_spectra_with_a_short_last_interval(self, lorenz, opts, exponents):
+        """Twenty 0.5-unit intervals, which restart one run, then one of
+        0.2, which builds its own: the spectra of fresh runs for every
+        interval, frozen as float.hex."""
+        result = lyapunov_spectrum(lorenz, [1.0, 1.0, 1.0], transient=0.0,
+                                   total_time=10.2, renorm_interval=0.5, opts=opts)
+        assert [e.hex() for e in result.exponents] == exponents

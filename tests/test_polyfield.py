@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 import weakref
@@ -358,6 +359,25 @@ class TestGeneratedEvaluator:
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
                     assert ast.unparse(node) in ("err ** (-0.2)", "err ** (-0.125)")
                 assert not isinstance(node, ast.ExceptHandler), ast.unparse(node)
+
+    def test_power_of_two_weights_scale_the_step(self, generated_sources):
+        # RK4's two 0.5 rows add hc*k with hc = hs*0.5, taken once a step;
+        # the state-only loops of DP5(4) and DOP853, which have no such
+        # rows, keep the source they had before the fold: one digest
+        for name in SHIPPED:
+            field = flowbound.load_system(name)
+            for system in SYSTEMS[:3]:
+                integrator._compiled_step(field, system, integrator._RK4)
+                integrator._compiled_loop(field, system, integrator._RK4)
+        assert len(generated_sources) == len(SHIPPED) * 3 * 2
+        for source in generated_sources:
+            assert "hs*(0.5*" not in source and source.count("hc = hs*0.5\n") == 1
+        generated_sources.clear()
+        for name in SHIPPED:
+            for tableau in (integrator._DP54, integrator._DOP853):
+                integrator._compiled_loop(flowbound.load_system(name), "rhs", tableau)
+        assert hashlib.sha256("".join(generated_sources).encode()).hexdigest() == (
+            "b3adbf7352e45ef17170416383bd44d0fb54e64648e7c7673700a9d7e04503dd")
 
     @pytest.mark.parametrize("name, system, unread", [
         ("closed-orbit", "rhs", {2}),   # no slope reads z

@@ -132,6 +132,10 @@ def _matrix() -> list[tuple[str, ...]]:
          "--total", "100", "--interval", "0.5", "--history",
          "--method", "rk4-fixed", "--step", "0.01"),
     ]
+    # twenty intervals that restart one run and a shorter last one
+    rows += [("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "0", "--total",
+              "10.2", "--interval", "0.5", *method)
+             for method in (("--method", "rk4-fixed", "--step", "0.015"), ())]
     # the collapse test's verdicts: interval 2 refused (exit 2), 1 kept
     rows += [("lyapunov", "lorenz", "--x0", "1,1,1", "--transient", "10",
               "--total", "60", "--interval", interval) for interval in ("2", "1")]
