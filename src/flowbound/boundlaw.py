@@ -249,25 +249,35 @@ def find_equilibrium(field: PolyField, x0: Sequence[float],
 
 @dataclass
 class RefutationReport:
-    """Outcome of the backward-orbit existence demo.
+    """Outcome of the backward-orbit existence demo, as its evidence.
 
     Evidence-based: "bounded" means the computed orbit stayed below the
     norm cap over the requested horizon, not a proof about t -> -inf.
     `bound_report` checks the equilibrium, the backward run or its escape.
     `proof` names the argument behind a verdict that needs no run:
     "bound-line" when the certificate's alpha > 0 (see
-    `refute_nonexistence`), else None.
+    `refute_nonexistence`), else None. `verdict` and `equilibrium` follow
+    from these fields.
     """
 
-    verdict: str
     bounded: bool
-    equilibrium: bool
     witnessed_bound: float
     horizon: float
     bound_report: BoundReport
     equilibrium_state: Optional[np.ndarray] = None
     equilibrium_residual: Optional[float] = None
     proof: Optional[str] = None
+
+    @property
+    def verdict(self) -> str:
+        """A proof settles it; else a bounded orbit falsifies the claim."""
+        if self.proof is not None:
+            return VERDICT_PROVED_UNBOUNDED
+        return VERDICT_FALSIFIED if self.bounded else VERDICT_NO_COUNTEREXAMPLE
+
+    @property
+    def equilibrium(self) -> bool:
+        return self.equilibrium_state is not None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -293,35 +303,30 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
     """Search for a backward-bounded orbit under the certificate's
     hypothesis, the direct counterexample to claimed backward divergence.
 
-    Tries equilibrium detection first (Newton on f(x) = 0 from the seed,
-    accepted when the compiled floating-point field's residual is below
-    1e-12); otherwise integrates backward over the horizon. A finite-time
-    escape (blow-up or step-size underflow) is a valid non-counterexample
-    outcome, reported with the escape verdict.
-
-    A certified (not user-asserted) component with alpha > 0 settles the
-    question with no run: the backward bound line x_j(t) <= alpha*t +
-    x_j(0) for t < 0 sends x_j to -inf, so every backward orbit is
-    unbounded and no equilibrium or closed orbit exists. The report then
-    says so (`proof` "bound-line", horizon 0: nothing was integrated),
-    its bound report checks the one sample (0, x0) and its witnessed
-    bound is |x0|.
+    Takes the first evidence of three, in order. A certified (not
+    user-asserted) component with alpha > 0 settles the question with no
+    run: the backward bound line x_j(t) <= alpha*t + x_j(0) for t < 0
+    sends x_j to -inf, so every backward orbit is unbounded and no
+    equilibrium or closed orbit exists (`proof` "bound-line", horizon 0:
+    nothing was integrated; the bound report checks the one sample
+    (0, x0) and the witnessed bound is |x0|). Else an equilibrium: Newton
+    on f(x) = 0 from the seed, accepted when the compiled floating-point
+    field's residual is below 1e-12. Else the backward run over the
+    horizon; a finite-time escape (blow-up or step-size underflow) is a
+    valid non-counterexample outcome, reported up to the escape.
     """
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     opts = opts or IntegrationOptions()
+    x_star = residual = proof = None
+    bounded, reached = True, horizon
     if cert.alpha > 0 and cert.source == CERTIFIED:
         y0 = field._check_state(x0)
         traj = Trajectory(array("d", (0.0, *y0)), opts.tolerance, field)
-        return RefutationReport(
-            verdict=VERDICT_PROVED_UNBOUNDED, bounded=False, equilibrium=False,
-            witnessed_bound=math.hypot(*y0), horizon=0.0,
-            bound_report=verify_bounds(traj, cert), proof="bound-line")
-
-    x_star, residual = find_equilibrium(field, x0) or (None, None)
-    bounded, reached = True, horizon
-    if x_star is not None:
+        proof, bounded, reached, witnessed = "bound-line", False, 0.0, math.hypot(*y0)
+    elif (found := find_equilibrium(field, x0)) is not None:
         import numpy as np
+        x_star, residual = found
         rows = [v for t in np.linspace(0.0, -horizon, 11).tolist() for v in (t, *x_star)]
         traj = Trajectory(array("d", rows), opts.tolerance, field)
         witnessed = math.hypot(*x_star)
@@ -333,14 +338,5 @@ def refute_nonexistence(field: PolyField, cert: BoundCertificate,
             # integrate records the start before anything can fail
             traj, bounded, reached = exc.trajectory, False, float(abs(exc.t))
             witnessed = math.hypot(*exc.state)  # 1e200, not inf, at (1e200, 0, 0)
-
-    return RefutationReport(
-        verdict=VERDICT_FALSIFIED if bounded else VERDICT_NO_COUNTEREXAMPLE,
-        bounded=bounded,
-        equilibrium=x_star is not None,
-        witnessed_bound=witnessed,
-        horizon=reached,
-        bound_report=verify_bounds(traj, cert),
-        equilibrium_state=x_star,
-        equilibrium_residual=residual,
-    )
+    return RefutationReport(bounded, witnessed, reached, verify_bounds(traj, cert),
+                            x_star, residual, proof)

@@ -340,23 +340,26 @@ def _compiled_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable
 
 
 def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
-    """(size, step lines, err expression, f and g names) of one explicit
-    Runge-Kutta step of the field's `system` (`PolyField._system`) as
-    straight-line float code, from y and its slope f, the locals y0,
-    y1, ..., k0_0, k0_1, ... and p_i = |y_i|, the step hs and h = |hs|.
+    """(size, step-size lines, stage lines, err expression, f and g names)
+    of one explicit Runge-Kutta step of the field's `system`
+    (`PolyField._system`) as straight-line float code, from y and its
+    slope f, the locals y0, y1, ..., k0_0, k0_1, ... and p_i = |y_i|, the
+    step hs and h = |hs|. The step-size lines read only hs, so a run of
+    equal steps can take them once, before its first step.
 
     Zero coefficients are skipped, negative ones subtract (`_signed_sum`)
     and sums run in NumPy's order, so the step equals the same array
     arithmetic bit for bit. A trial stage assigns only the state components
-    its slope reads; one whose one weight is a power of two c ≠ ±1 (RK4's
-    0.5) adds hc k_i, hc = hs c, equal to hs (c k_i) unless hs c or c k_i
-    rounds: for 0.5, a step or slope under 2**-1021 in magnitude. The lines
-    call no `abs` and leave z in z0, z1, ..., g in the `g` names and q_i =
-    |z_i| (a zero may keep its sign: tol + tol·(±0) is tol); err is None
-    without error weights, else, with the scale tol + tol max(|y|, |z|), the
-    RMS of hs Σ e_j k_j in units of it, or with `e3` DOP853's |hs| ‖e5‖² /
-    √((‖e5‖² + 0.01 ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its
-    units (0 when both vanish). The lines cannot raise: a stage that
+    its slope reads; one whose one weight is a power of two c ≠ ±1, the
+    tableau's first such weight (RK4's 0.5), adds hc k_i, hc = hs c, equal
+    to hs (c k_i) unless hs c or c k_i rounds: for 0.5, a step or slope
+    under 2**-1021 in magnitude. The stage lines call no `abs` and leave
+    z in z0, z1, ..., g in the `g` names and q_i = |z_i| (a zero may keep
+    its sign: tol + tol·(±0) is tol); err is None without error weights,
+    else, with the scale tol + tol max(|y|, |z|), the RMS of hs Σ e_j k_j
+    in units of it, or with `e3` DOP853's |hs| ‖e5‖² / √((‖e5‖² + 0.01
+    ‖e3‖²) m) over e5 = Σ e_j k_j and e3 = Σ e3_j k_j in its units (0 when
+    both vanish). The lines cannot raise: a stage that
     overflows leaves inf or nan in the components it reaches, as arrays
     would.
     """
@@ -367,12 +370,13 @@ def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
     def combo(weights, i):
         return _signed_sum([_scaled(c, f"{k[j]}{i}") for j, c in enumerate(weights) if c])
 
-    step, hc = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"], None  # the weight in hc
+    sizes, step, hc = ["hb = hs" if d == 1.0 else f"hb = hs / {d!r}"], [], None  # hc = hs*hc
     for s, row in enumerate([*A, b], start=1):
         v, h = ("z", "hb") if s > len(A) else ("a", "hs")
         w = [c for c in row if c]
-        if v == "a" and len(w) == 1 and abs(w[0]) != 1.0 and abs(math.frexp(w[0])[0]) == 0.5:
-            step += [f"hc = hs*{w[0]!r}"] if hc != w[0] else []
+        if (v == "a" and len(w) == 1 and hc in (None, w[0]) and abs(w[0]) != 1.0
+                and abs(math.frexp(w[0])[0]) == 0.5):
+            sizes += [f"hc = hs*{w[0]!r}"] if hc is None else []
             row, h, hc = [c / w[0] for c in row], "hc", w[0]
         _size, body, out = field._system(system, v)
         reads = set(re.findall(rf"\b{v}(\d+)\b", "\n".join([*body, *out])))
@@ -390,16 +394,16 @@ def _step_text(field: PolyField, system: str, tableau: _Tableau) -> tuple:
         step += [f"eu = {_numpy_sum([f'u{i}*u{i}' for i in range(m)])}",
                  f"ed = eu + 0.01*{_numpy_sum([f'w{i}*w{i}' for i in range(m)])}"]
         err = f"(h*eu / _sqrt(ed*{m}) if ed != 0.0 else 0.0)"
-    return m, step, err, k[0], k[-1]
+    return m, sizes, step, err, k[0], k[-1]
 
 
 def _compile_step(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     """Generate `def _step(y, f, hs, tol)`: the step of `_step_text`,
     returning (z, g, err), err 0.0 without an estimate."""
-    m, step, err, f, g = _step_text(field, system, tableau)
+    m, sizes, step, err, f, g = _step_text(field, system, tableau)
     return _define("_step(y, f, hs, tol)", [
         f"{_names('y', m)} = y", f"{_names(f, m)} = f",
-        "h = abs(hs); " + "; ".join(f"p{i} = abs(y{i})" for i in range(m)), *step,
+        "h = abs(hs); " + "; ".join(f"p{i} = abs(y{i})" for i in range(m)), *sizes, *step,
         f"return ({_names('z', m)}), ({_names(g, m)}), {err or '0.0'}"])
 
 
@@ -407,19 +411,19 @@ def _compile_loop(field: PolyField, system: str, tableau: _Tableau) -> Callable:
     """Generate `def _loop(t, y, f, h, steps, t0, t1, direction, tol,
     cap, budget, rec, plane)`: the stepping loop of a whole run around
     the step of `_step_text` (see `_loop_lines`)."""
-    m, step, err, f, g = _step_text(field, system, tableau)
+    m, sizes, step, err, f, g = _step_text(field, system, tableau)
     return _define(
         "_loop(t, y, f, h, steps, t0, t1, direction, tol, cap, budget, rec, plane)",
         [f"{_names('y', m)} = y", f"{_names(f, m)} = f",
-         *_loop_lines(step, err, tableau.exponent, m, field.dimension, f, g)])
+         *_loop_lines(sizes, step, err, tableau.exponent, m, field.dimension, f, g)])
 
 
 def _indent(lines: Sequence[str]) -> list[str]:
     return [f"    {x}" for x in lines]
 
 
-def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
-                n: int, f: str, g: str) -> list[str]:
+def _loop_lines(sizes: list[str], step: list[str], err: Optional[str],
+                exponent: float, m: int, n: int, f: str, g: str) -> list[str]:
     """Body of the generated `_loop`: the run of accepted steps from (t, y)
     with slope f, step size h and `steps` steps taken, on to t1.
 
@@ -433,12 +437,13 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
     by min(5, 0.9 err^-x) after an accepted step, x the tableau's
     `exponent` (1/5 for DP5(4), 1/8 for DOP853). Without one: the
     `budget` equal steps of size h from t0, the k-th landing at t0 + k
-    hs and the last on t1; a state that is not finite ends the run. A
-    stage that overflows shows only there, as a new state that is not
-    finite: the step's arithmetic cannot raise. A new state whose first
-    n components have a norm (`math.hypot`, finite for finite
-    components) above `cap` ends either; the loop runs these two tests
-    only if ss = Σ z_i² over the n reaches `limit` or the sum sv of the
+    hs and the last on t1, the step-size lines `sizes` run once before the
+    first (the adaptive loop runs them after each new hs); a state that is
+    not finite ends the run. A stage that overflows shows only there, as
+    a new state that is not finite: the step's arithmetic cannot raise. A
+    new state whose first n components have a norm (`math.hypot`, finite
+    for finite components) above `cap` ends either; the loop runs these
+    two tests only if ss = Σ z_i² over the n reaches `limit` or the sum sv of the
     rest (tangent, divergence) is not finite. `rec`, if not None, takes each
     accepted point as one row (t, z0, ..., z{m-1}). An accepted step
     calls no `abs`: |y_i|, |g| and |g'| carry over from the step before.
@@ -483,11 +488,11 @@ def _loop_lines(step: list[str], err: Optional[str], exponent: float, m: int,
             f"        return 'underflow', t, {ys}, {fs}, h, steps, None",
             "    hs = direction * h",
             "    steps += 1",
-            "    tn = t1 if final else t + hs"]
+            "    tn = t1 if final else t + hs", *_indent(sizes)]
         refuse = [f"    h *= {_MIN_STEP_FACTOR!r}", "    continue"]
     else:
         lines += [
-            "hs = direction * h; last = budget - 1",
+            "hs = direction * h; last = budget - 1", *sizes,
             "while steps < budget:",
             "    final = steps == last",
             "    steps += 1",

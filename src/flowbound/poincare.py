@@ -23,6 +23,7 @@ along) carries the integrator's own accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -77,6 +78,12 @@ class CrossingRefinementError(IntegrationError):
     """Crossing refinement stalled; `t` and `state` are where it stopped."""
 
 
+def _unit(v: list[float]) -> tuple[float, float, float]:
+    """v over its norm, the square root of its squares summed left to right."""
+    norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
+
+
 @dataclass(frozen=True, eq=False)
 class SectionPlane:
     """Oriented plane: base point, unit normal, counted crossing direction.
@@ -107,17 +114,18 @@ class SectionPlane:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         # an exact power-of-two rescaling: the norm's squares cannot overflow or vanish
-        normal = np.ldexp(normal, -np.frexp(big)[1])
-        normal = normal / np.linalg.norm(normal)
-        k = int(np.argmin(np.abs(normal)))
-        e1 = -normal[k] * normal
+        scale = -math.frexp(big)[1]
+        n = _unit([math.ldexp(c, scale) for c in normal.tolist()])
+        k = min(range(3), key=lambda i: abs(n[i]))  # the first on ties
+        e1 = [-n[k] * c for c in n]
         e1[k] += 1.0
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
+        e1 = _unit(e1)
+        e2 = (n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2],
+              n[0] * e1[1] - n[1] * e1[0])  # normal × e1
         object.__setattr__(self, "point", tuple(point.tolist()))
-        object.__setattr__(self, "normal", tuple(normal.tolist()))
+        object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", self.rate(self.point))
-        object.__setattr__(self, "_basis", (tuple(e1.tolist()), tuple(e2.tolist())))
+        object.__setattr__(self, "_basis", (e1, e2))
 
     def chart_basis(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Deterministic orthonormal in-plane basis (e1, e2), computed

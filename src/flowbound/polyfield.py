@@ -642,6 +642,15 @@ def parse_system(text: str) -> PolyField:
             f"{name!r} is declared both as parameter and state variable", 1, 1)
     var_index = {v: i for i, v in enumerate(equations)}
     components = [line.rhs(var_index, params) for line in equations.values()]
+    # a Jacobian entry's terms are the c*e of distinct terms (differentiation
+    # merges none): all finite exactly when each term's largest e gives one
+    for (var, line), poly in zip(equations.items(), components):
+        for m in poly.terms:
+            e = max(m.exponents)
+            if not math.isfinite(m.coefficient * e):
+                line._error(f"d{var}/dt has no finite Jacobian: its derivative by "
+                            f"{list(var_index)[m.exponents.index(e)]} has the "
+                            f"coefficient {e} * {m.coefficient!r}", line.tokens[0])
     return PolyField(components, tuple(equations), params)
 
 

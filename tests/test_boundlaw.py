@@ -82,6 +82,16 @@ class TestCertificates:
         with pytest.raises(ValueError):
             BoundCertificate(0, -1.0)
 
+    @pytest.mark.parametrize("alpha, source, message", [
+        (math.inf, "certified", "alpha must be finite"),
+        (math.nan, "user-asserted", "alpha must be finite"),
+        (0.0, "proved", "unknown source 'proved'"),
+    ])
+    def test_refused_certificates(self, alpha, source, message):
+        with pytest.raises(ValueError) as info:
+            BoundCertificate(1, alpha, source)
+        assert str(info.value) == message
+
     def test_shipped_certifiable_components(self, lorenz, stuart_landau,
                                             closed_orbit, equilibrium):
         assert [(c.component_index, c.alpha)
@@ -266,6 +276,14 @@ class TestFindEquilibrium:
         field = parse_system("dx/dt = x^2 + 1")
         assert find_equilibrium(field, [1.0]) is None
 
+    def test_non_finite_jacobian_returns_none(self):
+        # f = 8e296*1.5^64 is finite, J's 64*8e296*1.5^63 is not: no lstsq
+        field = parse_system("dx/dt = 8e296*x^64 - y\ndy/dt = x\ndz/dt = x^2 + y^2")
+        x0 = [1.5, 0.0, 0.0]
+        assert math.isfinite(field.compiled_slope("rhs")(x0)[0])
+        assert field.compiled_slope("jacobian")(x0)[0] == math.inf
+        assert find_equilibrium(field, x0) is None
+
     def test_residual_is_tested_after_the_last_step(self):
         # Newton halves x exactly on dx/dt = x^2: from 30 the residual
         # first drops below 1e-12 after the 25th and last step
@@ -358,6 +376,24 @@ class TestFloatGaussNewton:
 
 
 class TestRefuteNonexistence:
+    @pytest.mark.parametrize("bounded, state, proof, verdict", [
+        (True, None, None, VERDICT_FALSIFIED),
+        (True, [0.0, 0.0, 0.7], None, VERDICT_FALSIFIED),
+        (False, None, None, VERDICT_NO_COUNTEREXAMPLE),
+        (False, None, "bound-line", VERDICT_PROVED_UNBOUNDED),
+    ])
+    def test_verdict_follows_from_the_evidence(self, bounded, state, proof, verdict):
+        # the report stores evidence only: a proof settles the verdict,
+        # else `bounded`; an equilibrium is a stored equilibrium state
+        checked = boundlaw.BoundReport(True, 0.0, True, 0.0, False, 1, 1e-6)
+        report = boundlaw.RefutationReport(bounded, 1.0, 0.0, checked, state,
+                                           None if state is None else 0.0, proof)
+        assert report.verdict == verdict
+        assert report.equilibrium == (state is not None)
+        assert report.to_json_dict()["verdict"] == verdict
+        with pytest.raises(AttributeError):
+            report.verdict = verdict
+
     def test_equilibrium_witness(self, equilibrium):
         cert = BoundCertificate.certified(equilibrium, 3)
         report = refute_nonexistence(equilibrium, cert, [0.0, 0.0, 0.0], 100.0)

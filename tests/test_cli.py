@@ -686,6 +686,22 @@ class TestRepeatedCalls:
         assert errors[0].startswith("cannot parse system file:")
         assert errors[1] == errors[0]
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--t1", "1"], ["bounds-check"], ["refute"], ["lyapunov"],
+        ["section", "--plane", "0,0,0/0,0,1/both"], ["upo", "--plane", "0,0,0/0,0,1/both"]])
+    def test_unwritable_jacobian_fails_at_parse(self, tmp_path, capsys, command):
+        # d(dx/dt)/dx = 64e308*x^63 overflows; from (0.5, 0, 0) `simulate`
+        # would otherwise fail by step underflow, `refute` and `lyapunov`
+        # with a message that names no line
+        system = tmp_path / "overflow.sys"
+        system.write_text("dx/dt = 1e308*x^64 - y\ndy/dt = x\ndz/dt = x^2 + y^2\n")
+        assert main([command[0], "--system", str(system), "--x0", "0.5,0,0",
+                     *command[1:], "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "cannot parse system file: line 1, column 1: dx/dt has no finite "
+            "Jacobian: its derivative by x has the coefficient 64 * 1e+308\n")
+        assert list(tmp_path.iterdir()) == [system]
+
     def test_no_stdout_after_stdout(self, tmp_path, capsys):
         assert main([*self.BOUNDS, "--out", str(tmp_path / "a"), "--stdout"]) == 0
         assert capsys.readouterr().out == (tmp_path / "a" / "bounds.json").read_text()

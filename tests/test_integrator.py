@@ -92,6 +92,11 @@ class TestDOP853:
         with pytest.raises(ValueError, match="step applies to rk4-fixed only"):
             IntegrationOptions(method="dop853-adaptive", step=0.1)
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+    def test_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="blow_up_norm must be positive"):
+            IntegrationOptions(blow_up_norm=cap)
+
 
 class TestFixedStepRK4:
     def test_order_four_on_decay(self):
@@ -776,6 +781,8 @@ _BAD_STARTS = {
         f, [1.0, 0.0], 1.0, 1.0, 0.5),
     "integrate_with_tangent-Q0-nan": lambda f: integrate_with_tangent(
         f, [1.0, 0.0, 0.0], np.full((3, 3), math.nan), 0.0, 1.0),
+    "integrate_with_tangent-Q0-2vector": lambda f: integrate_with_tangent(
+        f, [1.0, 0.0, 0.0], [1.0, 0.0], 0.0, 1.0),
 }
 
 

@@ -79,18 +79,26 @@ class TestPlaneGeometry:
     @pytest.mark.parametrize("normal", [[3.0, 1.0, -2.0], [1.0, 1.0, 1.0],
                                         [0.0, 0.0, 1.0], [-0.2, 5.0, 0.1]])
     def test_chart_basis_is_built_once_and_read_only(self, normal):
-        # the frame is built with NumPy and stored as float tuples
+        # the frame is built on Python floats, each norm the square root of
+        # a sum of squares taken left to right (no BLAS dot, no fused
+        # multiply-add), and stored as float tuples
         plane = SectionPlane([1.0, -2.0, 0.5], normal, "both")
-        n = np.asarray(normal) / np.linalg.norm(normal)
-        k = int(np.argmin(np.abs(n)))
-        e1 = -n[k] * n
+
+        def unit(v):
+            norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+            return [c / norm for c in v]
+
+        n = unit(normal)
+        k = [abs(c) for c in n].index(min(abs(c) for c in n))
+        e1 = [-n[k] * c for c in n]
         e1[k] += 1.0
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
+        e1 = unit(e1)
+        e2 = [n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2],
+              n[0] * e1[1] - n[1] * e1[0]]
         b1, b2 = plane.chart_basis()
         for got, want in ((plane.normal, n), (b1, e1), (b2, e2)):
             assert isinstance(got, tuple)
-            assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
         assert plane.chart_basis()[0] is b1
         for e in (b1, b2):
             with pytest.raises(TypeError):
@@ -183,6 +191,17 @@ class TestFirstReturn:
         bad = SectionPoint([0.0, 0.0], [1.0, 0.5, 0.0], 0.0)
         with pytest.raises(ValueError):
             first_return(closed_orbit, plane, bad)
+
+    @pytest.mark.parametrize("max_time", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("call", ["first_crossing", "first_return"])
+    def test_max_time_must_be_positive(self, closed_orbit, call, max_time):
+        plane = y0_plane()
+        with pytest.raises(ValueError, match="max_time must be positive"):
+            if call == "first_crossing":
+                first_crossing(closed_orbit, plane, [1.0, 0.5, 0.0], max_time=max_time)
+            else:
+                first_return(closed_orbit, plane, SectionPoint(
+                    [1.0, 0.0], [1.0, 0.0, 0.0], 0.0), max_time=max_time)
 
     def test_needs_three_dimensions(self):
         field = parse_system("dx/dt = 1")

@@ -145,6 +145,24 @@ class TestParsing:
         assert (exc_info.value.line, exc_info.value.column) == (line, column)
         assert str(exc_info.value) == f"line {line}, column {column}: {message}"
 
+    @pytest.mark.parametrize("rhs, message", [
+        ("1e308*x^64 - y", "its derivative by x has the coefficient 64 * 1e+308"),
+        ("x - 3e307*x*y^7", "its derivative by y has the coefficient 7 * -3e+307"),
+    ])
+    def test_unwritable_jacobian_is_refused_at_its_equation(self, rhs, message):
+        # differentiation merges no terms within a Jacobian entry, so an
+        # entry overflows exactly where one term's coefficient times its
+        # exponent does
+        with pytest.raises(SystemConfigError) as exc_info:
+            parse_system(f"param a = 1\ndy/dt = x\ndx/dt = {rhs}")
+        assert (exc_info.value.line, exc_info.value.column) == (3, 1)
+        assert str(exc_info.value) == (
+            f"line 3, column 1: dx/dt has no finite Jacobian: {message}")
+
+    def test_largest_writable_jacobian_parses(self):
+        field = parse_system("dx/dt = 8e296*x^64 - y\ndy/dt = x")
+        assert coeffs(field.jacobian_polynomials()[0][0]) == {(63, 0): 64 * 8e296}
+
     def test_nesting_up_to_the_limit_parses(self):
         field = parse_system("dx/dt = " + "(" * 64 + "x" + ")" * 64)
         assert coeffs(poly(field)) == {(1,): 1.0}
@@ -361,7 +379,8 @@ class TestGeneratedEvaluator:
                 assert not isinstance(node, ast.ExceptHandler), ast.unparse(node)
 
     def test_power_of_two_weights_scale_the_step(self, generated_sources):
-        # RK4's two 0.5 rows add hc*k with hc = hs*0.5, taken once a step;
+        # RK4's two 0.5 rows add hc*k with hc = hs*0.5, taken once a step
+        # by `_step` and once a run by the fixed-step loop;
         # the state-only loops of DP5(4) and DOP853, which have no such
         # rows, keep the source they had before the fold: one digest
         for name in SHIPPED:
@@ -378,6 +397,18 @@ class TestGeneratedEvaluator:
                 integrator._compiled_loop(flowbound.load_system(name), "rhs", tableau)
         assert hashlib.sha256("".join(generated_sources).encode()).hexdigest() == (
             "b3adbf7352e45ef17170416383bd44d0fb54e64648e7c7673700a9d7e04503dd")
+
+    @pytest.mark.parametrize("tableau, inside", [("_RK4", False), ("_DP54", True)])
+    def test_step_sizes_are_taken_once_a_run_of_equal_steps(self, generated_sources,
+                                                             tableau, inside):
+        # a fixed-step run's hs never changes: hb and hc precede its loop;
+        # an adaptive run recomputes them after each new hs
+        integrator._compiled_loop(flowbound.load_system("lorenz"), "rhs",
+                                  getattr(integrator, tableau))
+        lines = generated_sources[0].splitlines()
+        loop = next(i for i, x in enumerate(lines) if x.lstrip().startswith("while "))
+        sizes = [i for i, x in enumerate(lines) if re.match(r"\s*h[bc] = hs", x)]
+        assert sizes and all((i > loop) == inside for i in sizes)
 
     @pytest.mark.parametrize("name, system, unread", [
         ("closed-orbit", "rhs", {2}),   # no slope reads z
@@ -653,6 +684,30 @@ class TestCanonicalForm:
     def test_monomial_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             Monomial(1.0, (-1, 0))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Monomial(math.inf, (1,)), "monomial coefficient must be finite"),
+        (lambda: Monomial(math.nan, (1,)), "monomial coefficient must be finite"),
+        (lambda: Polynomial((Monomial(1.0, (1,)), Monomial(2.0, (1,)))),
+         "duplicate exponent tuples; use Polynomial.from_terms"),
+        (lambda: Polynomial((Monomial(0.0, (1,)),)),
+         "zero-coefficient term; use Polynomial.from_terms"),
+        (lambda: Polynomial.variable(0, 1) ** -1,
+         "polynomial exponent must be a non-negative integer"),
+        (lambda: PolyField([]), "field needs at least one component"),
+        (lambda: PolyField([Polynomial.variable(0, 2)] * 2, ("x",)),
+         "variable_names length must equal dimension"),
+        (lambda: PolyField([Polynomial.variable(0, 1)] * 2),
+         "monomial exponent tuple has wrong length"),
+    ], ids=["monomial-inf", "monomial-nan", "duplicate-terms", "zero-term",
+            "negative-power", "no-component", "names-length", "exponents-length"])
+    def test_refused_construction(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_field_repr(self, lorenz):
+        assert repr(lorenz) == "PolyField(n=3, vars=('x', 'y', 'z'))"
 
     def test_parsing_canonicalizes_scattered_terms(self):
         field = parse_system("dx/dt = x + 2 + x + x^2 - 2")

@@ -86,13 +86,16 @@ def _matrix() -> list[tuple[str, ...]]:
         ("refute", "closed-orbit", "--x0", "2,0,0", "--cap", "10"),
         ("refute", "closed-orbit", "--x0", "0.3,0.4,-2", "--horizon", "50"),
     ]
+    # a certified alpha > 0: the bound-line proof, with nothing integrated
+    rows += [("refute", "parity-systems/bound-line.sys", "--x0", x, "--stdout")
+             for x in ("1,0,0", "0.5,-2,3")]
     # bounded witnesses whose norm squared overflows
     rows += [("refute", system, "--x0=0,0,1e200", "--cap", "1e300", "--horizon", "10")
              for system in ("closed-orbit", "equilibrium")]
     rows += [("section", "lorenz", "--x0", "1,1,1", "--plane", plane,
               "--iterates", "50", "--stdout")
              for plane in (LORENZ_Z27, Y0_PLANE, "0,0,20/1,1,1/both",
-                           "1,2,25/0.3,-0.5,1/positive")]
+                           "1,2,25/0.3,-0.5,1/positive", "0,0,27/3,1,-2/both")]
     # a plane that the orbit crosses both ways every period
     rows += [("section", "stuart-landau", "--x0", "1.3,-0.2,0.5", "--plane",
               f"0,0,0/0,1,0/{direction}", "--iterates", "50", "--stdout")
@@ -214,6 +217,11 @@ def _matrix() -> list[tuple[str, ...]]:
               "--t1", "1", "--stdout")
              for name in ("param-error", "head-error", "expr-error",
                           "zero-power", "not-utf8")]
+    # a Jacobian entry that overflows, which only a Jacobian's user meets
+    # unless the reader refuses the file
+    overflow = ("parity-systems/jacobian-overflow.sys", "--x0", "0.5,0,0")
+    rows += [("refute", *overflow),
+             ("lyapunov", *overflow, "--transient", "0", "--total", "1")]
     return rows
 
 
